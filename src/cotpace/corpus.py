@@ -219,7 +219,10 @@ def _record_to_question(rec: dict, where: str) -> Question:
             _expect(item, list, "step_spans", where)
             if len(item) != 2:
                 raise ValidationError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
-            spans.append((int(item[0]), int(item[1])))
+            start, end = item
+            if type(start) is not int or type(end) is not int:  # rejects bool too
+                raise ValidationError(f"field 'step_spans' of {where}: bounds must be integers")
+            spans.append((start, end))
     else:
         spans = segment_steps(tokens)
     embedding = None

@@ -76,10 +76,10 @@ class SelectionProblem:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.budget < 0.0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not math.isfinite(self.budget) or self.budget < 0.0:
+            raise ValueError(f"budget must be finite and >= 0, got {self.budget}")
+        if not math.isfinite(self.beta) or self.beta < 0.0:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         for qid, d in self.increments.items():
             if not math.isfinite(d) or d < 0.0:
                 raise ValueError(f"candidate {qid!r}: increment must be finite and >= 0, got {d}")
@@ -124,9 +124,10 @@ def marginal_gain(problem: SelectionProblem, chosen: Iterable[str], candidate: s
 
 
 def is_feasible(problem: SelectionProblem, chosen: Iterable[str]) -> bool:
+    chosen = set(chosen)
     total = 0.0
     for qid in problem.ids:
-        if qid in set(chosen):
+        if qid in chosen:
             total += problem.increments[qid]
     return total <= problem.budget
 

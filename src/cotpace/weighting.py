@@ -12,6 +12,7 @@ validates them against central differences on the relaxed objective.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -30,7 +31,8 @@ SOFT_HI = 1.0 - 1e-12
 # sigmoid'(PRE_CAP) so any token stays revisable for the whole run.
 PRE_CAP = 4.0
 # Pooling scores get the same treatment with more headroom; see
-# _pool_scores for why they must stay bounded.
+# _pool_scores for why they must stay bounded. The bound also serves as
+# the softmax shift in _pool_cuts.
 SCORE_CAP = 12.0
 # Parameters updated at the scorer rate; everything else (answer head,
 # its token table, question projection, pooling) runs at the head rate.
@@ -92,10 +94,22 @@ class TokenWeightModel:
     params: dict[str, np.ndarray]
     config: WeightingConfig
     question_dim: int
+    # token sequence -> read-only id array; the vocabulary never changes
+    # after the model is built, and training looks up the same rationales
+    # every epoch
+    _ids: dict[tuple[str, ...], np.ndarray] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def token_ids(self, tokens: list[str]) -> np.ndarray:
-        unk = self.vocab[UNK_TOKEN]
-        return np.asarray([self.vocab.get(t, unk) for t in tokens], dtype=np.int64)
+        key = tuple(tokens)
+        idx = self._ids.get(key)
+        if idx is None:
+            unk = self.vocab[UNK_TOKEN]
+            idx = np.asarray([self.vocab.get(t, unk) for t in tokens], dtype=np.int64)
+            idx.flags.writeable = False
+            self._ids[key] = idx
+        return idx
 
 
 def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generator | None = None) -> TokenWeightModel:
@@ -139,20 +153,21 @@ def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generato
     return TokenWeightModel(vocab=vocab, classes=classes, params=params, config=config, question_dim=dx)
 
 
+@functools.lru_cache(maxsize=256)
 def _positional_encoding(n: int, d: int) -> np.ndarray:
+    """Sinusoidal (n, d) table; cached and read-only, so every caller shares it."""
     pos = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
-    return np.where(np.arange(d)[None, :] % 2 == 0, np.sin(angle), np.cos(angle))
+    out = np.where(np.arange(d)[None, :] % 2 == 0, np.sin(angle), np.cos(angle))
+    out.flags.writeable = False
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _scorer_forward(model: TokenWeightModel, idx: np.ndarray):
@@ -191,8 +206,8 @@ class MaskSample:
 
 
 def _sample_noise(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    g1 = -np.log(-np.log(np.clip(rng.random(n), 1e-300, None)))
-    g0 = -np.log(-np.log(np.clip(rng.random(n), 1e-300, None)))
+    g1 = -np.log(-np.log(np.maximum(rng.random(n), 1e-300)))
+    g0 = -np.log(-np.log(np.maximum(rng.random(n), 1e-300)))
     return g1, g0
 
 
@@ -229,9 +244,10 @@ def total_weighting_loss(prediction_loss: float, ratio_loss: float, alpha: float
 
 def _pool_scores(e0, xr, pool_q, sd):
     """Pooling scores squashed to (-SCORE_CAP, SCORE_CAP), plus the tanh
-    slopes the backward needs. Unbounded scores eventually underflow the
-    exp of whichever item falls far below the running maximum, and the
-    whole normaliser can reach exact zero when everything is masked."""
+    slopes the backward needs. Bounded scores let _pool_cuts shift every
+    exp by SCORE_CAP: each term then lies in [exp(-2 SCORE_CAP), 1], so
+    none underflows and the normaliser stays positive even when every
+    token is masked."""
     s_tok = SCORE_CAP * np.tanh(e0 @ pool_q / (sd * SCORE_CAP))
     s_x = SCORE_CAP * math.tanh(float(xr @ pool_q) / (sd * SCORE_CAP))
     slope_tok = 1.0 - (s_tok / SCORE_CAP) ** 2
@@ -239,28 +255,44 @@ def _pool_scores(e0, xr, pool_q, sd):
     return s_tok, s_x, slope_tok, slope_x
 
 
-def _prefix_loss(e0, xr, s_tok, s_x, factors, k, w_cls, b_cls, cls_idx):
-    """Pooled classification loss for one prefix cut k. Items are the
-    projected question plus tokens j < k, each token's exp-score scaled
-    by its mask factor (0 drops it exactly)."""
-    f = factors[:k]
-    # shift by the max over every candidate score, included or not: the
-    # exp of excluded tokens is still evaluated (their gradient carries
-    # the counterfactual value of unmasking), so they too must be shifted
-    m_star = s_x if k == 0 else max(s_x, float(s_tok[:k].max()))
-    cx = math.exp(s_x - m_star)
-    et = np.exp(s_tok[:k] - m_star)
-    ct = f * et
-    z = cx + float(ct.sum())
+def _prefix_rows(prefixes, n: int) -> np.ndarray:
+    """(cuts, n) matrix whose row c is 1 on the tokens j < prefixes[c]."""
+    cuts = np.asarray(prefixes, dtype=np.int64).reshape(-1, 1)
+    return (np.arange(n) < cuts).astype(np.float64)
+
+
+def _pool_cuts(e0, xr, s_tok, s_x, rows, w_cls, b_cls, cls_idx):
+    """Pooled classification loss for every row of rows (R, n) at once.
+    Row r pools the projected question plus each token j with its
+    exp-score scaled by rows[r, j], so a prefix cut k under mask factors f
+    is the row [j < k] * f (0 drops a token exactly). All scores lie below
+    SCORE_CAP, so that one fixed shift replaces a per-row max; the exp of
+    a dropped token is still evaluated, because its gradient carries the
+    counterfactual value of unmasking it."""
+    cx = math.exp(s_x - SCORE_CAP)
+    et = np.exp(s_tok - SCORE_CAP)
+    ct = rows * et
+    z = cx + ct.sum(axis=1)
     ax = cx / z
-    at = ct / z
-    pooled = ax * xr + at @ e0[:k]
+    at = ct / z[:, None]
+    pooled = ax[:, None] * xr + at @ e0
     logits = pooled @ w_cls + b_cls
-    mx = float(logits.max())
-    lse = mx + math.log(np.exp(logits - mx).sum())
-    loss = lse - float(logits[cls_idx])
-    probs = np.exp(logits - lse)
-    return loss, (f, et, ct, z, ax, at, pooled, probs)
+    mx = logits.max(axis=1)
+    lse = mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1))
+    losses = lse - logits[:, cls_idx]
+    probs = np.exp(logits - lse[:, None])
+    return losses, (cx, et, ct, z, ax, at, pooled, probs)
+
+
+def _cut_losses(model: TokenWeightModel, question: Question, rows: np.ndarray) -> np.ndarray:
+    """Answer NLL of each row of rows (R, n_tokens), see _pool_cuts."""
+    p = model.params
+    he = p["h_embed"][model.token_ids(question.rationale_tokens)]
+    xr = question.embedding @ p["x_proj"]
+    s_tok, s_x, _, _ = _pool_scores(he, xr, p["pool_q"], math.sqrt(model.config.d_embed))
+    cls_idx = model.classes[question.answer_text]
+    losses, _ = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
+    return losses
 
 
 def answer_prediction_loss(
@@ -286,20 +318,8 @@ def answer_prediction_loss(
     for k in prefixes:
         if k < 0 or k > n:
             raise WeightingError(f"prefix cut {k} outside [0, {n}]")
-    p = model.params
-    de = model.config.d_embed
-    idx = model.token_ids(question.rationale_tokens)
-    he = p["h_embed"][idx]
-    xr = question.embedding @ p["x_proj"]
-    sd = math.sqrt(de)
-    s_tok, s_x, _, _ = _pool_scores(he, xr, p["pool_q"], sd)
-    cls_idx = model.classes[question.answer_text]
-    factors = sample.hard.astype(np.float64)
-    total = 0.0
-    for k in prefixes:
-        loss_k, _ = _prefix_loss(he, xr, s_tok, s_x, factors, int(k), p["w_cls"], p["b_cls"], cls_idx)
-        total += loss_k
-    return total
+    rows = _prefix_rows(prefixes, n) * sample.hard
+    return float(_cut_losses(model, question, rows).sum())
 
 
 def weighting_loss_and_grads(
@@ -367,64 +387,50 @@ def weighting_loss_and_grads(
     s_tok, s_x, slope_tok, slope_x = _pool_scores(he, xr, p["pool_q"], sd)
     cls_idx = model.classes[question.answer_text]
 
-    lp = 0.0
-    lm = 0.0
-    caches = []
     # The kept-token penalty is charged per prefix over the tokens that
     # prefix exposes, so each token meets the penalty and the prediction
     # gradient in exactly the same draws. A global per-draw penalty would
     # out-muscle late tokens (rarely inside a prefix, always penalised)
     # and underweight early ones.
-    pref_count = np.zeros(n)
-    for k in prefixes:
-        loss_k, cache = _prefix_loss(he, xr, s_tok, s_x, factors, int(k), p["w_cls"], p["b_cls"], cls_idx)
-        lp += loss_k
-        lm += float(np.sum(soft[: int(k)]))
-        pref_count[: int(k)] += 1.0
-        caches.append((int(k), cache, True, 1.0))
-    loss = lp + alpha * lm
+    prefix = _prefix_rows(prefixes, n)
+    n_cuts = prefix.shape[0]
+    pref_count = prefix.sum(axis=0)
+    lm = float((prefix @ soft).sum())
+    # one row per cut under the mask, then (if weighted) one per cut with
+    # every token visible
+    rows = prefix * factors
     if unmasked_weight > 0.0:
-        ones = np.ones(n)
-        for k in prefixes:
-            loss_k, cache = _prefix_loss(he, xr, s_tok, s_x, ones, int(k), p["w_cls"], p["b_cls"], cls_idx)
-            loss += unmasked_weight * loss_k
-            caches.append((int(k), cache, False, unmasked_weight))
+        rows = np.concatenate([rows, prefix])
+    losses, cache = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
+    lp = float(losses[:n_cuts].sum())
+    loss = lp + alpha * lm + unmasked_weight * float(losses[n_cuts:].sum())
     if not with_grads:
         return loss, lp, lm, None, sample
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    d_he = np.zeros_like(he)
-    d_xr = np.zeros_like(xr)
-    d_stok = np.zeros(n)
-    d_sx = 0.0
-    d_factors = np.zeros(n)
-    for k, cache, mask_path, scale in caches:
-        f, et, ct, z_norm, ax, at, pooled, probs = cache
-        dlogits = probs.copy()
-        dlogits[cls_idx] -= 1.0
-        dlogits *= scale
-        grads["w_cls"] += np.outer(pooled, dlogits)
-        grads["b_cls"] += dlogits
-        dpooled = p["w_cls"] @ dlogits
-        dax = float(xr @ dpooled)
-        dat = he[:k] @ dpooled
-        d_xr += ax * dpooled
-        d_he[:k] += at[:, None] * dpooled[None, :]
-        dot = ax * dax + float(at @ dat)
-        dcx = (dax - dot) / z_norm
-        dct = (dat - dot) / z_norm
-        d_sx += dcx * (ax * z_norm)  # = dcx * cx
-        d_stok[:k] += dct * ct
-        if mask_path:
-            d_factors[:k] += dct * et
+    cx, et, ct, z_norm, ax, at, pooled, probs = cache
+    dlogits = probs
+    dlogits[:, cls_idx] -= 1.0
+    dlogits[n_cuts:] *= unmasked_weight
+    dpooled = dlogits @ p["w_cls"].T
+    dax = dpooled @ xr
+    dat = dpooled @ he.T
+    d_xr = ax @ dpooled
+    d_he = at.T @ dpooled
+    dot = ax * dax + (at * dat).sum(axis=1)
+    dct = (dat - dot[:, None]) / z_norm[:, None]
+    d_sx = cx * float(((dax - dot) / z_norm).sum())
+    d_stok = (dct * ct).sum(axis=0)
+    # the mask factors only scale the first n_cuts rows
+    d_factors = (dct[:n_cuts] * prefix).sum(axis=0) * et
+    grads = {"w_cls": pooled.T @ dlogits, "b_cls": dlogits.sum(axis=0)}
     # pooling scores, through the tanh caps
     d_sx_raw = d_sx * slope_x
     d_stok_raw = d_stok * slope_tok
     d_xr += d_sx_raw * p["pool_q"] / sd
-    grads["pool_q"] += d_sx_raw * xr / sd
     d_he += np.outer(d_stok_raw, p["pool_q"]) / sd
-    grads["pool_q"] += he.T @ d_stok_raw / sd
-    grads["x_proj"] += np.outer(question.embedding, d_xr)
+    grads["pool_q"] = (d_sx_raw * xr + he.T @ d_stok_raw) / sd
+    grads["x_proj"] = np.outer(question.embedding, d_xr)
+    grads["h_embed"] = np.zeros_like(p["h_embed"])
     np.add.at(grads["h_embed"], idx, d_he)
     # mask path: prediction gradient flows through the soft values in both
     # modes (straight-through for 'hard'); the ratio term is always soft.
@@ -436,22 +442,23 @@ def weighting_loss_and_grads(
     d_z = d_w * w * (1.0 - w)
     d_z = d_z * (1.0 - (z / PRE_CAP) ** 2)
     # scorer
-    grads["w2"] += h.T @ d_z
-    grads["b2"] += d_z.sum()
+    grads["w2"] = h.T @ d_z
+    grads["b2"] = np.asarray(d_z.sum())
     d_h = np.outer(d_z, p["w2"])
     d_hpre = d_h * (1.0 - h * h)
-    grads["w1"] += mixed.T @ d_hpre
-    grads["b1"] += d_hpre.sum(axis=0)
+    grads["w1"] = mixed.T @ d_hpre
+    grads["b1"] = d_hpre.sum(axis=0)
     d_mixed = d_hpre @ p["w1"].T
     d_attn = d_mixed @ v.T
     d_v = attn.T @ d_mixed
     d_scores = (d_attn - (d_attn * attn).sum(axis=1, keepdims=True)) * attn
     d_q = d_scores @ k_mat / sd
     d_k = d_scores.T @ q / sd
-    grads["wq"] += x.T @ d_q
-    grads["wk"] += x.T @ d_k
-    grads["wv"] += x.T @ d_v
+    grads["wq"] = x.T @ d_q
+    grads["wk"] = x.T @ d_k
+    grads["wv"] = x.T @ d_v
     d_x = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
+    grads["embed"] = np.zeros_like(p["embed"])
     np.add.at(grads["embed"], idx, d_x)
     return loss, lp, lm, grads, sample
 
@@ -543,14 +550,13 @@ def _selection_score(
     for q in corpus.questions:
         w = forward_weights(model, q.rationale_tokens)
         total += alpha * float(np.sum(w))
-        pred = 0.0
-        for _ in range(draws):
-            wc = np.clip(w, CLAMP_LO, CLAMP_HI)
+        wc = np.clip(w, CLAMP_LO, CLAMP_HI)
+        # one full-visibility row per draw; the noise is drawn draw by draw
+        hard = np.empty((draws, q.n_tokens))
+        for d in range(draws):
             g1, g0 = _sample_noise(q.n_tokens, rng)
-            soft = _soft_mask(wc, g1, g0, model.config.tau)
-            sample = MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
-            pred += answer_prediction_loss(model, q, sample, prefixes=[q.n_tokens])
-        total += pred / draws
+            hard[d] = _soft_mask(wc, g1, g0, model.config.tau) >= 0.5
+        total += float(_cut_losses(model, q, hard).sum()) / draws
     return total
 
 

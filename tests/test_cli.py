@@ -79,6 +79,21 @@ def test_validate_ok_exits_0(small_corpus_path, capsys):
     assert "[validate] ok" in capsys.readouterr().out
 
 
+def test_validate_rejects_non_integer_step_span(tmp_path, capsys):
+    record = {
+        "id": "q0",
+        "question": "how many",
+        "answer": "2",
+        "rationale_tokens": ["one", "plus", "one", "."],
+        "step_spans": [[False, 2], [2.9, 4]],  # int() would accept both
+    }
+    corpus = tmp_path / "spans.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    assert main(["validate", "--corpus", str(corpus), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "step_spans" in err and "q0" in err
+
+
 def test_assess_without_logprobs_points_at_the_fix(tmp_path, capsys):
     record = {
         "id": "q0",

@@ -179,6 +179,20 @@ def test_parse_duplicate_id_rejected(tmp_path):
         parse_corpus(path)
 
 
+@pytest.mark.parametrize("spans", [[[0.7, 2.2], [2, 7]], [[0, 4], [4.0, 7]]])
+def test_parse_float_step_span_rejected(tmp_path, spans):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("fl", step_spans=spans)])
+    with pytest.raises(ValidationError, match=r"step_spans.*'fl'"):
+        parse_corpus(path)
+
+
+def test_parse_bool_step_span_rejected(tmp_path):
+    rec = _record("bo", step_spans=[[0, True], [True, 7]])
+    path = _write_jsonl(tmp_path / "c.jsonl", [rec])
+    with pytest.raises(ValidationError, match=r"step_spans.*'bo'"):
+        parse_corpus(path)
+
+
 def test_parse_unknown_key_strict_vs_lenient(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(extra_field=1)])
     with pytest.raises(ParseError, match="unknown key"):

@@ -241,6 +241,27 @@ def test_select_zero_delta_always_admissible():
     assert select_ftgp(problem) == ["z"]
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_non_finite_budget_rejected(budget):
+    with pytest.raises(ValueError, match="budget"):
+        _problem({"a": 1.0}, budget)
+
+
+def test_non_finite_beta_rejected():
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            _problem({"a": 1.0}, 1.0, beta=beta)
+
+
+def test_is_feasible_accepts_a_generator():
+    # three increments of 1.0 do not fit a budget of 1.5, however the
+    # chosen ids are passed in
+    problem = _problem({"a": 1.0, "b": 1.0, "c": 1.0}, 1.5)
+    assert is_feasible(problem, ["a", "b", "c"]) is False
+    assert is_feasible(problem, (qid for qid in ["a", "b", "c"])) is False
+    assert is_feasible(problem, iter(["a"])) is True
+
+
 def test_select_eps_range_enforced():
     problem = _problem({"a": 1.0}, 1.0)
     with pytest.raises(ValueError):

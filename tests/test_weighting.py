@@ -8,6 +8,7 @@ import pytest
 
 from cotpace.corpus import Corpus, Question
 from cotpace.synth import KEY_TOKENS, make_arith_corpus, make_keypoint_corpus
+from cotpace import weighting
 from cotpace.weighting import (
     MaskSample,
     WeightingConfig,
@@ -213,6 +214,203 @@ def test_masked_token_cannot_influence_prediction(arith_small):
     model.params["h_embed"][model.vocab[q.rationale_tokens[masked]]] += 3.0
     after = answer_prediction_loss(model, q, sample, prefixes=[n])
     assert abs(before - after) < 1e-9
+
+
+# --- pooled cuts against the per-cut reference ----------------------------------------
+#
+# The trainer scores every prefix cut of a visit as one row of a (cuts x tokens)
+# matrix, shifted by the fixed SCORE_CAP. The reference below is the per-cut
+# form it replaced: one pooled softmax per cut, shifted by that cut's own max,
+# and a second loop for the backward pass. Both must agree to rounding.
+
+
+def _oracle_prefix_loss(e0, xr, s_tok, s_x, factors, k, w_cls, b_cls, cls_idx):
+    f = factors[:k]
+    m_star = s_x if k == 0 else max(s_x, float(s_tok[:k].max()))
+    cx = math.exp(s_x - m_star)
+    et = np.exp(s_tok[:k] - m_star)
+    ct = f * et
+    z = cx + float(ct.sum())
+    ax = cx / z
+    at = ct / z
+    pooled = ax * xr + at @ e0[:k]
+    logits = pooled @ w_cls + b_cls
+    mx = float(logits.max())
+    lse = mx + math.log(np.exp(logits - mx).sum())
+    loss = lse - float(logits[cls_idx])
+    probs = np.exp(logits - lse)
+    return loss, (f, et, ct, z, ax, at, pooled, probs)
+
+
+def _oracle_loss_and_grads(model, question, g1, g0, prefixes, mask_mode, alpha, unmasked_weight):
+    p = model.params
+    tau = model.config.tau
+    sd = math.sqrt(model.config.d_embed)
+    idx = model.token_ids(question.rationale_tokens)
+    n = idx.size
+    w, (e0, x, q, k_mat, v, attn, mixed, h, z) = weighting._scorer_forward(model, idx)
+    wc = np.clip(w, weighting.CLAMP_LO, weighting.CLAMP_HI)
+    soft = weighting._soft_mask(wc, g1, g0, tau)
+    hard = (soft >= 0.5).astype(np.int8)
+    factors = soft if mask_mode == "soft" else hard.astype(np.float64)
+    xr = question.embedding @ p["x_proj"]
+    he = p["h_embed"][idx]
+    s_tok, s_x, slope_tok, slope_x = weighting._pool_scores(he, xr, p["pool_q"], sd)
+    cls_idx = model.classes[question.answer_text]
+    lp = lm = 0.0
+    caches = []
+    pref_count = np.zeros(n)
+    for k in prefixes:
+        loss_k, cache = _oracle_prefix_loss(he, xr, s_tok, s_x, factors, k, p["w_cls"], p["b_cls"], cls_idx)
+        lp += loss_k
+        lm += float(np.sum(soft[:k]))
+        pref_count[:k] += 1.0
+        caches.append((k, cache, True, 1.0))
+    loss = lp + alpha * lm
+    if unmasked_weight > 0.0:
+        for k in prefixes:
+            loss_k, cache = _oracle_prefix_loss(he, xr, s_tok, s_x, np.ones(n), k, p["w_cls"], p["b_cls"], cls_idx)
+            loss += unmasked_weight * loss_k
+            caches.append((k, cache, False, unmasked_weight))
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    d_he = np.zeros_like(he)
+    d_xr = np.zeros_like(xr)
+    d_stok = np.zeros(n)
+    d_sx = 0.0
+    d_factors = np.zeros(n)
+    for k, (f, et, ct, z_norm, ax, at, pooled, probs), mask_path, scale in caches:
+        dlogits = probs.copy()
+        dlogits[cls_idx] -= 1.0
+        dlogits *= scale
+        grads["w_cls"] += np.outer(pooled, dlogits)
+        grads["b_cls"] += dlogits
+        dpooled = p["w_cls"] @ dlogits
+        dax = float(xr @ dpooled)
+        dat = he[:k] @ dpooled
+        d_xr += ax * dpooled
+        d_he[:k] += at[:, None] * dpooled[None, :]
+        dot = ax * dax + float(at @ dat)
+        dcx = (dax - dot) / z_norm
+        dct = (dat - dot) / z_norm
+        d_sx += dcx * (ax * z_norm)
+        d_stok[:k] += dct * ct
+        if mask_path:
+            d_factors[:k] += dct * et
+    d_sx_raw = d_sx * slope_x
+    d_stok_raw = d_stok * slope_tok
+    d_xr += d_sx_raw * p["pool_q"] / sd
+    grads["pool_q"] += d_sx_raw * xr / sd
+    d_he += np.outer(d_stok_raw, p["pool_q"]) / sd
+    grads["pool_q"] += he.T @ d_stok_raw / sd
+    grads["x_proj"] += np.outer(question.embedding, d_xr)
+    np.add.at(grads["h_embed"], idx, d_he)
+    d_soft = d_factors + alpha * pref_count
+    inner = (soft > weighting.SOFT_LO) & (soft < weighting.SOFT_HI)
+    d_u = d_soft * soft * (1.0 - soft) * inner
+    d_wc = d_u * (1.0 / wc + 1.0 / (1.0 - wc)) / tau
+    d_w = d_wc * ((w > weighting.CLAMP_LO) & (w < weighting.CLAMP_HI))
+    d_z = d_w * w * (1.0 - w) * (1.0 - (z / weighting.PRE_CAP) ** 2)
+    grads["w2"] += h.T @ d_z
+    grads["b2"] += d_z.sum()
+    d_hpre = np.outer(d_z, p["w2"]) * (1.0 - h * h)
+    grads["w1"] += mixed.T @ d_hpre
+    grads["b1"] += d_hpre.sum(axis=0)
+    d_mixed = d_hpre @ p["w1"].T
+    d_attn = d_mixed @ v.T
+    d_v = attn.T @ d_mixed
+    d_scores = (d_attn - (d_attn * attn).sum(axis=1, keepdims=True)) * attn
+    d_q = d_scores @ k_mat / sd
+    d_k = d_scores.T @ q / sd
+    grads["wq"] += x.T @ d_q
+    grads["wk"] += x.T @ d_k
+    grads["wv"] += x.T @ d_v
+    d_x = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
+    np.add.at(grads["embed"], idx, d_x)
+    return loss, lp, lm, grads, MaskSample(hard=hard, soft=soft)
+
+
+def _assert_close(actual, expected, what, scale=None):
+    """Max abs error within 1e-12 of scale, by default the largest |expected|."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape, what
+    err = float(np.max(np.abs(actual - expected), initial=0.0))
+    if scale is None:
+        scale = float(np.max(np.abs(expected), initial=0.0))
+    assert err <= 1e-12 * scale or err == 0.0, f"{what}: error {err:.3e} against scale {scale:.3e}"
+
+
+def _noise_cases(n: int):
+    rng = np.random.default_rng(4)
+    yield "random", *weighting._sample_noise(n, rng)
+    big = np.full(n, 60.0)
+    yield "masks every token", -big, big
+    yield "keeps every token", big, -big
+
+
+@pytest.mark.parametrize("mask_mode", ["hard", "soft"])
+@pytest.mark.parametrize("unmasked_weight", [0.0, 0.3])
+def test_pooled_cuts_match_per_cut_reference(arith_small, mask_mode, unmasked_weight):
+    model = build_model(arith_small, WeightingConfig(seed=11))
+    checked = set()
+    for q in arith_small.questions[:3]:
+        n = q.n_tokens
+        for label, g1, g0 in _noise_cases(n):
+            prefixes = [0, n, 2, 2, n - 1, n]
+            kwargs = dict(g1=g1, g0=g0, prefixes=prefixes, mask_mode=mask_mode, alpha=0.7)
+            loss, lp, lm, grads, sample = weighting.weighting_loss_and_grads(
+                model, q, unmasked_weight=unmasked_weight, **kwargs
+            )
+            ref = _oracle_loss_and_grads(
+                model, q, g1, g0, prefixes, mask_mode, alpha=0.7, unmasked_weight=unmasked_weight
+            )
+            r_loss, r_lp, r_lm, r_grads, r_sample = ref
+            where = f"{q.id} {label}"
+            _assert_close(loss, r_loss, f"loss {where}")
+            _assert_close(lp, r_lp, f"lp {where}")
+            _assert_close(lm, r_lm, f"lm {where}")
+            assert np.array_equal(sample.hard, r_sample.hard), where
+            assert sample.hard.dtype == r_sample.hard.dtype
+            assert np.array_equal(sample.soft, r_sample.soft), where
+            assert set(grads) == set(r_grads)
+            # Gradients are held to the largest entry of the whole gradient:
+            # with every token softly masked, d pool_q is a ~1e-12 difference
+            # of O(1) terms, so both forms carry rounding at the O(1) scale.
+            g_scale = max(float(np.max(np.abs(g))) for g in r_grads.values())
+            for name, g in r_grads.items():
+                _assert_close(grads[name], g, f"d{name} {where}", g_scale)
+            no_grads = weighting.weighting_loss_and_grads(
+                model, q, unmasked_weight=unmasked_weight, with_grads=False, **kwargs
+            )
+            assert no_grads[:3] == (loss, lp, lm) and no_grads[3] is None
+            checked.add(int(sample.hard.sum()))
+    # the fixed noise really produced an all-masked and an all-kept draw
+    assert 0 in checked and max(checked) == max(q.n_tokens for q in arith_small.questions[:3])
+
+
+def test_answer_prediction_loss_matches_per_cut_reference(arith_small):
+    model = build_model(arith_small, WeightingConfig(seed=12))
+    p = model.params
+    sd = math.sqrt(model.config.d_embed)
+    for q in arith_small.questions:
+        n = q.n_tokens
+        he = p["h_embed"][model.token_ids(q.rationale_tokens)]
+        xr = q.embedding @ p["x_proj"]
+        s_tok, s_x, _, _ = weighting._pool_scores(he, xr, p["pool_q"], sd)
+        cls_idx = model.classes[q.answer_text]
+        for label, g1, g0 in _noise_cases(n):
+            soft = weighting._soft_mask(np.full(n, 0.5), g1, g0, model.config.tau)
+            sample = MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
+            prefixes = [0, n, 1, 1, n // 2]
+            expected = sum(
+                _oracle_prefix_loss(
+                    he, xr, s_tok, s_x, sample.hard.astype(np.float64), k,
+                    p["w_cls"], p["b_cls"], cls_idx,
+                )[0]
+                for k in prefixes
+            )
+            got = answer_prediction_loss(model, q, sample, prefixes=prefixes)
+            _assert_close(got, expected, f"{q.id} {label}")
 
 
 # --- gradient check ---------------------------------------------------------------
