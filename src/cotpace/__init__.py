@@ -21,13 +21,9 @@ from .loss_shaping import (
 from .schedule import (
     BudgetCurve,
     Schedule,
-    ScheduleState,
-    advance_stage,
     budget_at,
-    initial_state,
     plan_full_schedule,
     solve_growth_rate,
-    stage_budget_delta,
 )
 from .selection import (
     ClusterAssignment,

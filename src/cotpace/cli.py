@@ -1,19 +1,11 @@
 """Command line pipeline.
 
-Subcommands mirror the pipeline stages and are individually re-runnable
-from persisted artifacts in the output directory:
-
-    validate    parse the corpus and check every invariant
-    weigh       train the significance model -> weights.jsonl, weight_model.json
-    assess      score step difficulties      -> difficulty.jsonl
-    cluster     k-means over question embeddings -> clusters.json
-    schedule    plan all stages              -> schedule.json
-    shape-loss  per-stage loss ranges        -> losses.jsonl
-    simulate    tabular student under the schedule -> trace.json
-    run         all of the above in order
+Each subcommand is one pipeline stage and re-runs from the artifacts
+persisted in the output directory; `run` runs them all in order.
 
 Exit codes: 0 ok, 1 usage, 2 validation/input error, 3 numeric failure.
-Config is INI-style `key = value` lines; every flag overrides its key.
+Config is INI-style `key = value` lines; every key is also a flag, and a
+flag overrides its key.
 """
 from __future__ import annotations
 
@@ -21,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import math
 import os
 import struct
 import sys
@@ -54,68 +47,92 @@ from .weighting import (
 )
 
 
+def _knob(default, help, *, flag=None, metavar=None, stage=None, stage_field=None):
+    """A PipelineConfig field. Its metadata holds the flag where it is not
+    the name with dashes, the --help text, and the stage config class the
+    value is copied into (under stage_field where the names differ)."""
+    meta = {"help": help, "flag": flag, "metavar": metavar, "stage": stage, "stage_field": stage_field}
+    return dataclasses.field(default=default, metadata=meta)
+
+
 @dataclasses.dataclass
 class PipelineConfig:
-    corpus: str = ""
-    out: str = "out"
-    seed: int | None = None
-    lenient: bool = False
-    synthetic_logprobs: int | None = None
+    """Every pipeline knob, defined once: each field is a config key and a
+    flag, and the converters, flags and stage configs derive from it."""
+
+    corpus: str = _knob("", "corpus JSONL path")
+    out: str = _knob("out", "output directory (default: out)")
+    seed: int | None = _knob(None, "master seed (required here or in the config)")
+    lenient: bool = _knob(False, "ignore unknown corpus keys")
+    synthetic_logprobs: int | None = _knob(
+        None, "generate seeded logprobs instead of requiring token_logprobs", metavar="SEED"
+    )
     # significance model
-    alpha: float = 0.5
-    tau: float = 1.0
-    weight_lr: float = 0.05
-    scorer_lr: float = 0.005
-    head_decay: float = 5e-3
-    weight_epochs: int = 200
-    batch_size: int = 8
-    prefix_samples: int = 4
-    restarts: int = 3
-    unmasked_weight: float = 0.3
-    d_embed: int = 32
-    d_hidden: int = 32
+    alpha: float = _knob(0.5, "mask-ratio penalty", stage=WeightingConfig)
+    tau: float = _knob(1.0, "relaxation temperature", stage=WeightingConfig)
+    weight_lr: float = _knob(0.05, "answer-head learning rate", stage=WeightingConfig, stage_field="lr")
+    scorer_lr: float = _knob(0.005, "scorer learning rate", stage=WeightingConfig)
+    head_decay: float = _knob(5e-3, "L2 shrink per update on answer-head weights", stage=WeightingConfig)
+    weight_epochs: int = _knob(200, "significance model epochs", stage=WeightingConfig, stage_field="epochs")
+    batch_size: int = _knob(8, "questions per significance model update", stage=WeightingConfig)
+    prefix_samples: int = _knob(4, "prefix cuts sampled per question visit", stage=WeightingConfig)
+    restarts: int = _knob(3, "independent weighting runs, best kept", stage=WeightingConfig)
+    unmasked_weight: float = _knob(0.3, "weight of the always-visible predictor pass", stage=WeightingConfig)
+    d_embed: int = _knob(32, "token embedding width", stage=WeightingConfig)
+    d_hidden: int = _knob(32, "scorer hidden width", stage=WeightingConfig)
     # schedule and selection
-    epochs: int = 20
-    t_max: int | None = None  # defaults to half the epoch count
-    p: float = 0.5
-    c0_frac: float = 0.3  # warm start as a fraction of total difficulty
-    delta_s: int = 1
-    n_clusters: int = 5
-    beta: float = 12.0
-    eps: float = 0.1
+    epochs: int = _knob(20, "student epochs / schedule stages", stage=StudentConfig)
+    t_max: int | None = _knob(None, "budget horizon (default epochs/2)")
+    p: float = _knob(0.5, "budget curve exponent")
+    c0_frac: float = _knob(0.3, "warm start as a fraction of total difficulty")
+    delta_s: int = _knob(1, "steps removed per selection")
+    n_clusters: int = _knob(5, "k-means clusters", flag="--clusters")
+    beta: float = _knob(12.0, "diversity bonus")
+    eps: float = _knob(0.1, "threshold decay")
     # student simulation
-    student_lr: float = 0.5
-    simulate: bool = False
+    student_lr: float = _knob(0.5, "student learning rate", stage=StudentConfig, stage_field="lr")
+    simulate: bool = _knob(False, "run the student after the pipeline")
 
     @property
     def horizon(self) -> int:
         return self.t_max if self.t_max is not None else max(1, self.epochs // 2)
 
+    def stage_config(self, cls, **extra):
+        """cls built from the knobs whose metadata names it, plus extra."""
+        values = {
+            f.metadata["stage_field"] or f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.metadata["stage"] is cls
+        }
+        return cls(**values, **extra)
+
     def validate(self) -> None:
+        """The pipeline's own checks; the weighting and student ranges are
+        checked by building those configs, so every stage fails up front."""
         if not self.corpus:
             raise ValueError("no corpus given (config key 'corpus' or --corpus)")
         if self.seed is None:
             raise ValueError("a seed is required (config key 'seed' or --seed)")
-        if self.alpha < 0.0 or self.tau <= 0.0:
-            raise ValueError("need alpha >= 0 and tau > 0")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0.0 < self.eps < 0.5):
             raise ValueError(f"eps must lie in (0, 0.5), got {self.eps}")
         if self.p <= 0.0:
             raise ValueError(f"p must be > 0, got {self.p}")
         if not (0.0 <= self.c0_frac <= 1.0):
             raise ValueError(f"c0_frac must lie in [0, 1], got {self.c0_frac}")
-        if self.epochs < 1 or self.weight_epochs < 1:
-            raise ValueError("epoch counts must be >= 1")
         if self.t_max is not None and self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.delta_s < 1 or self.n_clusters < 1:
             raise ValueError("delta_s and n_clusters must be >= 1")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.head_decay < 0.0 or self.unmasked_weight < 0.0:
-            raise ValueError("head_decay and unmasked_weight must be >= 0")
-        if self.beta < 0.0 or self.weight_lr <= 0.0 or self.scorer_lr <= 0.0 or self.student_lr <= 0.0:
-            raise ValueError("need beta >= 0 and positive learning rates")
+        if self.beta < 0.0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        for cls in (WeightingConfig, StudentConfig):
+            try:
+                self.stage_config(cls).validate()
+            except ValueError as exc:  # say which stage's lr or epochs
+                raise ValueError(f"{cls.__name__}: {exc}") from None
 
 
 def _to_bool(text: str) -> bool:
@@ -127,35 +144,18 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_CONVERTERS = {
-    "corpus": str,
-    "out": str,
-    "seed": int,
-    "lenient": _to_bool,
-    "synthetic_logprobs": int,
-    "alpha": float,
-    "tau": float,
-    "weight_lr": float,
-    "scorer_lr": float,
-    "head_decay": float,
-    "weight_epochs": int,
-    "batch_size": int,
-    "prefix_samples": int,
-    "restarts": int,
-    "unmasked_weight": float,
-    "d_embed": int,
-    "d_hidden": int,
-    "epochs": int,
-    "t_max": int,
-    "p": float,
-    "c0_frac": float,
-    "delta_s": int,
-    "n_clusters": int,
-    "beta": float,
-    "eps": float,
-    "student_lr": float,
-    "simulate": _to_bool,
-}
+# Field annotations are strings (postponed evaluation); an optional knob
+# converts like its base type.
+_CONVERT = {"str": str, "int": int, "float": float, "bool": _to_bool}
+_KNOBS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+
+def _converter(f: dataclasses.Field):
+    return _CONVERT[f.type.removesuffix(" | None")]
+
+
+def _flag(f: dataclasses.Field) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
 def load_config(path) -> dict:
@@ -164,15 +164,21 @@ def load_config(path) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     if not text.lstrip().startswith("["):
         text = "[pipeline]\n" + text
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     out: dict = {}
     for section in parser.sections():
         for key, value in parser.items(section):
             key = key.replace("-", "_")
-            if key not in _CONVERTERS:
+            if key not in _KNOBS:
                 raise ValueError(f"config {path}: unknown key {key!r}")
-            out[key] = _CONVERTERS[key](value)
+            try:
+                out[key] = _converter(_KNOBS[key])(value)
+            except ValueError as exc:
+                raise ValueError(f"config {path}: key {key!r}: {exc}") from None
     return out
 
 
@@ -181,9 +187,9 @@ def make_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in _CONVERTERS:
+    for key in _KNOBS:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             values[key] = flag
     cfg = PipelineConfig(**values)
     cfg.validate()
@@ -219,6 +225,7 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 
 
 def cmd_validate(cfg: PipelineConfig) -> int:
+    """Parse the corpus and check every invariant."""
     corpus = _load_corpus(cfg)
     n_steps = sum(q.n_steps for q in corpus.questions)
     with_lp = sum(1 for q in corpus.questions if q.token_logprobs is not None)
@@ -230,22 +237,9 @@ def cmd_validate(cfg: PipelineConfig) -> int:
 
 
 def cmd_weigh(cfg: PipelineConfig) -> int:
+    """Train the significance model -> weights.jsonl, weight_model.json."""
     corpus = _load_corpus(cfg)
-    wcfg = WeightingConfig(
-        alpha=cfg.alpha,
-        tau=cfg.tau,
-        lr=cfg.weight_lr,
-        scorer_lr=cfg.scorer_lr,
-        head_decay=cfg.head_decay,
-        epochs=cfg.weight_epochs,
-        batch_size=cfg.batch_size,
-        prefix_samples=cfg.prefix_samples,
-        restarts=cfg.restarts,
-        unmasked_weight=cfg.unmasked_weight,
-        d_embed=cfg.d_embed,
-        d_hidden=cfg.d_hidden,
-        seed=stage_seed(cfg.seed, "weigh"),
-    )
+    wcfg = cfg.stage_config(WeightingConfig, seed=stage_seed(cfg.seed, "weigh"))
     result = train_weighting(corpus, wcfg)
     out = _out_dir(cfg)
     _atomic(lambda p: write_weights(result.weights, p), out / "weights.jsonl")
@@ -260,6 +254,7 @@ def _maybe_weights(cfg: PipelineConfig):
 
 
 def cmd_assess(cfg: PipelineConfig) -> int:
+    """Score step difficulties -> difficulty.jsonl."""
     corpus = _load_corpus(cfg)
     logprobs = None
     if cfg.synthetic_logprobs is not None:
@@ -272,6 +267,7 @@ def cmd_assess(cfg: PipelineConfig) -> int:
 
 
 def cmd_cluster(cfg: PipelineConfig) -> int:
+    """K-means over question embeddings -> clusters.json."""
     corpus = _load_corpus(cfg)
     embeddings = {q.id: q.embedding for q in corpus.questions}
     clusters = kmeans_cluster(embeddings, cfg.n_clusters, stage_seed(cfg.seed, "cluster"))
@@ -282,6 +278,7 @@ def cmd_cluster(cfg: PipelineConfig) -> int:
 
 
 def cmd_schedule(cfg: PipelineConfig) -> int:
+    """Plan every stage under the budget curve -> schedule.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     table = read_table(out / "difficulty.jsonl")
@@ -308,6 +305,7 @@ def cmd_schedule(cfg: PipelineConfig) -> int:
 
 
 def cmd_shape_loss(cfg: PipelineConfig) -> int:
+    """Per-stage loss token ranges -> losses.jsonl."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     plan = read_schedule(out / "schedule.json")
@@ -318,12 +316,11 @@ def cmd_shape_loss(cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
+    """Tabular student under the schedule -> trace.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     plan = read_schedule(out / "schedule.json")
-    scfg = StudentConfig(
-        epochs=cfg.epochs, lr=cfg.student_lr, seed=stage_seed(cfg.seed, "simulate")
-    )
+    scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
     trace = simulate_student(corpus, plan, _maybe_weights(cfg), scfg)
     _atomic(lambda p: write_trace(trace, p), out / "trace.json")
     print(f"[simulate] wrote {out / 'trace.json'} (final loss {trace.epoch_losses[-1]:.4f})")
@@ -331,8 +328,10 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
-    """Every stage in order over the same persisted artifacts, so a full
-    run and stage-by-stage runs produce identical outputs."""
+    """Run every stage in order (the student too with --simulate).
+
+    The stages share the persisted artifacts, so a full run and
+    stage-by-stage runs produce identical outputs."""
     for step in (cmd_validate, cmd_weigh, cmd_assess, cmd_cluster, cmd_schedule, cmd_shape_loss):
         code = step(cfg)
         if code != 0:
@@ -364,42 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cotpace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else None)
+        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0] if fn.__doc__ else None)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--corpus", help="corpus JSONL path")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="master seed (required here or in the config)")
-        p.add_argument("--lenient", action="store_true", help="ignore unknown corpus keys")
-        p.add_argument(
-            "--synthetic-logprobs",
-            type=int,
-            metavar="SEED",
-            dest="synthetic_logprobs",
-            help="generate seeded logprobs instead of requiring token_logprobs",
-        )
-        p.add_argument("--epochs", type=int, help="student epochs / schedule stages")
-        p.add_argument("--weight-epochs", type=int, dest="weight_epochs")
-        p.add_argument("--weight-lr", type=float, dest="weight_lr")
-        p.add_argument("--scorer-lr", type=float, dest="scorer_lr")
-        p.add_argument("--head-decay", type=float, dest="head_decay")
-        p.add_argument("--restarts", type=int, help="independent weighting runs, best kept")
-        p.add_argument(
-            "--unmasked-weight",
-            type=float,
-            dest="unmasked_weight",
-            help="weight of the always-visible predictor pass",
-        )
-        p.add_argument("--student-lr", type=float, dest="student_lr")
-        p.add_argument("--alpha", type=float, help="mask-ratio penalty")
-        p.add_argument("--tau", type=float, help="relaxation temperature")
-        p.add_argument("--beta", type=float, help="diversity bonus")
-        p.add_argument("--clusters", type=int, dest="n_clusters")
-        p.add_argument("--eps", type=float, help="threshold decay")
-        p.add_argument("--p", type=float, help="budget curve exponent")
-        p.add_argument("--c0-frac", type=float, dest="c0_frac", help="warm-start fraction")
-        p.add_argument("--delta-s", type=int, dest="delta_s", help="steps removed per selection")
-        p.add_argument("--t-max", type=int, dest="t_max", help="budget horizon (default epochs/2)")
-        p.add_argument("--simulate", action="store_true", help="run the student after the pipeline")
+        for f in _KNOBS.values():
+            if f.type == "bool":
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": _converter(f), "metavar": f.metadata["metavar"]}
+            p.add_argument(_flag(f), dest=f.name, default=None, help=f.metadata["help"], **kind)
     return parser
 
 

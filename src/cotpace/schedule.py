@@ -53,30 +53,6 @@ def budget_at(curve: BudgetCurve, t: float) -> float:
     return curve.u * t ** (curve.p + 1.0) / (curve.p + 1.0) + curve.c0
 
 
-@dataclasses.dataclass
-class ScheduleState:
-    stage: int
-    input_steps: dict[str, int]  # id -> remaining input steps c_i
-    generated_difficulty: float  # H: difficulty currently generated by the student
-    step_reduction: int = 1
-
-
-def initial_state(corpus: Corpus, step_reduction: int = 1) -> ScheduleState:
-    if step_reduction < 1:
-        raise ValueError(f"step_reduction must be >= 1, got {step_reduction}")
-    return ScheduleState(
-        stage=0,
-        input_steps={q.id: q.n_steps for q in corpus.questions},
-        generated_difficulty=0.0,
-        step_reduction=step_reduction,
-    )
-
-
-def stage_budget_delta(curve: BudgetCurve, state: ScheduleState) -> float:
-    """Budget available to the current stage, clamped at zero."""
-    return max(0.0, budget_at(curve, state.stage) - state.generated_difficulty)
-
-
 def _recompute_h(input_steps: dict[str, int], table: DifficultyTable) -> float:
     return math.fsum(
         question_generation_difficulty(table, qid, c) for qid, c in input_steps.items()
@@ -94,24 +70,6 @@ def _apply_selection(
             raise ValueError(f"question {qid!r} has no input steps left to reduce")
         out[qid] = max(0, out[qid] - step_reduction)
     return out
-
-
-def advance_stage(
-    state: ScheduleState,
-    selected: list[str],
-    table: DifficultyTable,
-    step_reduction: int | None = None,
-) -> ScheduleState:
-    """Apply one stage's selection: reduce the chosen questions' input
-    steps and recompute the generated difficulty from scratch."""
-    r = state.step_reduction if step_reduction is None else step_reduction
-    new_steps = _apply_selection(state.input_steps, selected, r)
-    return ScheduleState(
-        stage=state.stage + 1,
-        input_steps=new_steps,
-        generated_difficulty=_recompute_h(new_steps, table),
-        step_reduction=state.step_reduction,
-    )
 
 
 @dataclasses.dataclass

@@ -153,18 +153,22 @@ def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
         eps,
     )
     accumulated = [qid for qid, m in zip(problem.ids, mask) if m]
-    best_single = None
-    best_single_value = -math.inf
-    for qid in problem.ids:
-        d = problem.increments[qid]
-        if d <= problem.budget:
-            v = value_of(problem, [qid])
-            if v > best_single_value:
-                best_single = qid
-                best_single_value = v
-    if best_single is not None and best_single_value > value_of(problem, accumulated):
-        return [best_single]
+    best, best_value = _best_singleton(problem)
+    if best is not None and best_value > value_of(problem, accumulated):
+        return [best]
     return accumulated
+
+
+def _best_singleton(problem: SelectionProblem) -> tuple[str | None, float]:
+    """The first feasible singleton of highest value, with that value;
+    (None, -inf) when no candidate fits the budget. A singleton's value is
+    (d - budget) + beta, since every other cluster adds beta * sqrt(0)."""
+    fits = problem.deltas <= problem.budget
+    values = np.where(fits, (problem.deltas - problem.budget) + problem.beta, -math.inf)
+    best = int(np.argmax(values))  # the first of tied maxima
+    if not fits[best]:
+        return None, -math.inf
+    return problem.ids[best], float(values[best])
 
 
 def select_bruteforce(problem: SelectionProblem) -> list[str]:

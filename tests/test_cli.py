@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, config layering, artifact determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from cotpace.cli import (
     PipelineConfig,
+    _flag,
     _to_bool,
     build_parser,
     load_config,
@@ -17,6 +19,7 @@ from cotpace.cli import (
 )
 from cotpace.corpus import write_corpus
 from cotpace.synth import make_arith_corpus
+from cotpace.weighting import WeightingConfig
 
 ARTIFACTS = [
     "weights.jsonl",
@@ -26,6 +29,9 @@ ARTIFACTS = [
     "schedule.json",
     "losses.jsonl",
 ]
+
+KNOBS = dataclasses.fields(PipelineConfig)
+FLOAT_KNOBS = [f.name for f in KNOBS if f.type == "float"]
 
 FAST_FLAGS = [
     "--seed", "7",
@@ -149,6 +155,54 @@ def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["seed = 1\nseed = 2\n", "seed = 1\nno equals sign here\n", "seed = 1\nalpha = 50%\n"],
+    ids=["duplicate-key", "line-without-equals", "percent-in-value"],
+)
+def test_malformed_config_file_exits_2_and_names_it(tmp_path, small_corpus_path, capsys, text):
+    cfg = tmp_path / "malformed.ini"
+    cfg.write_text(text)
+    assert main(["validate", "--corpus", str(small_corpus_path), "--config", str(cfg)]) == 2
+    assert "malformed.ini" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "1.5"), ("alpha", "abc")])
+def test_unconvertible_config_value_names_key_and_file(tmp_path, small_corpus_path, capsys, key, value):
+    cfg = tmp_path / "values.ini"
+    cfg.write_text(f"seed = 1\n{key} = {value}\n")
+    assert main(["validate", "--corpus", str(small_corpus_path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "values.ini" in err and key in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_KNOBS)
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_non_finite_float_knob_exits_2_and_names_it(
+    tmp_path, small_corpus_path, capsys, route, name, value
+):
+    argv = ["validate", "--corpus", str(small_corpus_path), "--seed", "1"]
+    if route == "flag":
+        argv += [_flag(next(f for f in KNOBS if f.name == name)), value]
+    else:
+        cfg = tmp_path / "knob.ini"
+        cfg.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, stage, field",
+    [("--batch-size", "WeightingConfig", "batch_size"), ("--student-lr", "StudentConfig", "lr")],
+)
+def test_stage_ranges_fail_every_command_up_front(small_corpus_path, capsys, flag, stage, field):
+    assert main(["validate", "--corpus", str(small_corpus_path), "--seed", "1", flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert stage in err and field in err
+
+
 # --- config layering ---------------------------------------------------------------
 
 
@@ -189,6 +243,54 @@ def test_to_bool_parses_common_spellings():
     assert not any(_to_bool(s) for s in ("0", "false", "No", "OFF"))
     with pytest.raises(ValueError, match="boolean"):
         _to_bool("maybe")
+
+
+def _other_value(field):
+    """A valid value for a knob that differs from its default."""
+    if field.type == "bool":
+        return True
+    if field.type == "str":
+        return f"{field.name}-alt"
+    if field.type == "float":
+        return field.default / 2
+    return 2 if field.default != 2 else 3
+
+
+def _as_flags(values: dict) -> list[str]:
+    by_name = {f.name: f for f in KNOBS}
+    argv = []
+    for name, value in values.items():
+        argv.append(_flag(by_name[name]))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
+@pytest.mark.parametrize("field", KNOBS, ids=lambda f: f.name)
+def test_every_knob_is_a_flag_and_a_config_key(tmp_path, field):
+    values = {"corpus": "c.jsonl", "seed": 1, field.name: _other_value(field)}
+    by_flag = make_config(_args(["validate", *_as_flags(values)]))
+    cfg_file = tmp_path / "knobs.ini"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    by_key = make_config(_args(["validate", "--config", str(cfg_file)]))
+    assert by_flag == by_key
+    assert getattr(by_flag, field.name) == values[field.name]
+
+
+def test_weigh_records_every_weighting_knob(tmp_path, small_corpus_path, capsys):
+    knobs = [f for f in KNOBS if f.metadata["stage"] is WeightingConfig]
+    targets = {f.metadata["stage_field"] or f.name: f for f in knobs}
+    # every WeightingConfig field but the per-stage seed comes from a knob
+    assert set(targets) | {"seed"} == {f.name for f in dataclasses.fields(WeightingConfig)}
+    values = {f.name: _other_value(f) for f in knobs}
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "7"]
+    assert main([*argv, *_as_flags(values)]) == 0
+    recorded = json.loads((out / "weight_model.json").read_text())["config"]
+    assert recorded == {
+        "seed": stage_seed(7, "weigh"),
+        **{target: values[f.name] for target, f in targets.items()},
+    }
 
 
 def test_horizon_defaults_to_half_the_epochs():

@@ -9,14 +9,11 @@ from cotpace.difficulty import DifficultyTable, compute_table
 from cotpace.schedule import (
     BudgetCurve,
     Schedule,
-    ScheduleState,
-    advance_stage,
+    _apply_selection,
     budget_at,
-    initial_state,
     plan_full_schedule,
     read_schedule,
     solve_growth_rate,
-    stage_budget_delta,
     write_schedule,
 )
 from cotpace.selection import ClusterAssignment, kmeans_cluster
@@ -135,54 +132,23 @@ def test_budget_monotone_on_grid():
     assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
 
-# --- state and stage updates ----------------------------------------------------
+# --- stage updates --------------------------------------------------------------
 
 
-def test_initial_state_counts_and_h():
-    table = _unit_table(n_questions=2, n_steps=3)
-    state = initial_state(_corpus_for(table), step_reduction=1)
-    assert state.stage == 0
-    assert state.input_steps == {"q0": 3, "q1": 3}
-    assert state.generated_difficulty == 0.0
+def test_plan_rejects_step_reduction_below_one():
+    with pytest.raises(ValueError, match="step_reduction"):
+        _plan(_unit_table(), c0=1.0, step_reduction=0)
 
 
-def test_initial_state_validates_reduction():
-    with pytest.raises(ValueError):
-        initial_state(_corpus_for(_unit_table()), step_reduction=0)
+def test_apply_selection_clamps_at_zero():
+    assert _apply_selection({"q0": 1, "q1": 3}, ["q0"], 2) == {"q0": 0, "q1": 3}
 
 
-def test_stage_budget_delta_basic_and_clamped():
-    curve = BudgetCurve(u=2.0, p=1.0, c0=0.0, t_max=4, b_total=16.0)  # D(t) = t^2
-    state = ScheduleState(stage=2, input_steps={}, generated_difficulty=1.0, step_reduction=1)
-    assert abs(stage_budget_delta(curve, state) - 3.0) < 1e-12
-    ahead = ScheduleState(stage=2, input_steps={}, generated_difficulty=7.0, step_reduction=1)
-    assert stage_budget_delta(curve, ahead) == 0.0
-
-
-def test_advance_stage_reduces_selected_counts():
-    table = _unit_table(n_questions=3, n_steps=3)
-    state = initial_state(_corpus_for(table), step_reduction=1)
-    nxt = advance_stage(state, ["q0", "q2"], table)
-    assert nxt.stage == 1
-    assert nxt.input_steps == {"q0": 2, "q1": 3, "q2": 2}
-    assert abs(nxt.generated_difficulty - 2.0) < 1e-12
-
-
-def test_advance_stage_clamps_at_zero():
-    table = _unit_table(n_questions=1, n_steps=1)
-    state = ScheduleState(stage=0, input_steps={"q0": 1}, generated_difficulty=0.0, step_reduction=2)
-    nxt = advance_stage(state, ["q0"], table)
-    assert nxt.input_steps["q0"] == 0
-
-
-def test_advance_stage_rejects_exhausted_and_unknown():
-    table = _unit_table(n_questions=1, n_steps=1)
-    done = ScheduleState(stage=1, input_steps={"q0": 0}, generated_difficulty=1.0, step_reduction=1)
+def test_apply_selection_rejects_exhausted_and_unknown():
     with pytest.raises(ValueError, match="no input steps left"):
-        advance_stage(done, ["q0"], table)
-    state = initial_state(_corpus_for(table), step_reduction=1)
+        _apply_selection({"q0": 0}, ["q0"], 1)
     with pytest.raises(KeyError):
-        advance_stage(state, ["nope"], table)
+        _apply_selection({"q0": 1}, ["nope"], 1)
 
 
 # --- plan_full_schedule ---------------------------------------------------------

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotpace.difficulty import DifficultyError, DifficultyTable
 from cotpace.selection import (
     BRUTEFORCE_MAX,
     ClusterAssignment,
     SelectionProblem,
+    _best_singleton,
     candidate_increments,
     is_feasible,
     kmeans_cluster,
@@ -260,6 +263,38 @@ def test_is_feasible_accepts_a_generator():
     assert is_feasible(problem, ["a", "b", "c"]) is False
     assert is_feasible(problem, (qid for qid in ["a", "b", "c"])) is False
     assert is_feasible(problem, iter(["a"])) is True
+
+
+def _best_singleton_by_scan(problem):
+    """The singleton scan select_ftgp ran before the closed form: one
+    value_of call per candidate, keeping the first of tied maxima."""
+    best, best_value = None, -math.inf
+    for qid in problem.ids:
+        if problem.increments[qid] <= problem.budget:
+            v = value_of(problem, [qid])
+            if v > best_value:
+                best, best_value = qid, v
+    return best, best_value
+
+
+# Few distinct values, so that ties, zero deltas, a zero budget and a zero
+# beta all come up often.
+_amounts = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    deltas=st.lists(_amounts, min_size=1, max_size=12),
+    budget=_amounts,
+    beta=_amounts,
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_best_singleton_matches_the_per_candidate_scan(deltas, budget, beta, k, data):
+    ids = [f"q{i}" for i in range(len(deltas))]
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
+    problem = _problem(dict(zip(ids, deltas)), budget, beta, dict(zip(ids, labels)), k)
+    assert _best_singleton(problem) == _best_singleton_by_scan(problem)
 
 
 def test_select_eps_range_enforced():
