@@ -3,7 +3,9 @@
 Backend choice: numba when importable, unless COTPACE_PURE_NUMPY=1 is set
 (or numba is missing). Both paths run the same arithmetic in the same
 order, so subset-sum values and selection masks agree bit for bit; only
-speed differs. Tests and benchmarks can switch at runtime via set_backend.
+speed differs. (The numpy greedy sweep skips candidates that cannot pass,
+which changes no mask.) Tests and benchmarks can switch at runtime via
+set_backend.
 """
 from __future__ import annotations
 
@@ -156,12 +158,16 @@ def bruteforce_best_subset(deltas, clusters, n_clusters, budget, beta):
 
 
 # ---------------------------------------------------------------------------
-# threshold-greedy admission sweep. Both paths are the same sequential
-# loop (admission updates cluster counts, so it cannot vectorize); numba
-# just runs it faster.
+# threshold-greedy admission sweep. Thresholds start at the largest initial
+# gain density and decay by (1 - eps) down to theta_max * eps / (2n). The
+# sweep also stops once a decay step no longer lowers theta: an infinite
+# theta_max (a delta small enough for (d + beta) / d to overflow) or an eps
+# too small to move theta would otherwise loop forever.
+# _greedy_admit_seq is the sequential loop that numba compiles;
+# _greedy_admit_py gives the same mask while visiting fewer candidates.
 
 
-def _greedy_admit_py(deltas, clusters, n_clusters, budget, beta, eps):
+def _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps):
     n = deltas.shape[0]
     selected = np.zeros(n, dtype=np.bool_)
     counts = np.zeros(n_clusters, dtype=np.int64)
@@ -191,7 +197,10 @@ def _greedy_admit_py(deltas, clusters, n_clusters, budget, beta, eps):
                     selected[i] = True
                     counts[c] += 1
                     total += d
-            theta *= 1.0 - eps
+            lower = theta * (1.0 - eps)
+            if not lower < theta:
+                break
+            theta = lower
     # zero-threshold pass: any remaining feasible candidate with positive
     # gain only raises the (monotone) objective.
     for i in range(n):
@@ -207,7 +216,73 @@ def _greedy_admit_py(deltas, clusters, n_clusters, budget, beta, eps):
     return selected
 
 
-_greedy_admit_nb = njit(cache=True)(_greedy_admit_py) if HAVE_NUMBA else _greedy_admit_py
+# sqrt(c + 1) - sqrt(c), rounded to float64, is non-increasing for every
+# cluster count c below this (tests/test_accel.py checks it).
+MONOTONE_COUNTS = 1 << 21
+
+
+def _greedy_admit_py(deltas, clusters, n_clusters, budget, beta, eps):
+    """The mask of _greedy_admit_seq, pass by pass. Within a pass cluster
+    counts and the running total only grow, so with beta >= 0 and no
+    negative delta a candidate's gain density only falls and its budget
+    test only gets harder. A candidate that fails at the start of a pass
+    therefore fails at its turn: each pass tests every open candidate at
+    once, then walks only those that passed, in index order, re-testing
+    each with the live counts and total."""
+    n = deltas.shape[0]
+    if beta < 0.0 or n >= MONOTONE_COUNTS or np.any(deltas < 0.0):
+        return _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps)
+    selected = np.zeros(n, dtype=np.bool_)
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    total = 0.0
+
+    def sweep(theta):  # theta None: the zero-threshold pass
+        nonlocal total
+        open_ = np.flatnonzero(~selected)
+        d = deltas[open_]
+        c = counts[clusters[open_]].astype(np.float64)
+        gain = d + beta * (np.sqrt(c + 1.0) - np.sqrt(c))
+        fits = total + d <= budget
+        if theta is None:
+            ok = (gain > 0.0) & fits
+        else:
+            ok = np.where(d == 0.0, gain > 0.0, fits & (gain / d >= theta))
+        for i in open_[ok]:
+            d = deltas[i]
+            c = clusters[i]
+            gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
+            if theta is None:
+                admit = gain > 0.0 and total + d <= budget
+            elif d == 0.0:
+                admit = gain > 0.0
+            else:
+                admit = total + d <= budget and gain / d >= theta
+            if admit:
+                selected[i] = True
+                counts[c] += 1
+                total += d
+
+    # (d + beta) / d and gain / d overflow for tiny d and are nan for d == 0;
+    # the comparisons treat both as the sequential loop does.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pos = deltas[(deltas > 0.0) & (deltas <= budget)]
+        dens = (pos + beta) / pos
+        dens = dens[dens > 0.0]
+        theta_max = dens.max() if dens.size else 0.0
+        if theta_max > 0.0:
+            theta = theta_max
+            theta_min = theta_max * eps / (2.0 * n)
+            while theta >= theta_min:
+                sweep(theta)
+                lower = theta * (1.0 - eps)
+                if not lower < theta:
+                    break
+                theta = lower
+        sweep(None)
+    return selected
+
+
+_greedy_admit_nb = njit(cache=True)(_greedy_admit_seq) if HAVE_NUMBA else _greedy_admit_seq
 
 
 def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):

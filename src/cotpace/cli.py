@@ -158,17 +158,32 @@ def _flag(f: dataclasses.Field) -> str:
     return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
+def _renumbered(exc: configparser.Error, shift: int) -> configparser.Error:
+    """The same configparser error with its line numbers moved by shift."""
+    if type(exc) is configparser.ParsingError:
+        moved = configparser.ParsingError(exc.source)
+        for lineno, line in exc.errors:
+            moved.append(lineno + shift, line)
+        return moved
+    if isinstance(exc, (configparser.DuplicateOptionError, configparser.DuplicateSectionError)):
+        *head, lineno = exc.args
+        if lineno is not None:
+            return type(exc)(*head, lineno + shift)
+    return exc
+
+
 def load_config(path) -> dict:
     """INI-style key = value lines; a bare file without section headers is
     accepted. Unknown keys are rejected (they are almost always typos)."""
     text = Path(path).read_text(encoding="utf-8")
-    if not text.lstrip().startswith("["):
+    bare = not text.lstrip().startswith("[")
+    if bare:
         text = "[pipeline]\n" + text
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ValueError(f"config {path}: {exc}") from None
+        raise ValueError(f"config {path}: {_renumbered(exc, -1) if bare else exc}") from None
     out: dict = {}
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -360,10 +375,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cotpace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # allow_abbrev=False: a prefix such as --bet is not taken for --beta, so a
+    # new flag cannot change what an existing prefix meant.
+    parser = _Parser(
+        prog="cotpace",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     sub = parser.add_subparsers(dest="command")
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0] if fn.__doc__ else None)
+        summary = fn.__doc__.splitlines()[0] if fn.__doc__ else None
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="INI config file")
         for f in _KNOBS.values():
             if f.type == "bool":

@@ -196,11 +196,35 @@ def _build_vocab(corpus: Corpus) -> tuple[dict[str, int], dict[str, np.ndarray]]
     return vocab, enc
 
 
-def _shifted_context(idx: np.ndarray, gen_start: int) -> np.ndarray:
-    """Previous-token ids for each generated position (BOS before index 0)."""
-    if gen_start == 0:
-        return np.concatenate((np.asarray([BOS_ID], dtype=np.int64), idx[:-1]))
-    return idx[gen_start - 1 : idx.size - 1]
+def _log_softmax_table(unigram: np.ndarray, bigram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log p, p) of the next token, one row per previous token."""
+    logp = unigram[None, :] + bigram
+    logp -= logp.max(axis=1, keepdims=True)
+    probs = np.exp(logp)
+    sz = probs.sum(axis=1, keepdims=True)
+    logp -= np.log(sz)
+    probs /= sz
+    return logp, probs
+
+
+def _pair_weights(specs: list[LossSpec], pairs: dict[str, np.ndarray], nv: int) -> np.ndarray:
+    """counts[r, t]: summed weight of the scored positions whose previous
+    token is r and whose target is t."""
+    ids = np.concatenate([pairs[s.question_id][s.gen_start : s.gen_end] for s in specs])
+    w = np.concatenate([s.weights for s in specs])
+    return np.bincount(ids, weights=w, minlength=nv * nv).reshape(nv, nv)
+
+
+def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale: float) -> float:
+    """One full-batch step in place; returns the summed weighted NLL."""
+    logp, g_bi = _log_softmax_table(unigram, bigram)
+    total = -float(counts.ravel() @ logp.ravel())
+    g_bi *= counts.sum(axis=1)[:, None]
+    g_bi -= counts
+    unigram -= scale * g_bi.sum(axis=0)
+    g_bi *= scale
+    bigram -= g_bi
+    return total
 
 
 def _run_student(
@@ -210,11 +234,17 @@ def _run_student(
 ) -> StudentTrace:
     """Full-batch gradient descent on weighted NLL. specs_for_epoch(e)
     returns {id: LossSpec} for epoch e in 1..epochs; simulate and plain
-    training share this engine so they differ only in the ranges fed in."""
+    training share this engine so they differ only in the ranges fed in.
+
+    The student's next-token distribution depends only on the previous
+    token, so an epoch's loss and gradient follow from the summed weight
+    of each (previous, target) pair and one softmax table."""
     config.validate()
-    vocab, enc = _build_vocab(corpus)
+    vocab, pairs = _build_vocab(corpus)
     nv = len(vocab)
     nq = len(corpus.questions)
+    for idx in pairs.values():  # token id t -> pair id (previous token) * nv + t
+        idx += np.concatenate(([BOS_ID], idx[:-1])) * nv
     rng = np.random.default_rng(config.seed)
     unigram = rng.normal(0.0, config.init_scale, size=nv)
     bigram = rng.normal(0.0, config.init_scale, size=(nv, nv))
@@ -222,45 +252,14 @@ def _run_student(
     steps_trace: list[dict[str, int]] = []
     for epoch in range(1, config.epochs + 1):
         specs, c_map = specs_for_epoch(epoch)
-        g_uni = np.zeros(nv)
-        g_bi = np.zeros((nv, nv))
-        total = 0.0
-        for q in corpus.questions:
-            spec = specs[q.id]
-            m = spec.gen_end - spec.gen_start
-            if m == 0:
-                continue
-            idx = enc[q.id]
-            prev = _shifted_context(idx, spec.gen_start)
-            tgt = idx[spec.gen_start :]
-            logits = unigram[None, :] + bigram[prev]
-            mx = logits.max(axis=1, keepdims=True)
-            ez = np.exp(logits - mx)
-            sz = ez.sum(axis=1, keepdims=True)
-            logp = logits[np.arange(m), tgt] - mx[:, 0] - np.log(sz[:, 0])
-            total += -float(np.dot(spec.weights, logp))
-            probs = ez / sz
-            probs[np.arange(m), tgt] -= 1.0
-            probs *= spec.weights[:, None]
-            g_uni += probs.sum(axis=0)
-            np.add.at(g_bi, prev, probs)
+        scored = [specs[q.id] for q in corpus.questions]
+        total = _descend(_pair_weights(scored, pairs, nv), unigram, bigram, config.lr / nq)
         if not math.isfinite(total):
             raise RuntimeError(f"non-finite student loss at epoch {epoch}; lower the learning rate")
-        scale = config.lr / nq
-        unigram -= scale * g_uni
-        bigram -= scale * g_bi
         epoch_losses.append(total / nq)
         steps_trace.append(c_map)
-    final: dict[str, np.ndarray] = {}
-    for q in corpus.questions:
-        idx = enc[q.id]
-        prev = _shifted_context(idx, 0)
-        logits = unigram[None, :] + bigram[prev]
-        mx = logits.max(axis=1, keepdims=True)
-        ez = np.exp(logits - mx)
-        sz = ez.sum(axis=1, keepdims=True)
-        logp = logits[np.arange(idx.size), idx] - mx[:, 0] - np.log(sz[:, 0])
-        final[q.id] = np.exp(logp)
+    logp = _log_softmax_table(unigram, bigram)[0].ravel()
+    final = {qid: np.exp(logp[pair]) for qid, pair in pairs.items()}
     return StudentTrace(
         epoch_losses=epoch_losses,
         input_steps_trace=steps_trace,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotpace import accel
 from cotpace.cli import stage_seed
@@ -40,17 +42,20 @@ def test_set_backend_round_trip(both_backends):
         accel.set_backend("cuda")
 
 
-def _backend_in_child(flag: str | None) -> tuple[str, str]:
-    """Import cotpace.accel in a fresh interpreter; return (backend, flag seen).
-
-    The child imports the same cotpace checkout as this process, whether or
-    not the package is installed, and gets COTPACE_PURE_NUMPY only if flag
-    is not None.
-    """
+def _child_env() -> dict[str, str]:
+    """This environment, minus COTPACE_PURE_NUMPY, with the cotpace checkout
+    this process imported first on PYTHONPATH (installed or not)."""
     env = dict(os.environ)
     src = str(Path(accel.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop(accel.ENV_FLAG, None)
+    return env
+
+
+def _backend_in_child(flag: str | None) -> tuple[str, str]:
+    """Import cotpace.accel in a fresh interpreter; return (backend, flag seen).
+    The child gets COTPACE_PURE_NUMPY only if flag is not None."""
+    env = _child_env()
     if flag is not None:
         env[accel.ENV_FLAG] = flag
     code = "import cotpace.accel as a; print(a.active_backend(), a._env_wants_numpy())"
@@ -168,3 +173,81 @@ def test_empty_inputs_short_circuit():
     val, mask = accel.bruteforce_best_subset(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 2.0, 1.0)
     assert (val, mask) == (-2.0, 0)
     assert accel.greedy_admit(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 1.0, 0.0, 0.1).size == 0
+
+
+# --- the pruned greedy sweep ------------------------------------------------------
+
+# 1e-308 and 5e-324 make (d + beta) / d overflow to inf for beta > 1.
+_deltas = st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-308, 5e-324]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    deltas=st.lists(_deltas, min_size=0, max_size=24),
+    budget=st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 30.0),
+    beta=st.sampled_from([0.0, 1.0, 12.0]) | st.floats(0.0, 20.0),
+    eps=st.sampled_from([0.1, 0.25]) | st.floats(0.01, 0.49),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_pruned_sweep_matches_the_sequential_loop(deltas, budget, beta, eps, k, data):
+    # Zero deltas, repeated deltas (ties), budget 0, beta 0 and deltas
+    # above the budget all come up; both functions are called directly,
+    # so the check needs no numba.
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(deltas), max_size=len(deltas)))
+    d = np.asarray(deltas, dtype=np.float64)
+    c = np.asarray(labels, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        expected = accel._greedy_admit_seq(d, c, k, budget, beta, eps)
+    assert np.array_equal(accel._greedy_admit_py(d, c, k, budget, beta, eps), expected)
+
+
+def test_sqrt_step_is_non_increasing_below_the_pruning_limit():
+    # The pruned sweep skips a candidate that fails at the start of a pass
+    # because its gain can only fall as its cluster fills; that needs the
+    # rounded sqrt(c + 1) - sqrt(c) to be non-increasing in c.
+    prev = np.inf
+    for lo in range(0, accel.MONOTONE_COUNTS + 1, 1 << 18):
+        c = np.arange(lo, min(lo + (1 << 18) + 1, accel.MONOTONE_COUNTS + 2), dtype=np.float64)
+        step = np.sqrt(c + 1.0) - np.sqrt(c)
+        assert step[0] <= prev
+        assert np.all(np.diff(step) <= 0.0)
+        prev = step[-1]
+
+
+_OVERFLOW_CHILD = """
+import numpy as np
+from cotpace import accel
+from cotpace.selection import ClusterAssignment, SelectionProblem, select_ftgp
+
+d, c = np.array([1e-308, 1.0]), np.array([0, 1])
+for name in ("greedy_admit", "_greedy_admit_seq"):
+    mask = getattr(accel, name)(d, c, 2, 2.0, 12.0, 0.1)
+    assert d[mask].sum() <= 2.0, mask
+    print(name, mask.tolist())
+clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1}, centroids=np.zeros((2, 1)))
+problem = SelectionProblem(increments={"a": 1e-308, "b": 1.0}, budget=2.0, clusters=clusters, beta=12.0)
+print("select_ftgp", select_ftgp(problem))
+"""
+
+
+def test_greedy_returns_when_the_first_density_overflows():
+    # (1e-308 + 12) / 1e-308 overflows to inf, so the first threshold and
+    # the last were both inf and the sweep never ended. Run in a child so
+    # a hang fails this test instead of stalling the suite.
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", _OVERFLOW_CHILD],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("greedy sweep did not return within 30 s")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == [
+        "greedy_admit [True, True]",
+        "_greedy_admit_seq [True, True]",
+        "select_ftgp ['a', 'b']",
+    ]

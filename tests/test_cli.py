@@ -69,6 +69,29 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "prefix, flag, dest, value",
+    [
+        ("--bet", "--beta", "beta", "3"),
+        ("--clu", "--clusters", "n_clusters", "2"),
+        ("--conf", "--config", "config", "x.ini"),
+    ],
+)
+def test_flag_prefixes_are_usage_errors(small_corpus_path, capsys, prefix, flag, dest, value):
+    # argparse would take an unambiguous prefix for the whole flag, so a new
+    # flag could change what an old prefix meant (--b was --beta until
+    # --batch-size existed).
+    argv = ["validate", "--corpus", str(small_corpus_path), "--seed", "1"]
+    assert main([*argv, prefix, value]) == 1
+    assert getattr(build_parser().parse_args([*argv, flag, value]), dest) is not None
+
+
+def test_every_full_flag_spelling_parses():
+    for f in KNOBS:
+        argv = [_flag(f)] if f.type == "bool" else [_flag(f), "1"]
+        assert getattr(build_parser().parse_args(["run", *argv]), f.name) is not None, f.name
+
+
 def test_missing_corpus_file_exits_2(tmp_path, capsys):
     code = main(["validate", "--corpus", str(tmp_path / "absent.jsonl"), "--seed", "1"])
     assert code == 2
@@ -229,6 +252,23 @@ def test_config_accepts_missing_section_header(tmp_path):
     headed = tmp_path / "headed.ini"
     headed.write_text("[pipeline]\nseed = 5\nsimulate = on\n")
     assert load_config(headed) == load_config(bare)
+
+
+@pytest.mark.parametrize("header", ["", "[pipeline]\n"], ids=["bare", "headed"])
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("seed = 1\nalpha = 0.5\nseed = 2\n", r"\[line +{}\]: option 'seed'"),
+        ("seed = 1\nalpha = 0.5\nno equals sign\n", r"\[line +{}\]: 'no equals sign"),
+    ],
+    ids=["duplicate-key", "line-without-equals"],
+)
+def test_config_errors_give_the_line_of_the_file(tmp_path, header, body, pattern):
+    path = tmp_path / "lines.ini"
+    path.write_text(header + body)
+    line = 3 + header.count("\n")
+    with pytest.raises(ValueError, match=pattern.format(line)):
+        load_config(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from cotpace.corpus import Question
 from cotpace.loss_shaping import (
+    BOS_ID,
     LossShapingError,
     LossSpec,
     StudentConfig,
@@ -266,3 +267,92 @@ def test_trace_written_as_json(tmp_path, bundled_corpus):
     doc = json.loads(path.read_text())
     assert len(doc["epoch_losses"]) == 2
     assert set(doc["final_token_probs"]) == {q.id for q in corpus_slice.questions}
+
+
+def _reference_student(corpus, epoch_specs, cfg):
+    """The student as a per-question loop: one softmax per generated token,
+    gradients scattered with np.add.at. epoch_specs[e] maps id -> LossSpec."""
+    vocab = {"<bos>": BOS_ID}
+    for q in corpus.questions:
+        for tok in q.rationale_tokens:
+            vocab.setdefault(tok, len(vocab))
+    enc = {q.id: np.asarray([vocab[t] for t in q.rationale_tokens]) for q in corpus.questions}
+    nv, nq = len(vocab), len(corpus.questions)
+
+    def context(idx, start):
+        if start == 0:
+            return np.concatenate(([BOS_ID], idx[:-1]))
+        return idx[start - 1 : idx.size - 1]
+
+    rng = np.random.default_rng(cfg.seed)
+    unigram = rng.normal(0.0, cfg.init_scale, size=nv)
+    bigram = rng.normal(0.0, cfg.init_scale, size=(nv, nv))
+    losses = []
+    for specs in epoch_specs:
+        g_uni, g_bi, total = np.zeros(nv), np.zeros((nv, nv)), 0.0
+        for q in corpus.questions:
+            spec = specs[q.id]
+            m = spec.gen_end - spec.gen_start
+            if m == 0:
+                continue
+            idx = enc[q.id]
+            prev, tgt = context(idx, spec.gen_start), idx[spec.gen_start :]
+            logits = unigram[None, :] + bigram[prev]
+            mx = logits.max(axis=1, keepdims=True)
+            ez = np.exp(logits - mx)
+            sz = ez.sum(axis=1, keepdims=True)
+            logp = logits[np.arange(m), tgt] - mx[:, 0] - np.log(sz[:, 0])
+            total += -float(np.dot(spec.weights, logp))
+            probs = ez / sz
+            probs[np.arange(m), tgt] -= 1.0
+            probs *= spec.weights[:, None]
+            g_uni += probs.sum(axis=0)
+            np.add.at(g_bi, prev, probs)
+        unigram -= cfg.lr / nq * g_uni
+        bigram -= cfg.lr / nq * g_bi
+        losses.append(total / nq)
+    final = {}
+    for q in corpus.questions:
+        idx = enc[q.id]
+        logits = unigram[None, :] + bigram[context(idx, 0)]
+        mx = logits.max(axis=1, keepdims=True)
+        sz = np.exp(logits - mx).sum(axis=1)
+        final[q.id] = np.exp(logits[np.arange(idx.size), idx] - mx[:, 0] - np.log(sz))
+    return losses, unigram, bigram, final
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("curriculum", [False, True], ids=["no-curriculum", "curriculum"])
+def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curriculum):
+    corpus = type(bundled_corpus)(
+        questions=bundled_corpus.questions[:12], embedding_dim=bundled_corpus.embedding_dim
+    )
+    cfg = StudentConfig(epochs=6, lr=0.8, seed=5)
+    rng = np.random.default_rng(11)
+    weights = (
+        {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions} if weighted else None
+    )
+    sched = _zero_schedule(corpus, cfg.epochs)
+    if curriculum:  # every question a random number of input steps at every stage
+        for rec in sched.stages:
+            rec.input_steps = {q.id: int(rng.integers(0, q.n_steps + 1)) for q in corpus.questions}
+    epoch_specs = [
+        {
+            q.id: shape_stage_loss(q, rec.input_steps[q.id], weights[q.id] if weights else None)
+            for q in corpus.questions
+        }
+        for rec in sched.stages[1:]
+    ]
+    assert curriculum == any(s.gen_start > 0 for specs in epoch_specs for s in specs.values())
+    losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, cfg)
+    trace = simulate_student(corpus, sched, weights, cfg)
+    _close(trace.epoch_losses, losses)
+    _close(trace.unigram, unigram)
+    _close(trace.bigram, bigram)
+    assert trace.final_token_probs.keys() == final.keys()
+    for qid, probs in final.items():
+        _close(trace.final_token_probs[qid], probs)
