@@ -1,6 +1,5 @@
 """Curriculum pacing for chain-of-thought distillation."""
 
-from .accel import active_backend, set_backend
 from .corpus import Corpus, Question, embed_question, parse_corpus, segment_steps, write_corpus
 from .difficulty import (
     DifficultyTable,

@@ -263,9 +263,23 @@ def cmd_weigh(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _maybe_weights(cfg: PipelineConfig):
+def _maybe_weights(cfg: PipelineConfig, corpus):
+    """weights.jsonl from --out, or None when there is none. Its ids must be
+    the corpus ids: a file from another corpus, or one cut short, would
+    otherwise leave questions on uniform weights without a word."""
     path = _out_dir(cfg) / "weights.jsonl"
-    return read_weights(path) if path.exists() else None
+    if not path.exists():
+        return None
+    weights = read_weights(path)
+    ids = [q.id for q in corpus.questions]
+    missing = next((qid for qid in ids if qid not in weights), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no weights for corpus question {missing!r}")
+    known = set(ids)
+    extra = next((qid for qid in weights if qid not in known), None)
+    if extra is not None:
+        raise ValueError(f"{path}: weights for {extra!r}, which is not a corpus question")
+    return weights
 
 
 def cmd_assess(cfg: PipelineConfig) -> int:
@@ -274,7 +288,7 @@ def cmd_assess(cfg: PipelineConfig) -> int:
     logprobs = None
     if cfg.synthetic_logprobs is not None:
         logprobs = synthetic_logprobs(corpus, cfg.synthetic_logprobs)
-    table = compute_table(corpus, weights=_maybe_weights(cfg), logprobs=logprobs)
+    table = compute_table(corpus, weights=_maybe_weights(cfg, corpus), logprobs=logprobs)
     out = _out_dir(cfg)
     _atomic(lambda p: write_table(table, p), out / "difficulty.jsonl")
     print(f"[assess] wrote {out / 'difficulty.jsonl'} (total difficulty {table.corpus_total:.4f})")
@@ -324,7 +338,7 @@ def cmd_shape_loss(cfg: PipelineConfig) -> int:
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     plan = read_schedule(out / "schedule.json")
-    specs = build_stage_loss_specs(corpus, plan, _maybe_weights(cfg))
+    specs = build_stage_loss_specs(corpus, plan, _maybe_weights(cfg, corpus))
     _atomic(lambda p: write_loss_specs(specs, p), out / "losses.jsonl")
     print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} specs)")
     return 0
@@ -336,7 +350,7 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     out = _out_dir(cfg)
     plan = read_schedule(out / "schedule.json")
     scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
-    trace = simulate_student(corpus, plan, _maybe_weights(cfg), scfg)
+    trace = simulate_student(corpus, plan, _maybe_weights(cfg, corpus), scfg)
     _atomic(lambda p: write_trace(trace, p), out / "trace.json")
     print(f"[simulate] wrote {out / 'trace.json'} (final loss {trace.epoch_losses[-1]:.4f})")
     return 0
@@ -371,6 +385,7 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
@@ -401,11 +416,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not args.command:
+            parser.error("no command given")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         cfg = make_config(args)
         return COMMANDS[args.command](cfg)

@@ -23,6 +23,10 @@ from . import accel
 from .difficulty import DifficultyTable, DifficultyError
 
 BRUTEFORCE_MAX = 22
+# Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
+# passes over 2000 candidates and eps = 0.01 about 1300; each pass can cost a
+# walk over every candidate, so an eps near 0 would never finish.
+MAX_PASSES = 5000
 
 
 @dataclasses.dataclass
@@ -139,11 +143,21 @@ def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
     clears the threshold and whose delta still fits the budget
     (zero-delta candidates are admitted whenever their gain is positive).
     Returns the better of the accumulated set and the best feasible
-    singleton, preferring the accumulated set on ties."""
+    singleton, preferring the accumulated set on ties. Raises ValueError
+    when eps needs more than MAX_PASSES threshold passes."""
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     if not problem.ids:
         return []
+    n = len(problem.ids)
+    # The sweep visits theta_max * (1 - eps)**k for every k >= 0 with
+    # (1 - eps)**k >= eps / (2n).
+    passes = math.floor(math.log(eps / (2 * n)) / math.log1p(-eps)) + 1
+    if passes > MAX_PASSES:
+        raise ValueError(
+            f"eps = {eps} needs {passes} threshold passes over {n} candidates;"
+            f" at most {MAX_PASSES} are allowed, so raise eps"
+        )
     mask = accel.greedy_admit(
         problem.deltas,
         problem.cluster_ids,

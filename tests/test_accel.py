@@ -1,7 +1,8 @@
-"""The compiled kernels and their plain-numpy twins must agree bit for bit."""
+"""The numpy kernels of the selection stage against plain reference loops."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,160 +14,87 @@ from hypothesis import strategies as st
 
 from cotpace import accel
 from cotpace.cli import stage_seed
-from cotpace.selection import kmeans_cluster, select_bruteforce, select_ftgp
+from cotpace.corpus import write_corpus
+from cotpace.selection import kmeans_cluster
 from cotpace.synth import make_arith_corpus
-from test_selection import _random_problem
-
-
-@pytest.fixture
-def both_backends():
-    """Restore whatever backend was active, whatever the test does."""
-    original = accel.active_backend()
-    yield
-    accel.set_backend(original)
-
-
-def _run_on(backend: str, fn, *args):
-    accel.set_backend(backend)
-    return fn(*args)
 
 
 def test_active_backend_is_a_known_name():
-    assert accel.active_backend() in ("numba", "numpy")
-
-
-def test_set_backend_round_trip(both_backends):
-    accel.set_backend("numpy")
     assert accel.active_backend() == "numpy"
-    with pytest.raises(ValueError, match="unknown backend"):
-        accel.set_backend("cuda")
+    assert accel.HAVE_NUMBA is False
 
 
 def _child_env() -> dict[str, str]:
-    """This environment, minus COTPACE_PURE_NUMPY, with the cotpace checkout
-    this process imported first on PYTHONPATH (installed or not)."""
+    """This environment with the cotpace checkout this process imported
+    first on PYTHONPATH (installed or not)."""
     env = dict(os.environ)
     src = str(Path(accel.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop(accel.ENV_FLAG, None)
     return env
 
 
-def _backend_in_child(flag: str | None) -> tuple[str, str]:
-    """Import cotpace.accel in a fresh interpreter; return (backend, flag seen).
-    The child gets COTPACE_PURE_NUMPY only if flag is not None."""
-    env = _child_env()
-    if flag is not None:
-        env[accel.ENV_FLAG] = flag
-    code = "import cotpace.accel as a; print(a.active_backend(), a._env_wants_numpy())"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    backend, seen = out.stdout.split()
-    return backend, seen
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, so a hang fails the calling test
+    after 30 s instead of stalling the suite."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("child did not return within 30 s")
 
 
-def test_env_flag_forces_numpy_backend():
-    assert _backend_in_child("1") == ("numpy", "True")
-    # Without numba the backend is numpy either way, so the flag's own
-    # effect shows only in what _env_wants_numpy reports.
-    assert _backend_in_child(None) == ("numba" if accel.HAVE_NUMBA else "numpy", "False")
+# --- k-means labels ---------------------------------------------------------------
 
 
-def test_bruteforce_kernels_agree(both_backends):
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        n = int(rng.integers(1, 13))
-        k = int(rng.integers(1, 5))
-        deltas = rng.uniform(0.0, 3.0, size=n)
-        clusters = rng.integers(0, k, size=n)
-        budget = float(rng.uniform(0.0, deltas.sum()))
-        beta = float(rng.choice([0.0, 1.0, 12.0]))
-        val_nb, mask_nb = _run_on("numba", accel.bruteforce_best_subset, deltas, clusters, k, budget, beta)
-        val_np, mask_np = _run_on("numpy", accel.bruteforce_best_subset, deltas, clusters, k, budget, beta)
-        assert mask_nb == mask_np
-        assert val_nb == val_np
+def _kmeans_labels_loop(points, centroids):
+    """Squared distances summed dimension by dimension in a plain loop;
+    ties go to the lowest centroid index."""
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    n, dim = points.shape
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        best, best_dist = 0, np.inf
+        for c in range(centroids.shape[0]):
+            s = 0.0
+            for j in range(dim):
+                diff = points[i, j] - centroids[c, j]
+                s += diff * diff
+            if s < best_dist:
+                best, best_dist = c, s
+        labels[i] = best
+    return labels
 
 
-def test_greedy_kernels_agree(both_backends):
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        n = int(rng.integers(1, 30))
-        k = int(rng.integers(1, 6))
-        deltas = rng.uniform(0.0, 3.0, size=n)
-        deltas[rng.random(n) < 0.2] = 0.0
-        clusters = rng.integers(0, k, size=n)
-        budget = float(rng.uniform(0.0, max(deltas.sum(), 1e-9)))
-        beta = float(rng.choice([0.0, 1.0, 12.0]))
-        got_nb = _run_on("numba", accel.greedy_admit, deltas, clusters, k, budget, beta, 0.1)
-        got_np = _run_on("numpy", accel.greedy_admit, deltas, clusters, k, budget, beta, 0.1)
-        assert np.array_equal(got_nb, got_np)
-
-
-def test_kmeans_kernels_agree(both_backends):
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
+def test_kmeans_labels_match_the_dimension_loop(monkeypatch):
     rng = np.random.default_rng(2)
     for _ in range(20):
         points = rng.normal(size=(int(rng.integers(2, 40)), 8))
         centroids = rng.normal(size=(int(rng.integers(1, 6)), 8))
-        got_nb = _run_on("numba", accel.kmeans_labels, points, centroids)
-        got_np = _run_on("numpy", accel.kmeans_labels, points, centroids)
-        assert np.array_equal(got_nb, got_np)
-
-
-def test_kmeans_ties_go_to_lowest_index(both_backends):
-    points = np.zeros((3, 2))
-    centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])  # equidistant from origin
-    for backend in ("numpy", "numba") if accel.HAVE_NUMBA else ("numpy",):
-        accel.set_backend(backend)
-        assert list(accel.kmeans_labels(points, centroids)) == [0, 0, 0]
-
-
-def test_selection_api_identical_across_backends(both_backends):
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        problem = _random_problem(rng)
-        picks = {}
-        for backend in ("numba", "numpy"):
-            accel.set_backend(backend)
-            picks[backend] = (select_ftgp(problem), select_bruteforce(problem))
-        assert picks["numba"] == picks["numpy"]
-
-
-def test_clustering_identical_across_backends(both_backends):
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
-    rng = np.random.default_rng(4)
-    emb = {f"q{i}": rng.normal(size=6) for i in range(30)}
-    results = {}
-    for backend in ("numba", "numpy"):
-        accel.set_backend(backend)
-        results[backend] = kmeans_cluster(emb, 4, seed=7)
-    assert results["numba"].assignment == results["numpy"].assignment
-    assert np.array_equal(results["numba"].centroids, results["numpy"].centroids)
-
-
-def test_clustering_identical_on_near_tie_embeddings(both_backends):
-    # Regression: hashed bag-of-words embeddings put some points almost
-    # equidistant between centroids; a numpy path that summed squared
-    # distances pairwise instead of dimension by dimension rounded those
-    # differently and flipped one label, which Lloyd updates then amplified.
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single backend only")
+        got = accel.kmeans_labels(points, centroids)
+        assert np.array_equal(got, _kmeans_labels_loop(points, centroids))
+    # Hashed bag-of-words embeddings put some points almost equidistant
+    # between centroids. Squared distances summed pairwise instead of
+    # dimension by dimension round those differently, flip a label, and the
+    # Lloyd updates carry the flip into the assignment and centroids.
     corpus = make_arith_corpus(30, seed=99)
     emb = {q.id: q.embedding for q in corpus.questions}
-    results = {}
-    for backend in ("numba", "numpy"):
-        accel.set_backend(backend)
-        results[backend] = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
-    assert results["numba"].assignment == results["numpy"].assignment
-    assert np.array_equal(results["numba"].centroids, results["numpy"].centroids)
+    got = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
+    monkeypatch.setattr(accel, "kmeans_labels", _kmeans_labels_loop)
+    expected = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
+    assert got.assignment == expected.assignment
+    assert np.array_equal(got.centroids, expected.centroids)
+
+
+def test_kmeans_ties_go_to_lowest_index():
+    points = np.zeros((3, 2))
+    centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])  # equidistant from origin
+    assert list(accel.kmeans_labels(points, centroids)) == [0, 0, 0]
 
 
 def test_empty_inputs_short_circuit():
@@ -192,14 +120,13 @@ _deltas = st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-308, 5e-324]) | st.floats(0.0,
 )
 def test_pruned_sweep_matches_the_sequential_loop(deltas, budget, beta, eps, k, data):
     # Zero deltas, repeated deltas (ties), budget 0, beta 0 and deltas
-    # above the budget all come up; both functions are called directly,
-    # so the check needs no numba.
+    # above the budget all come up.
     labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(deltas), max_size=len(deltas)))
     d = np.asarray(deltas, dtype=np.float64)
     c = np.asarray(labels, dtype=np.int64)
     with np.errstate(over="ignore"):
         expected = accel._greedy_admit_seq(d, c, k, budget, beta, eps)
-    assert np.array_equal(accel._greedy_admit_py(d, c, k, budget, beta, eps), expected)
+    assert np.array_equal(accel.greedy_admit(d, c, k, budget, beta, eps), expected)
 
 
 def test_sqrt_step_is_non_increasing_below_the_pruning_limit():
@@ -233,21 +160,43 @@ print("select_ftgp", select_ftgp(problem))
 
 def test_greedy_returns_when_the_first_density_overflows():
     # (1e-308 + 12) / 1e-308 overflows to inf, so the first threshold and
-    # the last were both inf and the sweep never ended. Run in a child so
-    # a hang fails this test instead of stalling the suite.
-    try:
-        out = subprocess.run(
-            [sys.executable, "-c", _OVERFLOW_CHILD],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=30,
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail("greedy sweep did not return within 30 s")
+    # the last were both inf and the sweep never ended.
+    out = _run_child(_OVERFLOW_CHILD)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:3] == [
         "greedy_admit [True, True]",
         "_greedy_admit_seq [True, True]",
         "select_ftgp ['a', 'b']",
     ]
+
+
+_TINY_EPS_CHILD = """
+import sys
+import numpy as np
+from cotpace.cli import main
+from cotpace.selection import ClusterAssignment, SelectionProblem, select_ftgp
+
+clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1}, centroids=np.zeros((2, 1)))
+problem = SelectionProblem(increments={"a": 1.0, "b": 2.0}, budget=5.0, clusters=clusters, beta=1.0)
+try:
+    select_ftgp(problem, eps=1e-12)
+except ValueError as exc:
+    print("select_ftgp:", exc)
+base = ["--corpus", sys.argv[1], "--out", sys.argv[2], "--seed", "1"]
+assert main(["assess", *base]) == 0
+assert main(["cluster", *base, "--clusters", "2"]) == 0
+print("schedule exit", main(["schedule", *base, "--eps", "1e-12"]))
+"""
+
+
+def test_tiny_eps_is_refused_before_the_sweep(tmp_path):
+    # The sweep makes about ln(2n / eps) / eps passes: eps = 1e-12 means
+    # about 3e13, which ran until killed. select_ftgp counts them first.
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(make_arith_corpus(10, seed=77), corpus)
+    out = _run_child(_TINY_EPS_CHILD, str(corpus), str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert re.match(r"select_ftgp: eps = 1e-12 needs \d{14} threshold passes over 2 candidates", lines[0]), lines
+    assert "schedule exit 2" in lines
+    assert "eps = 1e-12 needs" in out.stderr and "threshold passes" in out.stderr

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cotpace.cli import (
@@ -17,9 +18,9 @@ from cotpace.cli import (
     make_config,
     stage_seed,
 )
-from cotpace.corpus import write_corpus
+from cotpace.corpus import parse_corpus, write_corpus
 from cotpace.synth import make_arith_corpus
-from cotpace.weighting import WeightingConfig
+from cotpace.weighting import WeightingConfig, write_weights
 
 ARTIFACTS = [
     "weights.jsonl",
@@ -67,6 +68,13 @@ def test_unknown_flag_is_a_usage_error(capsys):
 
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_usage_errors_say_what_is_wrong(capsys):
+    assert main(["validate", "--bet", "3"]) == 1
+    assert "cotpace: error: unrecognized arguments: --bet 3" in capsys.readouterr().err
+    assert main([]) == 1
+    assert "cotpace: error: no command given" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -152,6 +160,28 @@ def test_assess_with_synthetic_logprobs_succeeds(tmp_path, capsys):
     ])
     assert code == 0
     assert (tmp_path / "out" / "difficulty.jsonl").exists()
+
+
+def _assess_with_weights(tmp_path, corpus_path, ids) -> int:
+    out = tmp_path / "out"
+    out.mkdir()
+    write_weights({qid: np.full(3, 0.5) for qid in ids}, out / "weights.jsonl")
+    return main(["assess", "--corpus", str(corpus_path), "--out", str(out), "--seed", "1"])
+
+
+def test_weights_missing_a_corpus_question_exit_2(tmp_path, small_corpus_path, capsys):
+    ids = [q.id for q in parse_corpus(small_corpus_path).questions]
+    assert _assess_with_weights(tmp_path, small_corpus_path, ids[:4] + ids[5:]) == 2
+    err = capsys.readouterr().err
+    assert "weights.jsonl" in err and f"no weights for corpus question {ids[4]!r}" in err
+    assert not (tmp_path / "out" / "difficulty.jsonl").exists()
+
+
+def test_weights_for_a_foreign_question_exit_2(tmp_path, small_corpus_path, capsys):
+    ids = [q.id for q in parse_corpus(small_corpus_path).questions]
+    assert _assess_with_weights(tmp_path, small_corpus_path, [*ids, "ghost", "ghost2"]) == 2
+    err = capsys.readouterr().err
+    assert "weights.jsonl" in err and "weights for 'ghost', which is not a corpus question" in err
 
 
 def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):
