@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .corpus import Corpus, Question
-from .schedule import Schedule
+from .schedule import Schedule, StageRecord
 
 BOS_ID = 0
 BOS_TOKEN = "<bos>"
@@ -104,55 +104,54 @@ def evaluate_loss(spec: LossSpec, logprobs: np.ndarray) -> float:
 
 
 def write_loss_specs(specs: list[LossSpec], path) -> None:
+    """One line of loss ranges per spec. The weights are left out: a spec's
+    are weights.jsonl[id][input_end:gen_end], and gen_start is input_end."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in specs:
+        for s in specs:  # the line json.dumps gives for the record's dict, at a fifth of the cost
+            qid = json.dumps(s.question_id)
             fh.write(
-                json.dumps(
-                    {
-                        "t": s.stage,
-                        "id": s.question_id,
-                        "input_end": s.input_end,
-                        "gen_start": s.gen_start,
-                        "gen_end": s.gen_end,
-                        "weights": [float(v) for v in s.weights],
-                    }
-                )
-                + "\n"
+                f'{{"t": {s.stage}, "id": {qid}, "input_end": {s.input_end}, "gen_end": {s.gen_end}}}\n'
             )
 
 
-def read_loss_specs(path) -> list[LossSpec]:
-    out: list[LossSpec] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            spec = LossSpec(
-                question_id=rec["id"],
-                stage=int(rec["t"]),
-                input_end=int(rec["input_end"]),
-                gen_end=int(rec["gen_end"]),
-                weights=np.asarray(rec["weights"], dtype=np.float64),
-            )
-            spec.validate()
-            out.append(spec)
-    return out
+def _stage_specs(corpus: Corpus, weights: dict[str, np.ndarray] | None):
+    """specs_at(rec) -> {id: LossSpec} for schedule stage rec, in corpus
+    order. A question's loss window changes only when its input-step count
+    does, so its spec is built (and validated) only then; otherwise the
+    object of the previous call comes back as is, still carrying the stage
+    it was built at."""
+    last: dict[str, tuple[int, LossSpec]] = {}
+
+    def specs_at(rec: StageRecord) -> dict[str, LossSpec]:
+        specs: dict[str, LossSpec] = {}
+        for q in corpus.questions:
+            c = rec.input_steps.get(q.id)
+            if c is None:
+                raise LossShapingError(f"schedule stage {rec.t} is missing question {q.id!r}")
+            hit = last.get(q.id)
+            if hit is None or hit[0] != c:
+                w = weights.get(q.id) if weights else None
+                hit = last[q.id] = (c, shape_stage_loss(q, c, w, stage=rec.t))
+            specs[q.id] = hit[1]
+        return specs
+
+    return specs_at
 
 
 def build_stage_loss_specs(
     corpus: Corpus, schedule: Schedule, weights: dict[str, np.ndarray] | None = None
 ) -> list[LossSpec]:
-    """One spec per (training stage >= 1, question)."""
+    """One spec per (training stage >= 1, question); a spec kept from an
+    earlier stage shares its weights with the one stamped for this stage."""
+    specs_at = _stage_specs(corpus, weights)
     specs: list[LossSpec] = []
     for rec in schedule.stages:
         if rec.t < 1:
             continue
-        for q in corpus.questions:
-            if q.id not in rec.input_steps:
-                raise LossShapingError(f"schedule stage {rec.t} is missing question {q.id!r}")
-            w = weights.get(q.id) if weights else None
-            specs.append(shape_stage_loss(q, rec.input_steps[q.id], w, stage=rec.t))
+        for s in specs_at(rec).values():
+            if s.stage != rec.t:
+                s = LossSpec(s.question_id, rec.t, s.input_end, s.gen_end, s.weights)
+            specs.append(s)
     return specs
 
 
@@ -287,15 +286,11 @@ def simulate_student(
                 f" {config.epochs} epochs"
             ) from exc
 
+    specs_at = _stage_specs(corpus, weights)
+
     def specs_for_epoch(epoch: int):
         rec = schedule.stage(epoch)
-        specs: dict[str, LossSpec] = {}
-        for q in corpus.questions:
-            if q.id not in rec.input_steps:
-                raise LossShapingError(f"schedule stage {epoch} is missing question {q.id!r}")
-            w = weights.get(q.id) if weights else None
-            specs[q.id] = shape_stage_loss(q, rec.input_steps[q.id], w, stage=epoch)
-        return specs, dict(rec.input_steps)
+        return specs_at(rec), dict(rec.input_steps)
 
     return _run_student(corpus, specs_for_epoch, config)
 

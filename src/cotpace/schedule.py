@@ -242,6 +242,18 @@ def write_schedule(schedule: Schedule, path) -> None:
         fh.write("\n")
 
 
+def _input_steps(path, rec: dict) -> dict[str, int]:
+    """A stage's counts, which must be JSON integers: int() would take a
+    hand-edited 0.9 for 0 and true for 1."""
+    counts = rec["c"]
+    for qid, v in counts.items():
+        if type(v) is not int:  # rejects bool too
+            raise ValueError(
+                f"{path}: stage {rec['t']}: input-step count of {qid!r} must be an integer, got {v!r}"
+            )
+    return counts
+
+
 def read_schedule(path) -> Schedule:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -252,7 +264,7 @@ def read_schedule(path) -> Schedule:
             delta_budget=float(rec["delta_D"]),
             selected=list(rec["selected"]),
             delta_h=float(rec["delta_H"]),
-            input_steps={k: int(v) for k, v in rec["c"].items()},
+            input_steps=_input_steps(path, rec),
             h_after=float(rec["H"]),
         )
         for rec in doc["stages"]

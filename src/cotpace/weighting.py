@@ -671,13 +671,24 @@ def write_weights(weights: dict[str, np.ndarray], path) -> None:
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
+    """{id: weights}; each id once, and every weight finite and in [0, 1]."""
     out: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            out[rec["id"]] = np.asarray(rec["weights"], dtype=np.float64)
+            qid = rec["id"]
+            if qid in out:
+                raise WeightingError(f"{path}: weights for {qid!r} appear twice")
+            w = np.asarray(rec["weights"], dtype=np.float64)
+            bad = w[~np.isfinite(w)]
+            if bad.size:
+                raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} is not finite")
+            bad = w[(w < 0.0) | (w > 1.0)]
+            if bad.size:
+                raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} lies outside [0, 1]")
+            out[qid] = w
     return out
 
 

@@ -184,6 +184,50 @@ def test_weights_for_a_foreign_question_exit_2(tmp_path, small_corpus_path, caps
     assert "weights.jsonl" in err and "weights for 'ghost', which is not a corpus question" in err
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("duplicate-id", "appear twice"),
+        ("non-finite", "nan is not finite"),
+        ("outside-unit-interval", "7.0 lies outside [0, 1]"),
+    ],
+)
+def test_untrustworthy_weights_exit_2(tmp_path, small_corpus_path, capsys, case, message):
+    questions = parse_corpus(small_corpus_path).questions
+    records = [{"id": q.id, "weights": [0.5] * q.n_tokens} for q in questions]
+    if case == "duplicate-id":  # was read as the last record, silently
+        records.append({"id": questions[3].id, "weights": [0.25] * questions[3].n_tokens})
+    elif case == "non-finite":
+        records[3]["weights"][1] = float("nan")
+    else:  # README promises [0, 1]; 7.0 used to pass
+        records[3]["weights"] = [7.0] * questions[3].n_tokens
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "weights.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["assess", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "weights.jsonl" in err and repr(questions[3].id) in err and message in err
+    assert not (out / "difficulty.jsonl").exists()
+
+
+@pytest.mark.parametrize("count", [0.9, True], ids=["float", "bool"])
+@pytest.mark.parametrize("command", ["shape-loss", "simulate"])
+def test_schedule_counts_must_be_integers(tmp_path, small_corpus_path, capsys, command, count):
+    out = tmp_path / "out"
+    argv = ["--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    for stage in ("assess", "cluster", "schedule"):
+        assert main([stage, *argv]) == 0
+    path = out / "schedule.json"
+    doc = json.loads(path.read_text())
+    qid = sorted(doc["stages"][2]["c"])[1]
+    doc["stages"][2]["c"][qid] = count  # int() took 0.9 for 0 and true for 1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert "schedule.json" in err and "stage 2" in err and repr(qid) in err and "integer" in err
+
+
 def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("seed = 1\nlearning_rate = 0.5\n")

@@ -1,12 +1,14 @@
 """Stagewise loss windows and the tabular student used to sanity-check them."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from cotpace.corpus import Question
+from cotpace import loss_shaping
+from cotpace.corpus import Corpus, Question
 from cotpace.loss_shaping import (
     BOS_ID,
     LossShapingError,
@@ -14,7 +16,6 @@ from cotpace.loss_shaping import (
     StudentConfig,
     build_stage_loss_specs,
     evaluate_loss,
-    read_loss_specs,
     shape_stage_loss,
     simulate_student,
     train_plain,
@@ -178,8 +179,6 @@ def test_build_specs_covers_training_stages(bundled_corpus):
 
 def test_build_specs_requires_every_question():
     corpus_q = _question("only")
-    from cotpace.corpus import Corpus
-
     corpus = Corpus(questions=[corpus_q], embedding_dim=None)
     stages = [
         StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
@@ -191,17 +190,133 @@ def test_build_specs_requires_every_question():
         build_stage_loss_specs(corpus, sched)
 
 
-def test_specs_round_trip(tmp_path, bundled_corpus):
-    sched = _zero_schedule(bundled_corpus, 2)
-    specs = build_stage_loss_specs(bundled_corpus, sched)
-    path = tmp_path / "specs.jsonl"
+def _stepped_schedule(corpus, n_stages: int, seed: int) -> Schedule:
+    """Each question starts with all its input steps and loses one at
+    random stages, so counts drop and then hold, and reach 0 by the end."""
+    rng = np.random.default_rng(seed)
+    counts = {q.id: q.n_steps for q in corpus.questions}
+    stages = []
+    for t in range(n_stages + 1):
+        if t > 0:
+            for q in corpus.questions:
+                if counts[q.id] and (t == n_stages or rng.random() < 0.3):
+                    counts[q.id] = 0 if t == n_stages else counts[q.id] - 1
+        stages.append(StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
+                                  input_steps=dict(counts), h_after=0.0))
+    return Schedule(stages=stages, params={"horizon": n_stages})
+
+
+def _distinct_pairs(schedule: Schedule, last_stage: int) -> int:
+    return len({(qid, c) for rec in schedule.stages if 1 <= rec.t <= last_stage
+                for qid, c in rec.input_steps.items()})
+
+
+def _weights(corpus, seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+
+
+def _count_shape_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    shape = loss_shaping.shape_stage_loss
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return shape(*args, **kwargs)
+
+    monkeypatch.setattr(loss_shaping, "shape_stage_loss", counted)
+    return calls
+
+
+def _record_scored(monkeypatch) -> list[list[LossSpec]]:
+    """The specs each student epoch scores, in corpus order."""
+    scored: list[list[LossSpec]] = []
+    pair_weights = loss_shaping._pair_weights
+
+    def recorded(specs, pairs, nv):
+        scored.append(list(specs))
+        return pair_weights(specs, pairs, nv)
+
+    monkeypatch.setattr(loss_shaping, "_pair_weights", recorded)
+    return scored
+
+
+def _assert_same_spec(got: LossSpec, want: LossSpec) -> None:
+    assert (got.question_id, got.input_end, got.gen_end) == (want.question_id, want.input_end, want.gen_end)
+    assert np.array_equal(got.weights, want.weights)
+
+
+def test_build_specs_shapes_once_per_count_change(monkeypatch, bundled_corpus):
+    sched = _stepped_schedule(bundled_corpus, 8, seed=4)
+    weights = _weights(bundled_corpus, 5)
+    calls = _count_shape_calls(monkeypatch)
+    specs = build_stage_loss_specs(bundled_corpus, sched, weights)
+    assert calls[0] == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
+    monkeypatch.undo()
+    want = [
+        shape_stage_loss(q, rec.input_steps[q.id], weights[q.id], stage=rec.t)
+        for rec in sched.stages[1:]
+        for q in bundled_corpus.questions
+    ]
+    assert len(specs) == len(want)
+    for got, w in zip(specs, want):
+        assert got.stage == w.stage
+        _assert_same_spec(got, w)
+
+
+def test_simulate_shapes_once_per_count_change(monkeypatch, bundled_corpus):
+    sched = _stepped_schedule(bundled_corpus, 8, seed=6)
+    weights = _weights(bundled_corpus, 7)
+    cfg = StudentConfig(epochs=6, seed=2)
+    scored = _record_scored(monkeypatch)
+    calls = _count_shape_calls(monkeypatch)
+    simulate_student(bundled_corpus, sched, weights, cfg)
+    assert calls[0] == _distinct_pairs(sched, cfg.epochs)
+    monkeypatch.undo()
+    assert len(scored) == cfg.epochs
+    for epoch, specs in enumerate(scored, start=1):
+        rec = sched.stage(epoch)
+        for q, got in zip(bundled_corpus.questions, specs, strict=True):
+            _assert_same_spec(got, shape_stage_loss(q, rec.input_steps[q.id], weights[q.id], stage=epoch))
+
+
+def test_a_held_count_reuses_its_spec(monkeypatch):
+    q = _question(spans=((0, 2), (2, 5), (5, 9)))
+    corpus = Corpus(questions=[q], embedding_dim=None)
+    counts = [3, 3, 1, 1, 1, 1, 0]  # drops at stage 2, holds through stage 5
+    stages = [
+        StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
+                    input_steps={"q": c}, h_after=0.0)
+        for t, c in enumerate(counts)
+    ]
+    sched = Schedule(stages=stages, params={"horizon": 6})
+    w = np.linspace(0.1, 0.9, 9)
+    calls = _count_shape_calls(monkeypatch)
+    specs = build_stage_loss_specs(corpus, sched, {"q": w})
+    assert calls[0] == 3
+    assert [s.stage for s in specs] == [1, 2, 3, 4, 5, 6]
+    assert [s.input_end for s in specs] == [9, 2, 2, 2, 2, 0]
+    assert all(np.array_equal(s.weights, w[2:]) for s in specs[1:5])
+    epochs = _record_scored(monkeypatch)
+    calls[0] = 0
+    simulate_student(corpus, sched, {"q": w}, StudentConfig(epochs=6))
+    assert calls[0] == 3
+    scored = [specs[0] for specs in epochs]
+    assert scored[1] is scored[2] is scored[3] is scored[4]  # the held spec, as is
+    assert scored[1].stage == 2
+
+
+def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
+    sched = _stepped_schedule(bundled_corpus, 4, seed=9)
+    specs = build_stage_loss_specs(bundled_corpus, sched, _weights(bundled_corpus, 10))
+    path = tmp_path / "losses.jsonl"
     write_loss_specs(specs, path)
-    back = read_loss_specs(path)
-    assert len(back) == len(specs)
-    for a, b in zip(specs, back):
-        assert (a.question_id, a.stage, a.input_end, a.gen_end) == (
-            b.question_id, b.stage, b.input_end, b.gen_end)
-        assert np.array_equal(a.weights, b.weights)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(specs)
+    for line, s in zip(lines, specs):
+        rec = json.loads(line)
+        assert list(rec) == ["t", "id", "input_end", "gen_end"]
+        assert rec == {"t": s.stage, "id": s.question_id, "input_end": s.input_end, "gen_end": s.gen_end}
 
 
 # --- the tabular student ---------------------------------------------------------
@@ -262,8 +377,6 @@ def test_trace_written_as_json(tmp_path, bundled_corpus):
     trace = train_plain(corpus_slice, None, StudentConfig(epochs=2))
     path = tmp_path / "trace.json"
     write_trace(trace, path)
-    import json
-
     doc = json.loads(path.read_text())
     assert len(doc["epoch_losses"]) == 2
     assert set(doc["final_token_probs"]) == {q.id for q in corpus_slice.questions}
