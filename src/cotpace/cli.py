@@ -263,23 +263,38 @@ def cmd_weigh(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _check_ids(where, found: dict, corpus, what: str) -> None:
+    """found (keyed by question id, read from the file named in where) must
+    hold exactly the corpus ids: a file left in --out by another corpus, or
+    cut short, would otherwise be used without a word. Names the first
+    missing corpus id, else the first extra one."""
+    missing = next((q.id for q in corpus.questions if q.id not in found), None)
+    if missing is not None:
+        raise ValueError(f"{where}: no {what} for corpus question {missing!r}")
+    if len(found) != len(corpus.questions):
+        known = {q.id for q in corpus.questions}
+        extra = next(qid for qid in found if qid not in known)
+        raise ValueError(f"{where}: {what} for {extra!r}, which is not a corpus question")
+
+
 def _maybe_weights(cfg: PipelineConfig, corpus):
-    """weights.jsonl from --out, or None when there is none. Its ids must be
-    the corpus ids: a file from another corpus, or one cut short, would
-    otherwise leave questions on uniform weights without a word."""
+    """weights.jsonl from --out (its ids must be the corpus ids), or None
+    when there is none."""
     path = _out_dir(cfg) / "weights.jsonl"
     if not path.exists():
         return None
     weights = read_weights(path)
-    ids = [q.id for q in corpus.questions]
-    missing = next((qid for qid in ids if qid not in weights), None)
-    if missing is not None:
-        raise ValueError(f"{path}: no weights for corpus question {missing!r}")
-    known = set(ids)
-    extra = next((qid for qid in weights if qid not in known), None)
-    if extra is not None:
-        raise ValueError(f"{path}: weights for {extra!r}, which is not a corpus question")
+    _check_ids(path, weights, corpus, "weights")
     return weights
+
+
+def _read_schedule(out: Path, corpus):
+    """schedule.json from out; every stage must count the corpus ids."""
+    path = out / "schedule.json"
+    plan = read_schedule(path)
+    for rec in plan.stages:
+        _check_ids(f"{path}: stage {rec.t}", rec.input_steps, corpus, "input-step count")
+    return plan
 
 
 def cmd_assess(cfg: PipelineConfig) -> int:
@@ -311,7 +326,9 @@ def cmd_schedule(cfg: PipelineConfig) -> int:
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     table = read_table(out / "difficulty.jsonl")
+    _check_ids(out / "difficulty.jsonl", table.steps, corpus, "step difficulties")
     clusters = read_clusters(out / "clusters.json")
+    _check_ids(out / "clusters.json", clusters.assignment, corpus, "cluster")
     curve = BudgetCurve.solve(
         b_total=table.corpus_total,
         c0=cfg.c0_frac * table.corpus_total,
@@ -334,13 +351,13 @@ def cmd_schedule(cfg: PipelineConfig) -> int:
 
 
 def cmd_shape_loss(cfg: PipelineConfig) -> int:
-    """Per-stage loss token ranges -> losses.jsonl."""
+    """Loss token ranges where each question's window changes -> losses.jsonl."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
-    plan = read_schedule(out / "schedule.json")
+    plan = _read_schedule(out, corpus)
     specs = build_stage_loss_specs(corpus, plan, _maybe_weights(cfg, corpus))
     _atomic(lambda p: write_loss_specs(specs, p), out / "losses.jsonl")
-    print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} specs)")
+    print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} loss windows, one per change)")
     return 0
 
 
@@ -348,7 +365,7 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     """Tabular student under the schedule -> trace.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
-    plan = read_schedule(out / "schedule.json")
+    plan = _read_schedule(out, corpus)
     scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
     trace = simulate_student(corpus, plan, _maybe_weights(cfg, corpus), scfg)
     _atomic(lambda p: write_trace(trace, p), out / "trace.json")

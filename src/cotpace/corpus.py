@@ -120,7 +120,7 @@ class Question:
             raise ValidationError(f"field 'question' of {qid!r}: empty text")
         if not self.rationale_tokens:
             raise ValidationError(f"field 'rationale_tokens' of {qid!r}: empty")
-        if any(not isinstance(t, str) or t == "" for t in self.rationale_tokens):
+        if not set(map(type, self.rationale_tokens)) <= {str} or "" in self.rationale_tokens:
             raise ValidationError(f"field 'rationale_tokens' of {qid!r}: tokens must be non-empty strings")
         n = self.n_tokens
         spans = self.step_spans
@@ -139,22 +139,20 @@ class Question:
                 raise ValidationError(
                     f"field 'token_logprobs' of {qid!r}: length {len(lp)} != {n} tokens"
                 )
-            for v in lp:
-                if not math.isfinite(v) or v > 0.0:
-                    raise ValidationError(
-                        f"field 'token_logprobs' of {qid!r}: entries must be finite and <= 0"
-                    )
+            if not all(-math.inf < v <= 0.0 for v in lp):  # NaN fails both comparisons
+                raise ValidationError(
+                    f"field 'token_logprobs' of {qid!r}: entries must be finite and <= 0"
+                )
         if self.token_weights is not None:
             tw = self.token_weights
             if len(tw) != n:
                 raise ValidationError(
                     f"field 'token_weights' of {qid!r}: length {len(tw)} != {n} tokens"
                 )
-            for v in tw:
-                if not math.isfinite(v) or v < 0.0 or v > 1.0:
-                    raise ValidationError(
-                        f"field 'token_weights' of {qid!r}: entries must lie in [0, 1]"
-                    )
+            if not all(0.0 <= v <= 1.0 for v in tw):
+                raise ValidationError(
+                    f"field 'token_weights' of {qid!r}: entries must lie in [0, 1]"
+                )
         if self.embedding is not None and not np.all(np.isfinite(self.embedding)):
             raise ValidationError(f"field 'embedding' of {qid!r}: non-finite values")
 
@@ -198,20 +196,23 @@ def _expect(value, types, field: str, where: str):
 
 
 def _float_list(value, field: str, where: str) -> list[float]:
-    _expect(value, list, field, where)
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"field {field!r} of {where}: entries must be numbers")
-        out.append(float(v))
-    return out
+    """The JSON list as floats; the list itself when every entry already is
+    one. type() keeps bool out, which isinstance(v, int) would let in."""
+    kinds = set(map(type, _expect(value, list, field, where)))
+    if kinds <= {float}:
+        return value
+    if not kinds <= {int, float}:
+        raise ValidationError(f"field {field!r} of {where}: entries must be numbers")
+    return [float(v) for v in value]
 
 
 def _record_to_question(rec: dict, where: str) -> Question:
     qid = _expect(rec["id"], str, "id", where)
     where = f"{qid!r} ({where})"
     tokens = _expect(rec["rationale_tokens"], list, "rationale_tokens", where)
-    tokens = [_expect(t, str, "rationale_tokens", where) for t in tokens]
+    if not set(map(type, tokens)) <= {str}:
+        for t in tokens:  # name the type of the first entry that is not a string
+            _expect(t, str, "rationale_tokens", where)
     if "step_spans" in rec:
         raw = _expect(rec["step_spans"], list, "step_spans", where)
         spans = []

@@ -104,8 +104,10 @@ def evaluate_loss(spec: LossSpec, logprobs: np.ndarray) -> float:
 
 
 def write_loss_specs(specs: list[LossSpec], path) -> None:
-    """One line of loss ranges per spec. The weights are left out: a spec's
-    are weights.jsonl[id][input_end:gen_end], and gen_start is input_end."""
+    """One line of loss ranges per spec: the window of question id from
+    stage t until that question's next line. The weights are left out: a
+    spec's are weights.jsonl[id][input_end:gen_end], and gen_start is
+    input_end."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in specs:  # the line json.dumps gives for the record's dict, at a fifth of the cost
             qid = json.dumps(s.question_id)
@@ -141,18 +143,17 @@ def _stage_specs(corpus: Corpus, weights: dict[str, np.ndarray] | None):
 def build_stage_loss_specs(
     corpus: Corpus, schedule: Schedule, weights: dict[str, np.ndarray] | None = None
 ) -> list[LossSpec]:
-    """One spec per (training stage >= 1, question); a spec kept from an
-    earlier stage shares its weights with the one stamped for this stage."""
+    """Every question's spec at training stage 1, then each spec built at a
+    later stage, where that question's window changes; in stage order, then
+    corpus order. A spec holds until the next one for its question."""
     specs_at = _stage_specs(corpus, weights)
-    specs: list[LossSpec] = []
-    for rec in schedule.stages:
-        if rec.t < 1:
-            continue
-        for s in specs_at(rec).values():
-            if s.stage != rec.t:
-                s = LossSpec(s.question_id, rec.t, s.input_end, s.gen_end, s.weights)
-            specs.append(s)
-    return specs
+    return [
+        s
+        for rec in schedule.stages
+        if rec.t >= 1
+        for s in specs_at(rec).values()
+        if s.stage == rec.t
+    ]
 
 
 # --- tabular student -------------------------------------------------------
@@ -175,7 +176,6 @@ class StudentConfig:
 @dataclasses.dataclass
 class StudentTrace:
     epoch_losses: list[float]
-    input_steps_trace: list[dict[str, int]]  # c map per epoch
     final_token_probs: dict[str, np.ndarray]
     unigram: np.ndarray
     bigram: np.ndarray
@@ -248,20 +248,17 @@ def _run_student(
     unigram = rng.normal(0.0, config.init_scale, size=nv)
     bigram = rng.normal(0.0, config.init_scale, size=(nv, nv))
     epoch_losses: list[float] = []
-    steps_trace: list[dict[str, int]] = []
     for epoch in range(1, config.epochs + 1):
-        specs, c_map = specs_for_epoch(epoch)
+        specs = specs_for_epoch(epoch)
         scored = [specs[q.id] for q in corpus.questions]
         total = _descend(_pair_weights(scored, pairs, nv), unigram, bigram, config.lr / nq)
         if not math.isfinite(total):
             raise RuntimeError(f"non-finite student loss at epoch {epoch}; lower the learning rate")
         epoch_losses.append(total / nq)
-        steps_trace.append(c_map)
     logp = _log_softmax_table(unigram, bigram)[0].ravel()
     final = {qid: np.exp(logp[pair]) for qid, pair in pairs.items()}
     return StudentTrace(
         epoch_losses=epoch_losses,
-        input_steps_trace=steps_trace,
         final_token_probs=final,
         unigram=unigram,
         bigram=bigram,
@@ -287,12 +284,7 @@ def simulate_student(
             ) from exc
 
     specs_at = _stage_specs(corpus, weights)
-
-    def specs_for_epoch(epoch: int):
-        rec = schedule.stage(epoch)
-        return specs_at(rec), dict(rec.input_steps)
-
-    return _run_student(corpus, specs_for_epoch, config)
+    return _run_student(corpus, lambda epoch: specs_at(schedule.stage(epoch)), config)
 
 
 def train_plain(
@@ -301,21 +293,22 @@ def train_plain(
     """Same student, no curriculum: every epoch scores the whole rationale."""
 
     def specs_for_epoch(epoch: int):
-        specs = {
+        return {
             q.id: shape_stage_loss(q, 0, weights.get(q.id) if weights else None, stage=epoch)
             for q in corpus.questions
         }
-        return specs, {q.id: 0 for q in corpus.questions}
 
     return _run_student(corpus, specs_for_epoch, config)
 
 
 def write_trace(trace: StudentTrace, path) -> None:
-    doc = {
-        "epoch_losses": trace.epoch_losses,
-        "input_steps": trace.input_steps_trace,
-        "final_token_probs": {qid: [float(v) for v in p] for qid, p in trace.final_token_probs.items()},
-    }
+    """One JSON document, one question's final token probabilities per line.
+    The input-step counts are not repeated here: under simulate, epoch e's
+    are schedule.json stage e's "c"; under train_plain they are all 0."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{"epoch_losses": ' + json.dumps(trace.epoch_losses) + ',\n"final_token_probs": {')
+        sep = "\n"
+        for qid, p in trace.final_token_probs.items():
+            fh.write(sep + json.dumps(qid) + ": " + json.dumps(p.tolist()))
+            sep = ",\n"
+        fh.write("\n}}\n")

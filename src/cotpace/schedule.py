@@ -222,9 +222,12 @@ def plan_full_schedule(
 
 
 def write_schedule(schedule: Schedule, path) -> None:
-    doc = {
-        "stages": [
-            {
+    """One JSON document, one stage per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"stages": [')
+        sep = "\n"
+        for rec in schedule.stages:
+            stage = {
                 "t": rec.t,
                 "D_t": rec.budget,
                 "delta_D": rec.delta_budget,
@@ -233,13 +236,9 @@ def write_schedule(schedule: Schedule, path) -> None:
                 "H": rec.h_after,
                 "c": rec.input_steps,
             }
-            for rec in schedule.stages
-        ],
-        "params": schedule.params,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+            fh.write(sep + json.dumps(stage))
+            sep = ",\n"
+        fh.write('\n],\n"params": ' + json.dumps(schedule.params) + "}\n")
 
 
 def _input_steps(path, rec: dict) -> dict[str, int]:

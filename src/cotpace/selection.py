@@ -207,11 +207,10 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
     doc = {
         "n_clusters": clusters.n_clusters,
         "assignment": clusters.assignment,
-        "centroids": [[float(v) for v in row] for row in clusters.centroids],
+        "centroids": clusters.centroids.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def read_clusters(path) -> ClusterAssignment:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import filecmp
 import json
 from pathlib import Path
 
@@ -226,6 +227,69 @@ def test_schedule_counts_must_be_integers(tmp_path, small_corpus_path, capsys, c
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
     assert "schedule.json" in err and "stage 2" in err and repr(qid) in err and "integer" in err
+
+
+@pytest.fixture(scope="module")
+def stale_out(tmp_path_factory) -> Path:
+    """--out after assess, cluster and schedule on another corpus: 12 questions
+    (seed 78) where the small corpus has 10 (seed 77)."""
+    root = tmp_path_factory.mktemp("stale")
+    corpus = root / "other.jsonl"
+    write_corpus(make_arith_corpus(12, seed=78), corpus)
+    out = root / "out"
+    for stage in ("assess", "cluster", "schedule"):
+        assert main([stage, "--corpus", str(corpus), "--out", str(out), "--seed", "1", "--epochs", "4"]) == 0
+    return out
+
+
+def _with_stale(tmp_path, stale_out, small_corpus_path, fresh: list[str], command: str) -> tuple[int, Path]:
+    """Runs command on the small corpus in a copy of stale_out, after
+    rewriting the artifacts of the fresh stages from the small corpus."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for artifact in stale_out.iterdir():
+        (out / artifact.name).write_bytes(artifact.read_bytes())
+    argv = ["--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    for stage in fresh:
+        assert main([stage, *argv]) == 0
+    return main([command, *argv]), out
+
+
+def test_stale_clusters_exit_2(tmp_path, stale_out, small_corpus_path, capsys):
+    code, out = _with_stale(tmp_path, stale_out, small_corpus_path, ["assess"], "schedule")
+    assert code == 2  # the extra questions' clusters were ignored, and schedule exited 0
+    err = capsys.readouterr().err
+    assert "clusters.json" in err and "cluster for 'q010', which is not a corpus question" in err
+    assert (out / "schedule.json").read_bytes() == (stale_out / "schedule.json").read_bytes()
+
+
+def test_stale_difficulty_exit_2(tmp_path, stale_out, small_corpus_path, capsys):
+    code, _ = _with_stale(tmp_path, stale_out, small_corpus_path, ["cluster"], "schedule")
+    assert code == 2  # the message named a question but not the file
+    err = capsys.readouterr().err
+    assert "difficulty.jsonl" in err and "step difficulties for 'q010', which is not a corpus question" in err
+
+
+@pytest.mark.parametrize("command, artifact", [("shape-loss", "losses.jsonl"), ("simulate", "trace.json")])
+def test_stale_schedule_exit_2(tmp_path, stale_out, small_corpus_path, capsys, command, artifact):
+    code, out = _with_stale(tmp_path, stale_out, small_corpus_path, [], command)
+    assert code == 2  # both exited 0, using the other corpus's counts
+    err = capsys.readouterr().err
+    assert "schedule.json: stage 0: input-step count for 'q010', which is not a corpus question" in err
+    assert not (out / artifact).exists()
+
+
+def test_schedule_missing_a_corpus_question_exit_2(tmp_path, small_corpus_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    for stage in ("assess", "cluster", "schedule"):
+        assert main([stage, *argv]) == 0
+    doc = json.loads((out / "schedule.json").read_text())
+    del doc["stages"][3]["c"]["q004"]
+    (out / "schedule.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", *argv]) == 2
+    assert "schedule.json: stage 3: no input-step count for corpus question 'q004'" in capsys.readouterr().err
 
 
 def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):
@@ -453,3 +517,23 @@ def test_rerunning_one_stage_only_touches_its_artifact(tmp_path, small_corpus_pa
     assert main(["cluster", *base]) == 0
     after = _read_artifacts(out)
     assert after == before
+
+
+def test_replan_commands_repeat_byte_identically(tmp_path, capsys):
+    """assess..simulate as separate commands, twice, on 60 questions with given
+    weights: every artifact, trace.json included, is the same file again."""
+    corpus = make_arith_corpus(60, seed=31)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    rng = np.random.default_rng(31)
+    weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        out.mkdir()
+        write_weights(weights, out / "weights.jsonl")
+        for stage in ("assess", "cluster", "schedule", "shape-loss", "simulate"):
+            assert main([stage, "--corpus", str(corpus_path), "--out", str(out), "--seed", "31"]) == 0
+    names = ["weights.jsonl", "difficulty.jsonl", "clusters.json", "schedule.json", "losses.jsonl", "trace.json"]
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,61 @@ def test_parse_weights_out_of_range(tmp_path):
     tw = [0.5] * 6 + [1.5]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(token_weights=tw)])
     with pytest.raises(ValidationError, match="token_weights"):
+        parse_corpus(path)
+
+
+NUMBER_FIELDS = {"token_logprobs": -0.5, "token_weights": 0.5, "embedding": 0.5}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["true", "string"])
+@pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+def test_parse_non_number_entry_rejected(tmp_path, field, bad):
+    values = [NUMBER_FIELDS[field]] * 7
+    values[3] = bad
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("nn", **{field: values})])
+    message = f"field '{field}' of 'nn' (line 1): entries must be numbers"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
+
+
+def test_parse_integer_entries_become_floats(tmp_path):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record(token_logprobs=[0, -1, -1.5, 0, -2, 0, -1],
+                                                       embedding=[1, 0.5])])
+    q = parse_corpus(path).questions[0]
+    assert q.token_logprobs == [0.0, -1.0, -1.5, 0.0, -2.0, 0.0, -1.0]
+    assert all(type(v) is float for v in q.token_logprobs)
+    assert q.embedding.dtype == np.float64 and q.embedding.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (5, "field 'rationale_tokens' of 'tk' (line 1): expected str, got int"),
+        ("", "field 'rationale_tokens' of 'tk': tokens must be non-empty strings"),
+    ],
+    ids=["non-string", "empty"],
+)
+def test_parse_bad_token_rejected(tmp_path, token, message):
+    tokens = ["one", "plus", "two", token, ".", "so", "three", "."]
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("tk", rationale_tokens=tokens)])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("token_logprobs", "field 'token_logprobs' of 'nf': entries must be finite and <= 0"),
+        ("embedding", "field 'embedding' of 'nf': non-finite values"),
+    ],
+)
+def test_parse_non_finite_literal_rejected(tmp_path, field, message, literal):
+    values = ", ".join([str(NUMBER_FIELDS[field])] * 3 + [literal] + [str(NUMBER_FIELDS[field])] * 3)
+    line = json.dumps(_record("nf"))[:-1] + f', "{field}": [{values}]}}\n'
+    path = tmp_path / "c.jsonl"
+    path.write_text(line)
+    with pytest.raises(ValidationError, match=re.escape(message)):
         parse_corpus(path)
 
 

@@ -169,12 +169,11 @@ def test_loss_shrinks_as_input_steps_grow():
 # --- spec construction from a schedule ------------------------------------------
 
 
-def test_build_specs_covers_training_stages(bundled_corpus):
+def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 3)
     specs = build_stage_loss_specs(bundled_corpus, sched)
-    assert len(specs) == 3 * len(bundled_corpus.questions)
-    assert {s.stage for s in specs} == {1, 2, 3}
-    assert all(s.input_end == 0 for s in specs)
+    assert [s.question_id for s in specs] == [q.id for q in bundled_corpus.questions]
+    assert all(s.stage == 1 and s.input_end == 0 for s in specs)
 
 
 def test_build_specs_requires_every_question():
@@ -246,18 +245,20 @@ def _assert_same_spec(got: LossSpec, want: LossSpec) -> None:
     assert np.array_equal(got.weights, want.weights)
 
 
-def test_build_specs_shapes_once_per_count_change(monkeypatch, bundled_corpus):
+def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 8, seed=4)
     weights = _weights(bundled_corpus, 5)
     calls = _count_shape_calls(monkeypatch)
     specs = build_stage_loss_specs(bundled_corpus, sched, weights)
-    assert calls[0] == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
+    assert calls[0] == len(specs) == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
     monkeypatch.undo()
-    want = [
-        shape_stage_loss(q, rec.input_steps[q.id], weights[q.id], stage=rec.t)
-        for rec in sched.stages[1:]
-        for q in bundled_corpus.questions
-    ]
+    want, last = [], {}
+    for rec in sched.stages[1:]:
+        for q in bundled_corpus.questions:
+            c = rec.input_steps[q.id]
+            if last.get(q.id) != c:
+                last[q.id] = c
+                want.append(shape_stage_loss(q, c, weights[q.id], stage=rec.t))
     assert len(specs) == len(want)
     for got, w in zip(specs, want):
         assert got.stage == w.stage
@@ -280,7 +281,7 @@ def test_simulate_shapes_once_per_count_change(monkeypatch, bundled_corpus):
             _assert_same_spec(got, shape_stage_loss(q, rec.input_steps[q.id], weights[q.id], stage=epoch))
 
 
-def test_a_held_count_reuses_its_spec(monkeypatch):
+def test_a_held_count_is_listed_once(monkeypatch):
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     corpus = Corpus(questions=[q], embedding_dim=None)
     counts = [3, 3, 1, 1, 1, 1, 0]  # drops at stage 2, holds through stage 5
@@ -294,9 +295,9 @@ def test_a_held_count_reuses_its_spec(monkeypatch):
     calls = _count_shape_calls(monkeypatch)
     specs = build_stage_loss_specs(corpus, sched, {"q": w})
     assert calls[0] == 3
-    assert [s.stage for s in specs] == [1, 2, 3, 4, 5, 6]
-    assert [s.input_end for s in specs] == [9, 2, 2, 2, 2, 0]
-    assert all(np.array_equal(s.weights, w[2:]) for s in specs[1:5])
+    assert [s.stage for s in specs] == [1, 2, 6]
+    assert [s.input_end for s in specs] == [9, 2, 0]
+    assert np.array_equal(specs[1].weights, w[2:])
     epochs = _record_scored(monkeypatch)
     calls[0] = 0
     simulate_student(corpus, sched, {"q": w}, StudentConfig(epochs=6))
@@ -304,6 +305,37 @@ def test_a_held_count_reuses_its_spec(monkeypatch):
     scored = [specs[0] for specs in epochs]
     assert scored[1] is scored[2] is scored[3] is scored[4]  # the held spec, as is
     assert scored[1].stage == 2
+
+
+def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, tuple[int, int]]]:
+    """losses.jsonl carried forward: at each stage, every id's window from
+    its last line at or before that stage."""
+    records = [json.loads(line) for line in lines]
+    assert [r["t"] for r in records] == sorted(r["t"] for r in records)
+    held: dict[str, tuple[int, int]] = {}
+    out = {}
+    for t in stages:
+        held.update((r["id"], (r["input_end"], r["gen_end"])) for r in records if r["t"] == t)
+        out[t] = dict(held)
+    return out
+
+
+def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
+    sched = _stepped_schedule(bundled_corpus, 6, seed=12)
+    weights = _weights(bundled_corpus, 13)
+    path = tmp_path / "losses.jsonl"
+    write_loss_specs(build_stage_loss_specs(bundled_corpus, sched, weights), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == _distinct_pairs(sched, 6)
+    counts = [rec.input_steps for rec in sched.stages]
+    assert any(  # a count that drops and then holds
+        counts[t - 1][qid] > counts[t][qid] == counts[t + 1][qid] for t in range(2, 6) for qid in counts[t]
+    )
+    expanded = _expand(lines, [rec.t for rec in sched.stages[1:]])
+    specs_at = loss_shaping._stage_specs(bundled_corpus, weights)
+    for rec in sched.stages[1:]:
+        want = {qid: (s.input_end, s.gen_end) for qid, s in specs_at(rec).items()}
+        assert expanded[rec.t] == want
 
 
 def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
@@ -350,7 +382,6 @@ def test_plain_training_reduces_loss(bundled_corpus):
     )
     trace = train_plain(corpus_slice, None, StudentConfig(epochs=15, lr=0.5, seed=0))
     assert trace.epoch_losses[-1] < trace.epoch_losses[0]
-    assert all(c == 0 for c_map in trace.input_steps_trace for c in c_map.values())
 
 
 def test_student_is_deterministic(bundled_corpus):
