@@ -297,6 +297,19 @@ def _read_schedule(out: Path, corpus):
     return plan
 
 
+def _read_difficulty(out: Path, corpus):
+    """difficulty.jsonl from out; one row per corpus question, with as many
+    step difficulties as the question has steps."""
+    path = out / "difficulty.jsonl"
+    table = read_table(path)
+    _check_ids(path, table.steps, corpus, "step difficulties")
+    for q in corpus.questions:
+        n = table.steps[q.id].size
+        if n != q.n_steps:
+            raise ValueError(f"{path}: {n} step difficulties for {q.id!r}, which has {q.n_steps} steps")
+    return table
+
+
 def cmd_assess(cfg: PipelineConfig) -> int:
     """Score step difficulties -> difficulty.jsonl."""
     corpus = _load_corpus(cfg)
@@ -325,8 +338,7 @@ def cmd_schedule(cfg: PipelineConfig) -> int:
     """Plan every stage under the budget curve -> schedule.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
-    table = read_table(out / "difficulty.jsonl")
-    _check_ids(out / "difficulty.jsonl", table.steps, corpus, "step difficulties")
+    table = _read_difficulty(out, corpus)
     clusters = read_clusters(out / "clusters.json")
     _check_ids(out / "clusters.json", clusters.assignment, corpus, "cluster")
     curve = BudgetCurve.solve(

@@ -130,19 +130,30 @@ def write_table(table: DifficultyTable, path) -> None:
 
 
 def read_table(path) -> DifficultyTable:
+    """difficulty.jsonl; each id once, and every step difficulty finite and >= 0."""
     steps: dict[str, np.ndarray] = {}
     totals: dict[str, float] = {}
     corpus_total = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             if not line.strip():
                 continue
             rec = json.loads(line)
             if "B" in rec:
                 corpus_total = float(rec["B"])
                 continue
-            steps[rec["id"]] = np.asarray(rec["step_difficulties"], dtype=np.float64)
-            totals[rec["id"]] = float(rec["total"])
+            qid = rec["id"]
+            if qid in steps:
+                raise DifficultyError(f"{path}: step difficulties for {qid!r} appear twice")
+            d = np.asarray(rec["step_difficulties"], dtype=np.float64)
+            bad = d[~np.isfinite(d)]
+            if bad.size:
+                raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is not finite")
+            bad = d[d < 0.0]
+            if bad.size:
+                raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is below 0")
+            steps[qid] = d
+            totals[qid] = float(rec["total"])
     if corpus_total is None:
         raise ValidationError(f"{path}: missing trailing corpus-total row")
     return DifficultyTable(steps=steps, totals=totals, corpus_total=corpus_total)

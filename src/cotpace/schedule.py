@@ -112,11 +112,11 @@ def plan_full_schedule(
 ) -> Schedule:
     """Plan every stage 0..total_stages.
 
-    Stage 0 repeats selection rounds against the warm-start allowance
-    until no candidate is admitted; stages before the horizon run one
-    round each against the clamped per-stage budget; at the horizon and
-    beyond the budget covers the whole corpus and every input-step count
-    drops to zero.
+    Each stage's budget is D(t) minus the difficulty already generated.
+    Stage 0 repeats selection rounds against it until no candidate is
+    admitted; stages before the horizon run one round each; at the horizon
+    and beyond the budget covers the whole corpus and every input-step
+    count drops to zero.
     """
     if total_stages is None:
         total_stages = curve.t_max
@@ -124,83 +124,48 @@ def plan_full_schedule(
         raise ValueError(
             f"total_stages {total_stages} shorter than the curve horizon {curve.t_max}"
         )
+
+    def select_round(steps: dict[str, int], budget: float) -> tuple[list[str], list[float]]:
+        """The ids one selection round admits, and their increments."""
+        cands = candidate_increments(steps, table, step_reduction)
+        if not cands:
+            return [], []
+        sel = select_ftgp(SelectionProblem(cands, budget, clusters, beta), eps)
+        return sel, [cands[qid] for qid in sel]
+
     steps = {q.id: q.n_steps for q in corpus.questions}
     h = 0.0
     records: list[StageRecord] = []
-
-    # stage 0: warm start, repeated rounds
-    admitted: dict[str, None] = {}
-    delta_h0 = 0.0
-    increments_log: list[float] = []
-    while True:
-        cands = candidate_increments(steps, table, step_reduction)
-        if not cands:
-            break
-        remaining = max(0.0, curve.c0 - h)
-        problem = SelectionProblem(cands, remaining, clusters, beta)
-        sel = select_ftgp(problem, eps)
-        if not sel:
-            break
-        for qid in sel:
-            admitted[qid] = None
-            increments_log.append(cands[qid])
-        steps = _apply_selection(steps, sel, step_reduction)
-        h = _recompute_h(steps, table)
-    delta_h0 = math.fsum(increments_log)
-    records.append(
-        StageRecord(
-            t=0,
-            budget=budget_at(curve, 0),
-            delta_budget=curve.c0,
-            selected=list(admitted),
-            delta_h=delta_h0,
-            input_steps=dict(steps),
-            h_after=h,
-        )
-    )
-
-    for t in range(1, total_stages + 1):
+    for t in range(total_stages + 1):
         d_t = budget_at(curve, t)
-        if t >= curve.t_max:
-            # From the horizon on the full rationale is generated: the
-            # budget covers the whole corpus, and a single selection round
-            # could not retire questions with several input steps left, so
-            # every count is forced to zero here.
-            delta_budget = max(0.0, d_t - h)
-            selected = [qid for qid, c in steps.items() if c > 0]
-            zeroed = {qid: 0 for qid in steps}
-            new_h = _recompute_h(zeroed, table)
-            delta_h = max(0.0, new_h - h)
-            steps = zeroed
-            h = new_h
-            records.append(
-                StageRecord(
-                    t=t,
-                    budget=d_t,
-                    delta_budget=delta_budget,
-                    selected=selected,
-                    delta_h=delta_h,
-                    input_steps=dict(steps),
-                    h_after=h,
-                )
-            )
-            continue
         delta_budget = max(0.0, d_t - h)
-        cands = candidate_increments(steps, table, step_reduction)
-        sel: list[str] = []
-        delta_h = 0.0
-        if cands:
-            problem = SelectionProblem(cands, delta_budget, clusters, beta)
-            sel = select_ftgp(problem, eps)
-            delta_h = math.fsum(cands[qid] for qid in sel)
-            steps = _apply_selection(steps, sel, step_reduction)
-            h = _recompute_h(steps, table)
+        if t >= curve.t_max:
+            # A single round could not retire questions with several input
+            # steps left, so the full rationale is forced here.
+            selected = [qid for qid, c in steps.items() if c > 0]
+            steps = dict.fromkeys(steps, 0)
+            new_h = _recompute_h(steps, table)
+            delta_h, h = max(0.0, new_h - h), new_h
+        else:
+            admitted: dict[str, None] = {}
+            increments: list[float] = []
+            while True:
+                sel, incs = select_round(steps, max(0.0, d_t - h))
+                if not sel:
+                    break
+                admitted.update(dict.fromkeys(sel))
+                increments += incs
+                steps = _apply_selection(steps, sel, step_reduction)
+                h = _recompute_h(steps, table)
+                if t > 0:
+                    break
+            selected, delta_h = list(admitted), math.fsum(increments)
         records.append(
             StageRecord(
                 t=t,
                 budget=d_t,
                 delta_budget=delta_budget,
-                selected=sel,
+                selected=selected,
                 delta_h=delta_h,
                 input_steps=dict(steps),
                 h_after=h,

@@ -214,11 +214,20 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
 
 
 def read_clusters(path) -> ClusterAssignment:
+    """clusters.json; every cluster index must be a JSON integer in
+    [0, n_clusters): int() would take a hand-edited 2.7 for 2 and true for 1."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    n_clusters = int(doc["n_clusters"])
+    assignment = doc["assignment"]
+    for qid, k in assignment.items():
+        if type(k) is not int or not 0 <= k < n_clusters:  # rejects bool too
+            raise ValueError(
+                f"{path}: cluster index {k!r} of {qid!r} is not an integer in [0, {n_clusters})"
+            )
     return ClusterAssignment(
-        n_clusters=int(doc["n_clusters"]),
-        assignment={k: int(v) for k, v in doc["assignment"].items()},
+        n_clusters=n_clusters,
+        assignment=assignment,
         centroids=np.asarray(doc["centroids"], dtype=np.float64),
     )
 

@@ -270,6 +270,69 @@ def test_stale_difficulty_exit_2(tmp_path, stale_out, small_corpus_path, capsys)
     assert "difficulty.jsonl" in err and "step difficulties for 'q010', which is not a corpus question" in err
 
 
+def _assess_and_cluster(tmp_path, corpus_path) -> tuple[Path, list[str]]:
+    out = tmp_path / "out"
+    argv = ["--corpus", str(corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    for stage in ("assess", "cluster"):
+        assert main([stage, *argv]) == 0
+    return out, argv
+
+
+def test_difficulty_with_the_corpus_ids_but_other_step_counts_exit_2(tmp_path, small_corpus_path, capsys):
+    out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
+    other = tmp_path / "other.jsonl"
+    write_corpus(make_arith_corpus(10, seed=78), other)  # the same ids q000..q009
+    assert main(["assess", "--corpus", str(other), "--out", str(out), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["schedule", *argv]) == 2  # the message named a question but not the file
+    err = capsys.readouterr().err
+    assert "difficulty.jsonl: 2 step difficulties for 'q000', which has 4 steps" in err
+    assert not (out / "schedule.json").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("duplicate-id", "step difficulties for 'q003' appear twice"),
+        ("nan", "step difficulties for 'q003': nan is not finite"),
+        ("infinite", "step difficulties for 'q003': inf is not finite"),
+        ("negative", "step difficulties for 'q003': -1.0 is below 0"),
+    ],
+    ids=["duplicate-id", "nan", "infinite", "negative"],
+)
+def test_untrustworthy_difficulty_exit_2(tmp_path, small_corpus_path, capsys, case, message):
+    out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
+    path = out / "difficulty.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    row = next(r for r in rows if r.get("id") == "q003")
+    if case == "duplicate-id":  # the last row was planned on, silently
+        rows.insert(-1, {**row, "step_difficulties": [9.0] * len(row["step_difficulties"])})
+    else:
+        row["step_difficulties"][-1] = {"nan": float("nan"), "infinite": float("inf"), "negative": -1.0}[case]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main(["schedule", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "difficulty.jsonl" in err and message in err
+    assert not (out / "schedule.json").exists()
+
+
+@pytest.mark.parametrize("index", [7, -1, 2.7, True], ids=["7", "-1", "2.7", "true"])
+def test_cluster_index_outside_the_clusters_exit_2(tmp_path, small_corpus_path, capsys, index):
+    out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
+    path = out / "clusters.json"
+    doc = json.loads(path.read_text())
+    # 7 raised an IndexError; -1 counted toward the last cluster; 2.7 and true
+    # were read as clusters 2 and 1
+    doc["assignment"]["q003"] = index
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["schedule", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"clusters.json: cluster index {index!r} of 'q003' is not an integer in [0, 5)" in err
+    assert not (out / "schedule.json").exists()
+
+
 @pytest.mark.parametrize("command, artifact", [("shape-loss", "losses.jsonl"), ("simulate", "trace.json")])
 def test_stale_schedule_exit_2(tmp_path, stale_out, small_corpus_path, capsys, command, artifact):
     code, out = _with_stale(tmp_path, stale_out, small_corpus_path, [], command)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cotpace import schedule
 from cotpace.corpus import Corpus, Question
 from cotpace.difficulty import DifficultyTable, compute_table
 from cotpace.schedule import (
@@ -206,6 +207,41 @@ def test_plan_invariants_on_bundled_corpus(bundled_corpus):
         assert abs(cumulative_h - record.h_after) < 1e-6
         assert record.h_after <= budget_at(curve, record.t) + max_step + 1e-9
     assert abs(plan.stages[-1].h_after - table.corpus_total) < 1e-6
+
+
+def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
+    """pipebench counts the planner's selection work by wrapping these two
+    names in schedule; a planner that bypassed them, or ran another number
+    of rounds, would change its selection.* counts without a word."""
+    counts = {"increments": 0, "ftgp": 0, "candidates": 0, "admitted": 0}
+    candidate_increments, select_ftgp = schedule.candidate_increments, schedule.select_ftgp
+
+    def counted_increments(*args, **kwargs):
+        counts["increments"] += 1
+        return candidate_increments(*args, **kwargs)
+
+    def counted_ftgp(problem, *args, **kwargs):
+        sel = select_ftgp(problem, *args, **kwargs)
+        counts["ftgp"] += 1
+        counts["candidates"] += len(problem.ids)
+        counts["admitted"] += len(sel)
+        return sel
+
+    monkeypatch.setattr(schedule, "candidate_increments", counted_increments)
+    monkeypatch.setattr(schedule, "select_ftgp", counted_ftgp)
+    table = compute_table(bundled_corpus)
+    clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
+    curve = BudgetCurve.solve(
+        b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6
+    )
+    plan = plan_full_schedule(
+        bundled_corpus, table, curve, clusters, beta=12.0, eps=0.1,
+        step_reduction=1, total_stages=8,
+    )
+    # Stage 0 admits 50 and then 29 in two rounds before a round admits
+    # none; stages 1-5 run one round each; the horizon stages run none.
+    assert counts == {"increments": 8, "ftgp": 8, "candidates": 297, "admitted": 128}
+    assert [len(r.selected) for r in plan.stages] == [50, 5, 10, 11, 11, 12, 9, 0, 0]
 
 
 def test_plan_requires_enough_stages():
