@@ -4,7 +4,6 @@ from .corpus import Corpus, Question, embed_question, parse_corpus, segment_step
 from .difficulty import (
     DifficultyTable,
     compute_table,
-    corpus_total_difficulty,
     question_generation_difficulty,
     synthetic_logprobs,
 )

@@ -187,18 +187,31 @@ class Corpus:
                     f" != corpus dim {self.embedding_dim}"
                 )
 
+    def check_ids(self, where, found, what: str) -> None:
+        """found (keyed by question id, read from the file named in where) must
+        hold exactly the corpus ids: a file written for another corpus, or cut
+        short, would otherwise be used without a word. Names the first
+        missing corpus id, else the first extra one."""
+        missing = next((q.id for q in self.questions if q.id not in found), None)
+        if missing is not None:
+            raise ValidationError(f"{where}: no {what} for corpus question {missing!r}")
+        if len(found) != len(self.questions):
+            known = {q.id for q in self.questions}
+            extra = next(qid for qid in found if qid not in known)
+            raise ValidationError(f"{where}: {what} for {extra!r}, which is not a corpus question")
 
-def _expect(value, types, field: str, where: str):
+
+def expect_type(value, types, field: str, where: str):
     if not isinstance(value, types):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ValidationError(f"field {field!r} of {where}: expected {names}, got {type(value).__name__}")
     return value
 
 
-def _float_list(value, field: str, where: str) -> list[float]:
+def float_list(value, field: str, where: str) -> list[float]:
     """The JSON list as floats; the list itself when every entry already is
     one. type() keeps bool out, which isinstance(v, int) would let in."""
-    kinds = set(map(type, _expect(value, list, field, where)))
+    kinds = set(map(type, expect_type(value, list, field, where)))
     if kinds <= {float}:
         return value
     if not kinds <= {int, float}:
@@ -206,18 +219,53 @@ def _float_list(value, field: str, where: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def json_object(value, keys, where: str) -> dict:
+    """value, which must be a JSON object holding every key in keys."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValidationError(f"{where}: missing key(s) {missing}")
+    return value
+
+
+def _decode(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc}") from None
+
+
+def read_jsonl(path, keys=()):
+    """(line number, object) for each non-blank line of a JSONL file; a line
+    that is not JSON, not an object or without one of keys raises an error
+    naming the file and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}: line {lineno}"
+                yield lineno, json_object(_decode(line, where), keys, where)
+
+
+def read_json(path, keys=()) -> dict:
+    """A JSON document that must be an object holding every key in keys;
+    errors name the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json_object(_decode(fh.read(), str(path)), keys, str(path))
+
+
 def _record_to_question(rec: dict, where: str) -> Question:
-    qid = _expect(rec["id"], str, "id", where)
+    qid = expect_type(rec["id"], str, "id", where)
     where = f"{qid!r} ({where})"
-    tokens = _expect(rec["rationale_tokens"], list, "rationale_tokens", where)
+    tokens = expect_type(rec["rationale_tokens"], list, "rationale_tokens", where)
     if not set(map(type, tokens)) <= {str}:
         for t in tokens:  # name the type of the first entry that is not a string
-            _expect(t, str, "rationale_tokens", where)
+            expect_type(t, str, "rationale_tokens", where)
     if "step_spans" in rec:
-        raw = _expect(rec["step_spans"], list, "step_spans", where)
+        raw = expect_type(rec["step_spans"], list, "step_spans", where)
         spans = []
         for item in raw:
-            _expect(item, list, "step_spans", where)
+            expect_type(item, list, "step_spans", where)
             if len(item) != 2:
                 raise ValidationError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
             start, end = item
@@ -228,17 +276,17 @@ def _record_to_question(rec: dict, where: str) -> Question:
         spans = segment_steps(tokens)
     embedding = None
     if "embedding" in rec:
-        embedding = np.asarray(_float_list(rec["embedding"], "embedding", where), dtype=np.float64)
+        embedding = np.asarray(float_list(rec["embedding"], "embedding", where), dtype=np.float64)
     return Question(
         id=qid,
-        question_text=_expect(rec["question"], str, "question", where),
-        answer_text=_expect(rec["answer"], str, "answer", where),
+        question_text=expect_type(rec["question"], str, "question", where),
+        answer_text=expect_type(rec["answer"], str, "answer", where),
         rationale_tokens=tokens,
         step_spans=spans,
-        token_logprobs=_float_list(rec["token_logprobs"], "token_logprobs", where)
+        token_logprobs=float_list(rec["token_logprobs"], "token_logprobs", where)
         if "token_logprobs" in rec
         else None,
-        token_weights=_float_list(rec["token_weights"], "token_weights", where)
+        token_weights=float_list(rec["token_weights"], "token_weights", where)
         if "token_weights" in rec
         else None,
         embedding=embedding,
@@ -250,31 +298,19 @@ def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: 
 
     Missing step_spans are derived by segment_steps; missing embeddings by
     embed_question (dim inferred from any supplied embedding, else
-    embedding_dim). Blank lines are skipped. Raises ParseError with the
-    line number for malformed lines, ValidationError for invariant breaks.
+    embedding_dim). Blank lines are skipped. Raises ParseError naming the
+    file and line for malformed lines, ValidationError for invariant breaks.
     """
     questions: list[Question] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(f"line {lineno}: record must be a JSON object")
-            unknown = set(rec) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
-            if unknown and strict:
-                raise ParseError(
-                    f"line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore"
-                )
-            for key in unknown:
-                del rec[key]
-            missing = [k for k in REQUIRED_KEYS if k not in rec]
-            if missing:
-                raise ValidationError(f"line {lineno}: missing required key(s) {missing}")
-            questions.append(_record_to_question(rec, f"line {lineno}"))
+    for lineno, rec in read_jsonl(path, REQUIRED_KEYS):
+        unknown = set(rec) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
+        if unknown and strict:
+            raise ParseError(
+                f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore"
+            )
+        for key in unknown:
+            del rec[key]
+        questions.append(_record_to_question(rec, f"line {lineno}"))
     dim = embedding_dim
     for q in questions:
         if q.embedding is not None:

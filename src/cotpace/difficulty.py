@@ -3,7 +3,8 @@
 A step's difficulty is the significance-weighted negative log-likelihood
 of its tokens: weights are softmax-normalized within the step, so each
 step's weights sum to one and difficulties are always >= 0. Totals use
-math.fsum so sums of parts match wholes to machine precision.
+math.fsum so sums of parts match wholes to machine precision; they are
+computed from the step difficulties whenever needed, never stored.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, ValidationError
+from .corpus import Corpus, Question, expect_type, float_list, read_jsonl
 
 
 class DifficultyError(ValueError):
@@ -45,8 +46,11 @@ def step_difficulty(logprobs: np.ndarray, normalized_weights: np.ndarray, span: 
 @dataclasses.dataclass
 class DifficultyTable:
     steps: dict[str, np.ndarray]  # id -> per-step difficulty vector
-    totals: dict[str, float]  # id -> fsum of that vector
-    corpus_total: float  # fsum of totals in corpus order
+
+    @property
+    def corpus_total(self) -> float:
+        """fsum of each question's fsum (exactly rounded, so in any order)."""
+        return math.fsum(math.fsum(d) for d in self.steps.values())
 
 
 def _question_logprobs(q: Question, logprobs: dict[str, np.ndarray] | None) -> np.ndarray:
@@ -72,7 +76,6 @@ def compute_table(
     unweighted scoring falls out as the default).
     """
     steps: dict[str, np.ndarray] = {}
-    totals: dict[str, float] = {}
     for q in corpus.questions:
         lp = _question_logprobs(q, logprobs)
         if lp.size != q.n_tokens:
@@ -89,9 +92,7 @@ def compute_table(
         for k, span in enumerate(q.step_spans):
             d[k] = step_difficulty(lp, normalize_step_weights(w, span), span)
         steps[q.id] = d
-        totals[q.id] = math.fsum(d)
-    corpus_total = math.fsum(totals.values())
-    return DifficultyTable(steps=steps, totals=totals, corpus_total=corpus_total)
+    return DifficultyTable(steps=steps)
 
 
 def question_generation_difficulty(table: DifficultyTable, qid: str, input_steps: int) -> float:
@@ -106,10 +107,6 @@ def question_generation_difficulty(table: DifficultyTable, qid: str, input_steps
     return math.fsum(d[c:])
 
 
-def corpus_total_difficulty(table: DifficultyTable) -> float:
-    return table.corpus_total
-
-
 def synthetic_logprobs(corpus: Corpus, seed: int) -> dict[str, np.ndarray]:
     """Seeded per-token log-probabilities, ln(Beta(2,2)); always < 0."""
     rng = np.random.default_rng(seed)
@@ -121,39 +118,32 @@ def synthetic_logprobs(corpus: Corpus, seed: int) -> dict[str, np.ndarray]:
 
 
 def write_table(table: DifficultyTable, path) -> None:
-    """JSONL: one row per question, then a trailing corpus-total row."""
+    """JSONL: one {"id", "step_difficulties"} row per question."""
     with open(path, "w", encoding="utf-8") as fh:
         for qid, d in table.steps.items():
-            row = {"id": qid, "step_difficulties": [float(v) for v in d], "total": table.totals[qid]}
-            fh.write(json.dumps(row) + "\n")
-        fh.write(json.dumps({"B": table.corpus_total}) + "\n")
+            fh.write(json.dumps({"id": qid, "step_difficulties": [float(v) for v in d]}) + "\n")
 
 
-def read_table(path) -> DifficultyTable:
-    """difficulty.jsonl; each id once, and every step difficulty finite and >= 0."""
+def read_table(path, corpus: Corpus) -> DifficultyTable:
+    """difficulty.jsonl for corpus: one row per corpus question, each id once,
+    one step difficulty per step, and every one finite and >= 0."""
     steps: dict[str, np.ndarray] = {}
-    totals: dict[str, float] = {}
-    corpus_total = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if "B" in rec:
-                corpus_total = float(rec["B"])
-                continue
-            qid = rec["id"]
-            if qid in steps:
-                raise DifficultyError(f"{path}: step difficulties for {qid!r} appear twice")
-            d = np.asarray(rec["step_difficulties"], dtype=np.float64)
-            bad = d[~np.isfinite(d)]
-            if bad.size:
-                raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is not finite")
-            bad = d[d < 0.0]
-            if bad.size:
-                raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is below 0")
-            steps[qid] = d
-            totals[qid] = float(rec["total"])
-    if corpus_total is None:
-        raise ValidationError(f"{path}: missing trailing corpus-total row")
-    return DifficultyTable(steps=steps, totals=totals, corpus_total=corpus_total)
+    for lineno, rec in read_jsonl(path, ("id", "step_difficulties")):
+        where = f"{path}: line {lineno}"
+        qid = expect_type(rec["id"], str, "id", where)
+        if qid in steps:
+            raise DifficultyError(f"{path}: step difficulties for {qid!r} appear twice")
+        d = np.asarray(float_list(rec["step_difficulties"], "step_difficulties", f"{qid!r} ({where})"))
+        bad = d[~np.isfinite(d)]
+        if bad.size:
+            raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is not finite")
+        bad = d[d < 0.0]
+        if bad.size:
+            raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is below 0")
+        steps[qid] = d
+    corpus.check_ids(path, steps, "step difficulties")
+    for q in corpus.questions:
+        n = steps[q.id].size
+        if n != q.n_steps:
+            raise DifficultyError(f"{path}: {n} step difficulties for {q.id!r}, which has {q.n_steps} steps")
+    return DifficultyTable(steps=steps)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, expect_type, json_object, read_json
 from .difficulty import DifficultyTable, question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
 
@@ -206,31 +206,35 @@ def write_schedule(schedule: Schedule, path) -> None:
         fh.write('\n],\n"params": ' + json.dumps(schedule.params) + "}\n")
 
 
-def _input_steps(path, rec: dict) -> dict[str, int]:
-    """A stage's counts, which must be JSON integers: int() would take a
-    hand-edited 0.9 for 0 and true for 1."""
-    counts = rec["c"]
-    for qid, v in counts.items():
-        if type(v) is not int:  # rejects bool too
-            raise ValueError(
-                f"{path}: stage {rec['t']}: input-step count of {qid!r} must be an integer, got {v!r}"
+_STAGE_KEYS = ("t", "D_t", "delta_D", "selected", "delta_H", "H", "c")
+
+
+def read_schedule(path, corpus: Corpus) -> Schedule:
+    """schedule.json for corpus: every stage counts each corpus question's
+    input steps with a JSON integer in [0, n_steps] (int() would take a
+    hand-edited 0.9 for 0 and true for 1)."""
+    doc = read_json(path, ("stages", "params"))
+    n_steps = {q.id: q.n_steps for q in corpus.questions}
+    stages = []
+    for k, rec in enumerate(expect_type(doc["stages"], list, "stages", str(path))):
+        where = f"{path}: stage {k}"
+        json_object(rec, _STAGE_KEYS, where)
+        counts = expect_type(rec["c"], dict, "c", where)
+        corpus.check_ids(where, counts, "input-step count")
+        for qid, c in counts.items():
+            if type(c) is not int or not 0 <= c <= n_steps[qid]:  # rejects bool too
+                raise ValueError(
+                    f"{where}: input-step count {c!r} of {qid!r} is not an integer in [0, {n_steps[qid]}]"
+                )
+        stages.append(
+            StageRecord(
+                t=int(rec["t"]),
+                budget=float(rec["D_t"]),
+                delta_budget=float(rec["delta_D"]),
+                selected=list(rec["selected"]),
+                delta_h=float(rec["delta_H"]),
+                input_steps=counts,
+                h_after=float(rec["H"]),
             )
-    return counts
-
-
-def read_schedule(path) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    stages = [
-        StageRecord(
-            t=int(rec["t"]),
-            budget=float(rec["D_t"]),
-            delta_budget=float(rec["delta_D"]),
-            selected=list(rec["selected"]),
-            delta_h=float(rec["delta_H"]),
-            input_steps=_input_steps(path, rec),
-            h_after=float(rec["H"]),
         )
-        for rec in doc["stages"]
-    ]
     return Schedule(stages=stages, params=doc["params"])

@@ -20,6 +20,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from . import accel
+from .corpus import Corpus, expect_type, read_json
 from .difficulty import DifficultyTable, DifficultyError
 
 BRUTEFORCE_MAX = 22
@@ -213,18 +214,21 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
-def read_clusters(path) -> ClusterAssignment:
-    """clusters.json; every cluster index must be a JSON integer in
-    [0, n_clusters): int() would take a hand-edited 2.7 for 2 and true for 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    n_clusters = int(doc["n_clusters"])
-    assignment = doc["assignment"]
+def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
+    """clusters.json for corpus: n_clusters a JSON integer >= 1, and one
+    cluster index per corpus question, a JSON integer in [0, n_clusters)
+    (int() would take a hand-edited 2.7 for 2 and true for 1)."""
+    doc = read_json(path, ("n_clusters", "assignment", "centroids"))
+    n_clusters = doc["n_clusters"]
+    if type(n_clusters) is not int or n_clusters < 1:  # rejects bool too
+        raise ValueError(f"{path}: n_clusters must be an integer >= 1, got {n_clusters!r}")
+    assignment = expect_type(doc["assignment"], dict, "assignment", str(path))
     for qid, k in assignment.items():
-        if type(k) is not int or not 0 <= k < n_clusters:  # rejects bool too
+        if type(k) is not int or not 0 <= k < n_clusters:
             raise ValueError(
                 f"{path}: cluster index {k!r} of {qid!r} is not an integer in [0, {n_clusters})"
             )
+    corpus.check_ids(path, assignment, "cluster")
     return ClusterAssignment(
         n_clusters=n_clusters,
         assignment=assignment,

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question
+from .corpus import Corpus, Question, expect_type, float_list, read_jsonl
 
 CLAMP_LO = 1e-6
 CLAMP_HI = 1.0 - 1e-6
@@ -332,7 +332,6 @@ def weighting_loss_and_grads(
     mask_mode: str = "hard",
     with_grads: bool = True,
     alpha: float | None = None,
-    tau: float | None = None,
     unmasked_weight: float | None = None,
 ):
     """Combined loss (prediction + alpha * mask ratio) and, optionally,
@@ -356,10 +355,6 @@ def weighting_loss_and_grads(
     cfg = model.config
     if alpha is None:
         alpha = cfg.alpha
-    if tau is None:
-        tau = cfg.tau
-    if tau <= 0.0:
-        raise WeightingError(f"tau must be > 0, got {tau}")
     if unmasked_weight is None:
         unmasked_weight = cfg.unmasked_weight
     if unmasked_weight < 0.0:
@@ -377,7 +372,7 @@ def weighting_loss_and_grads(
     w, scorer_cache = _scorer_forward(model, idx)
     e0, x, q, k_mat, v, attn, mixed, h, z = scorer_cache
     wc = np.clip(w, CLAMP_LO, CLAMP_HI)
-    soft = _soft_mask(wc, g1, g0, tau)
+    soft = _soft_mask(wc, g1, g0, cfg.tau)
     hard = (soft >= 0.5).astype(np.int8)
     sample = MaskSample(hard=hard, soft=soft)
     factors = soft if mask_mode == "soft" else hard.astype(np.float64)
@@ -437,7 +432,7 @@ def weighting_loss_and_grads(
     d_soft = d_factors + alpha * pref_count
     inner = (soft > SOFT_LO) & (soft < SOFT_HI)
     d_u = d_soft * soft * (1.0 - soft) * inner
-    d_wc = d_u * (1.0 / wc + 1.0 / (1.0 - wc)) / tau
+    d_wc = d_u * (1.0 / wc + 1.0 / (1.0 - wc)) / cfg.tau
     d_w = d_wc * ((w > CLAMP_LO) & (w < CLAMP_HI))
     d_z = d_w * w * (1.0 - w)
     d_z = d_z * (1.0 - (z / PRE_CAP) ** 2)
@@ -670,25 +665,29 @@ def write_weights(weights: dict[str, np.ndarray], path) -> None:
             fh.write(json.dumps({"id": qid, "weights": [float(v) for v in w]}) + "\n")
 
 
-def read_weights(path) -> dict[str, np.ndarray]:
-    """{id: weights}; each id once, and every weight finite and in [0, 1]."""
+def read_weights(path, corpus: Corpus) -> dict[str, np.ndarray]:
+    """weights.jsonl for corpus: {id: weights}, one record per corpus
+    question, each id once, one weight per rationale token, and every weight
+    finite and in [0, 1]."""
     out: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            qid = rec["id"]
-            if qid in out:
-                raise WeightingError(f"{path}: weights for {qid!r} appear twice")
-            w = np.asarray(rec["weights"], dtype=np.float64)
-            bad = w[~np.isfinite(w)]
-            if bad.size:
-                raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} is not finite")
-            bad = w[(w < 0.0) | (w > 1.0)]
-            if bad.size:
-                raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} lies outside [0, 1]")
-            out[qid] = w
+    for lineno, rec in read_jsonl(path, ("id", "weights")):
+        where = f"{path}: line {lineno}"
+        qid = expect_type(rec["id"], str, "id", where)
+        if qid in out:
+            raise WeightingError(f"{path}: weights for {qid!r} appear twice")
+        w = np.asarray(float_list(rec["weights"], "weights", f"{qid!r} ({where})"))
+        bad = w[~np.isfinite(w)]
+        if bad.size:
+            raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} is not finite")
+        bad = w[(w < 0.0) | (w > 1.0)]
+        if bad.size:
+            raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} lies outside [0, 1]")
+        out[qid] = w
+    corpus.check_ids(path, out, "weights")
+    for q in corpus.questions:
+        n = out[q.id].size
+        if n != q.n_tokens:
+            raise WeightingError(f"{path}: {n} weights for {q.id!r}, which has {q.n_tokens} tokens")
     return out
 
 
@@ -719,6 +718,7 @@ def load_model(path) -> TokenWeightModel:
             f" {MODEL_FORMAT_VERSION}"
         )
     config = WeightingConfig(**doc["config"])
+    config.validate()
     params = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["params"].items()}
     return TokenWeightModel(
         vocab={k: int(v) for k, v in doc["vocab"].items()},

@@ -141,7 +141,7 @@ def test_criterion_4_schedule_invariants(
     assert cmd_assess(cfg) == 0
     assert cmd_cluster(cfg) == 0
     assert cmd_schedule(cfg) == 0
-    plan = read_schedule(tmp_path / "schedule.json")
+    plan = read_schedule(tmp_path / "schedule.json", bundled_corpus)
     table = compute_table(bundled_corpus)
     horizon = plan.t_max
     max_increment = max(float(arr.max()) for arr in table.steps.values())
@@ -240,9 +240,7 @@ def test_criterion_7_difficulty_correctness(criterion_report):
         assert d >= 0.0
         n_steps = int(rng.integers(1, 7))
         steps = {"q": rng.uniform(0.0, 3.0, size=n_steps)}
-        table = DifficultyTable(
-            steps=steps, totals={"q": float(steps["q"].sum())}, corpus_total=float(steps["q"].sum())
-        )
+        table = DifficultyTable(steps=steps)
         h = [question_generation_difficulty(table, "q", c) for c in range(n_steps + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
     criterion_report(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,135 @@ def test_schedule_missing_a_corpus_question_exit_2(tmp_path, small_corpus_path, 
     capsys.readouterr()
     assert main(["simulate", *argv]) == 2
     assert "schedule.json: stage 3: no input-step count for corpus question 'q004'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def planned_out(tmp_path_factory, small_corpus_path) -> Path:
+    """--out after assess, cluster and schedule on the small corpus, with a
+    weights.jsonl of 0.5 per token."""
+    out = tmp_path_factory.mktemp("planned") / "out"
+    out.mkdir()
+    questions = parse_corpus(small_corpus_path).questions
+    write_weights({q.id: np.full(q.n_tokens, 0.5) for q in questions}, out / "weights.jsonl")
+    for stage in ("assess", "cluster", "schedule"):
+        assert main([stage, "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]) == 0
+    return out
+
+
+def _rerun(tmp_path, planned_out, corpus_path, command: str, edit) -> tuple[int, Path]:
+    """command in a copy of planned_out after edit(out) changed its files."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for artifact in planned_out.iterdir():
+        (out / artifact.name).write_bytes(artifact.read_bytes())
+    edit(out)
+    return main([command, "--corpus", str(corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]), out
+
+
+def _edit_json(name: str, change):
+    def edit(out):
+        doc = json.loads((out / name).read_text())
+        change(doc)
+        (out / name).write_text(json.dumps(doc))
+    return edit
+
+
+def _edit_lines(name: str, change):
+    def edit(out):
+        lines = (out / name).read_text().splitlines()
+        change(lines)
+        (out / name).write_text("".join(line + "\n" for line in lines))
+    return edit
+
+
+def test_weights_one_short_exit_2(tmp_path, planned_out, small_corpus_path, capsys):
+    q = parse_corpus(small_corpus_path).questions[0]
+
+    def cut(lines):
+        rec = json.loads(lines[0])
+        lines[0] = json.dumps({**rec, "weights": rec["weights"][1:]})
+
+    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "assess", _edit_lines("weights.jsonl", cut))
+    assert code == 2  # the message named the question but not the file
+    err = capsys.readouterr().err
+    assert f"weights.jsonl: {q.n_tokens - 1} weights for {q.id!r}, which has {q.n_tokens} tokens" in err
+
+
+@pytest.mark.parametrize("count", [99, -1])
+@pytest.mark.parametrize("command", ["shape-loss", "simulate"])
+def test_schedule_count_outside_the_steps_exit_2(tmp_path, planned_out, small_corpus_path, capsys, command, count):
+    q = parse_corpus(small_corpus_path).questions[0]
+
+    def change(doc):
+        doc["stages"][1]["c"][q.id] = count
+
+    code, _ = _rerun(tmp_path, planned_out, small_corpus_path, command, _edit_json("schedule.json", change))
+    assert code == 2  # the message named the question but not the file
+    err = capsys.readouterr().err
+    assert f"schedule.json: stage 1: input-step count {count} of {q.id!r} is not an integer in [0, {q.n_steps}]" in err
+
+
+@pytest.mark.parametrize("n_clusters", [5.9, "x", 0], ids=["5.9", "x", "0"])
+def test_n_clusters_must_be_a_positive_integer(tmp_path, planned_out, small_corpus_path, capsys, n_clusters):
+    def change(doc):
+        doc["n_clusters"] = n_clusters  # 5.9 was read as 5; "x" failed in int() without naming the file
+
+    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "schedule", _edit_json("clusters.json", change))
+    assert code == 2
+    assert f"clusters.json: n_clusters must be an integer >= 1, got {n_clusters!r}" in capsys.readouterr().err
+
+
+def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
+    rows = [json.loads(line) for line in (planned_out / "difficulty.jsonl").read_text().splitlines()]
+    assert all(set(row) == {"id", "step_difficulties"} for row in rows)  # no stored totals
+    total = math.fsum(math.fsum(row["step_difficulties"]) for row in rows)
+    doc = json.loads((planned_out / "schedule.json").read_text())
+    assert doc["params"]["total_difficulty"] == total
+    assert doc["stages"][-1]["H"] == total
+
+
+def test_difficulty_total_row_exit_2(tmp_path, planned_out, small_corpus_path, capsys):
+    # a {"B": total} row was taken on trust: with B 1.0, schedule exited 0 and
+    # planned a budget curve that ended far below the summed step difficulties
+    code, out = _rerun(
+        tmp_path, planned_out, small_corpus_path, "schedule",
+        _edit_lines("difficulty.jsonl", lambda lines: lines.append(json.dumps({"B": 1.0}))),
+    )
+    assert code == 2
+    assert "difficulty.jsonl: line 11: missing key(s) ['id', 'step_difficulties']" in capsys.readouterr().err
+
+
+def _truncate_line(k: int):
+    def change(lines):
+        lines[k] = lines[k][: len(lines[k]) // 2]
+    return change
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("validate", None, "small.jsonl: line 3: invalid JSON"),
+        ("assess", _edit_lines("weights.jsonl", lambda lines: lines.__setitem__(3, '{"weights": []}')),
+         "weights.jsonl: line 4: missing key(s) ['id']"),
+        ("schedule", _edit_lines("difficulty.jsonl", _truncate_line(1)), "difficulty.jsonl: line 2: invalid JSON"),
+        ("schedule", _edit_json("clusters.json", lambda doc: doc.pop("assignment")),
+         "clusters.json: missing key(s) ['assignment']"),
+        ("simulate", _edit_lines("schedule.json", _truncate_line(2)), "schedule.json: invalid JSON"),
+        ("shape-loss", _edit_json("schedule.json", lambda doc: doc["stages"][2].pop("c")),
+         "schedule.json: stage 2: missing key(s) ['c']"),
+    ],
+    ids=["corpus", "weights", "difficulty", "clusters", "schedule", "schedule-stage"],
+)
+def test_malformed_file_names_the_file(tmp_path, planned_out, small_corpus_path, capsys, command, edit, message):
+    corpus_path = small_corpus_path
+    if edit is None:  # the corpus itself, cut short on line 3
+        corpus_path = tmp_path / "small.jsonl"
+        lines = small_corpus_path.read_text().splitlines()
+        _truncate_line(2)(lines)
+        corpus_path.write_text("".join(line + "\n" for line in lines))
+    code, _ = _rerun(tmp_path, planned_out, corpus_path, command, edit or (lambda out: None))
+    assert code == 2  # the message named neither the file nor the line
+    assert message in capsys.readouterr().err
 
 
 def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):

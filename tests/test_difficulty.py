@@ -14,7 +14,6 @@ from cotpace.difficulty import (
     DifficultyError,
     DifficultyTable,
     compute_table,
-    corpus_total_difficulty,
     normalize_step_weights,
     question_generation_difficulty,
     read_table,
@@ -112,16 +111,16 @@ def test_generation_difficulty_boundaries():
     q = _question("q", [-1.0, -2.0, -3.0], steps=[(0, 1), (1, 2), (2, 3)])
     table = compute_table(Corpus([q], 4))
     assert question_generation_difficulty(table, "q", 3) == 0.0
-    assert question_generation_difficulty(table, "q", 0) == table.totals["q"]
+    assert question_generation_difficulty(table, "q", 0) == math.fsum(table.steps["q"])
 
 
 def test_generation_difficulty_hand_case():
-    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])}, totals={"q": 6.0}, corpus_total=6.0)
+    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])})
     assert question_generation_difficulty(table, "q", 1) == 5.0
 
 
 def test_generation_difficulty_errors():
-    table = DifficultyTable(steps={"q": np.array([1.0])}, totals={"q": 1.0}, corpus_total=1.0)
+    table = DifficultyTable(steps={"q": np.array([1.0])})
     with pytest.raises(DifficultyError):
         question_generation_difficulty(table, "q", 2)
     with pytest.raises(KeyError):
@@ -129,11 +128,11 @@ def test_generation_difficulty_errors():
 
 
 def test_corpus_total_empty_and_sum():
-    assert corpus_total_difficulty(compute_table(Corpus([], 4))) == 0.0
+    assert compute_table(Corpus([], 4)).corpus_total == 0.0
     qa = _question("a", [-1.5])
     qb = _question("b", [-2.5])
     table = compute_table(Corpus([qa, qb], 4))
-    assert table.totals["a"] == 1.5 and table.totals["b"] == 2.5
+    assert table.steps["a"].tolist() == [1.5] and table.steps["b"].tolist() == [2.5]
     assert table.corpus_total == 4.0
 
 
@@ -141,8 +140,9 @@ def test_totals_match_parts(bundled_corpus):
     table = compute_table(bundled_corpus)
     for qid, d in table.steps.items():
         assert np.all(d >= 0.0)
-        assert abs(table.totals[qid] - math.fsum(d)) < 1e-9
-    assert abs(table.corpus_total - math.fsum(table.totals.values())) < 1e-9
+    # the fsum of each question's fsum, in any order (fsum is exactly rounded)
+    parts = [math.fsum(d) for d in table.steps.values()]
+    assert table.corpus_total == math.fsum(parts) == math.fsum(reversed(parts))
 
 
 def test_bundled_corpus_golden_total(bundled_corpus, golden_dir):
@@ -201,18 +201,22 @@ def test_table_round_trip(bundled_corpus, tmp_path):
     table = compute_table(bundled_corpus)
     path = tmp_path / "difficulty.jsonl"
     write_table(table, path)
-    back = read_table(path)
+    back = read_table(path, bundled_corpus)
     assert back.corpus_total == table.corpus_total
-    assert back.totals == table.totals
+    first = json.loads(path.read_text().splitlines()[0])
+    assert set(first) == {"id", "step_difficulties"}  # no stored totals
     for qid in table.steps:
         assert np.array_equal(back.steps[qid], table.steps[qid])
 
 
-def test_read_table_requires_total_row(tmp_path):
-    path = tmp_path / "broken.jsonl"
-    path.write_text(json.dumps({"id": "q", "step_difficulties": [1.0], "total": 1.0}) + "\n")
-    with pytest.raises(ValueError, match="total"):
-        read_table(path)
+def test_read_table_refuses_a_stored_total_row(tmp_path):
+    # tables once ended with a {"B": total} row, which was taken on trust
+    corpus = Corpus([_question("q", [-1.0])], 4)
+    path = tmp_path / "old.jsonl"
+    rows = [{"id": "q", "step_difficulties": [1.0], "total": 1.0}, {"B": 0.5}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"old.jsonl: line 2: missing key\(s\) \['id', 'step_difficulties'\]"):
+        read_table(path, corpus)
 
 
 # --- property: h non-increasing in c -------------------------------------------

@@ -21,9 +21,7 @@ from cotpace.selection import ClusterAssignment, kmeans_cluster
 
 
 def _unit_table(n_questions: int = 3, n_steps: int = 1) -> DifficultyTable:
-    steps = {f"q{i}": np.ones(n_steps) for i in range(n_questions)}
-    totals = {qid: float(arr.sum()) for qid, arr in steps.items()}
-    return DifficultyTable(steps=steps, totals=totals, corpus_total=sum(totals.values()))
+    return DifficultyTable(steps={f"q{i}": np.ones(n_steps) for i in range(n_questions)})
 
 
 def _corpus_for(table: DifficultyTable) -> Corpus:
@@ -279,7 +277,7 @@ def test_schedule_round_trip(tmp_path):
     plan = _plan(table, c0=1.5, t_max=4, total_stages=6)
     path = tmp_path / "schedule.json"
     write_schedule(plan, path)
-    back = read_schedule(path)
+    back = read_schedule(path, _corpus_for(table))
     assert back.params == plan.params
     assert len(back.stages) == len(plan.stages)
     for ra, rb in zip(plan.stages, back.stages):

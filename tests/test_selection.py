@@ -24,6 +24,7 @@ from cotpace.selection import (
     value_of,
     write_clusters,
 )
+from cotpace.synth import make_arith_corpus
 
 
 def _clusters(assignment: dict[str, int], k: int | None = None) -> ClusterAssignment:
@@ -98,23 +99,23 @@ def test_kmeans_input_validation():
 
 
 def test_candidate_increments_last_step_first():
-    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])}, totals={"q": 6.0}, corpus_total=6.0)
+    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])})
     assert candidate_increments({"q": 3}, table, 1) == {"q": 3.0}
     assert candidate_increments({"q": 2}, table, 1) == {"q": 2.0}
 
 
 def test_candidate_increments_exhausted_question_absent():
-    table = DifficultyTable(steps={"q": np.array([1.0])}, totals={"q": 1.0}, corpus_total=1.0)
+    table = DifficultyTable(steps={"q": np.array([1.0])})
     assert candidate_increments({"q": 0}, table, 1) == {}
 
 
 def test_candidate_increments_clamps_below_zero():
-    table = DifficultyTable(steps={"q": np.array([5.0, 1.0])}, totals={"q": 6.0}, corpus_total=6.0)
+    table = DifficultyTable(steps={"q": np.array([5.0, 1.0])})
     assert candidate_increments({"q": 1}, table, 2) == {"q": 5.0}
 
 
 def test_candidate_increments_errors():
-    table = DifficultyTable(steps={"q": np.array([1.0])}, totals={"q": 1.0}, corpus_total=1.0)
+    table = DifficultyTable(steps={"q": np.array([1.0])})
     with pytest.raises(ValueError):
         candidate_increments({"q": 1}, table, 0)
     with pytest.raises(DifficultyError):
@@ -350,12 +351,14 @@ def test_ftgp_deterministic(bundled_corpus):
 
 
 def test_clusters_round_trip(tmp_path):
+    corpus = make_arith_corpus(2, seed=0)
+    a, b = (q.id for q in corpus.questions)
     clusters = ClusterAssignment(
-        n_clusters=2, assignment={"a": 0, "b": 1}, centroids=np.array([[0.0, 1.0], [2.0, 3.0]])
+        n_clusters=2, assignment={a: 0, b: 1}, centroids=np.array([[0.0, 1.0], [2.0, 3.0]])
     )
     path = tmp_path / "clusters.json"
     write_clusters(clusters, path)
-    back = read_clusters(path)
+    back = read_clusters(path, corpus)
     assert back.n_clusters == 2
     assert back.assignment == clusters.assignment
     assert np.array_equal(back.centroids, clusters.centroids)

@@ -524,10 +524,10 @@ def test_build_model_needs_questions():
 
 
 def test_weights_round_trip(tmp_path, keypoint_run):
-    _, _, result = keypoint_run
+    corpus, _, result = keypoint_run
     path = tmp_path / "weights.jsonl"
     write_weights(result.weights, path)
-    back = read_weights(path)
+    back = read_weights(path, corpus)
     assert set(back) == set(result.weights)
     for qid, w in result.weights.items():
         assert np.array_equal(back[qid], w)
