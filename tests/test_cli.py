@@ -402,7 +402,7 @@ def test_weights_one_short_exit_2(tmp_path, planned_out, small_corpus_path, caps
         rec = json.loads(lines[0])
         lines[0] = json.dumps({**rec, "weights": rec["weights"][1:]})
 
-    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "assess", _edit_lines("weights.jsonl", cut))
+    code, _ = _rerun(tmp_path, planned_out, small_corpus_path, "assess", _edit_lines("weights.jsonl", cut))
     assert code == 2  # the message named the question but not the file
     err = capsys.readouterr().err
     assert f"weights.jsonl: {q.n_tokens - 1} weights for {q.id!r}, which has {q.n_tokens} tokens" in err
@@ -427,7 +427,7 @@ def test_n_clusters_must_be_a_positive_integer(tmp_path, planned_out, small_corp
     def change(doc):
         doc["n_clusters"] = n_clusters  # 5.9 was read as 5; "x" failed in int() without naming the file
 
-    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "schedule", _edit_json("clusters.json", change))
+    code, _ = _rerun(tmp_path, planned_out, small_corpus_path, "schedule", _edit_json("clusters.json", change))
     assert code == 2
     assert f"clusters.json: n_clusters must be an integer >= 1, got {n_clusters!r}" in capsys.readouterr().err
 
@@ -444,7 +444,7 @@ def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
 def test_difficulty_total_row_exit_2(tmp_path, planned_out, small_corpus_path, capsys):
     # a {"B": total} row was taken on trust: with B 1.0, schedule exited 0 and
     # planned a budget curve that ended far below the summed step difficulties
-    code, out = _rerun(
+    code, _ = _rerun(
         tmp_path, planned_out, small_corpus_path, "schedule",
         _edit_lines("difficulty.jsonl", lambda lines: lines.append(json.dumps({"B": 1.0}))),
     )
