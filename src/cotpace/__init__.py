@@ -42,7 +42,6 @@ from .weighting import (
     forward_weights,
     gradient_check,
     gumbel_sample,
-    mask_ratio_loss,
     total_weighting_loss,
     train_weighting,
 )

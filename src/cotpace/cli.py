@@ -286,9 +286,9 @@ def cmd_cluster(cfg: PipelineConfig) -> int:
     """K-means over question embeddings -> clusters.json."""
     corpus = _load_corpus(cfg)
     embeddings = {q.id: q.embedding for q in corpus.questions}
-    clusters = kmeans_cluster(embeddings, cfg.n_clusters, stage_seed(cfg.seed, "cluster"))
+    clusters, centroids = kmeans_cluster(embeddings, cfg.n_clusters, stage_seed(cfg.seed, "cluster"))
     out = _out_dir(cfg)
-    _atomic(lambda p: write_clusters(clusters, p), out / "clusters.json")
+    _atomic(lambda p: write_clusters(clusters, centroids, p), out / "clusters.json")
     print(f"[cluster] wrote {out / 'clusters.json'} ({cfg.n_clusters} clusters)")
     return 0
 
@@ -325,8 +325,8 @@ def cmd_shape_loss(cfg: PipelineConfig) -> int:
     """Loss token ranges where each question's window changes -> losses.jsonl."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
-    plan = read_schedule(out / "schedule.json", corpus)
-    specs = build_stage_loss_specs(corpus, plan, _maybe_weights(cfg, corpus))
+    stages = read_schedule(out / "schedule.json", corpus)
+    specs = build_stage_loss_specs(corpus, stages, _maybe_weights(cfg, corpus))
     _atomic(lambda p: write_loss_specs(specs, p), out / "losses.jsonl")
     print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} loss windows, one per change)")
     return 0
@@ -336,9 +336,9 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     """Tabular student under the schedule -> trace.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
-    plan = read_schedule(out / "schedule.json", corpus)
+    stages = read_schedule(out / "schedule.json", corpus)
     scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
-    trace = simulate_student(corpus, plan, _maybe_weights(cfg, corpus), scfg)
+    trace = simulate_student(corpus, stages, _maybe_weights(cfg, corpus), scfg)
     _atomic(lambda p: write_trace(trace, p), out / "trace.json")
     print(f"[simulate] wrote {out / 'trace.json'} (final loss {trace.epoch_losses[-1]:.4f})")
     return 0

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .corpus import Corpus, Question
-from .schedule import Schedule, StageRecord
 
 BOS_ID = 0
 BOS_TOKEN = "<bos>"
@@ -117,23 +116,23 @@ def write_loss_specs(specs: list[LossSpec], path) -> None:
 
 
 def _stage_specs(corpus: Corpus, weights: dict[str, np.ndarray] | None):
-    """specs_at(rec) -> {id: LossSpec} for schedule stage rec, in corpus
-    order. A question's loss window changes only when its input-step count
-    does, so its spec is built (and validated) only then; otherwise the
-    object of the previous call comes back as is, still carrying the stage
-    it was built at."""
+    """specs_at(t, counts) -> {id: LossSpec} for schedule stage t, whose
+    input-step counts are counts, in corpus order. A question's loss window
+    changes only when its input-step count does, so its spec is built (and
+    validated) only then; otherwise the object of the previous call comes
+    back as is, still carrying the stage it was built at."""
     last: dict[str, tuple[int, LossSpec]] = {}
 
-    def specs_at(rec: StageRecord) -> dict[str, LossSpec]:
+    def specs_at(t: int, counts: dict[str, int]) -> dict[str, LossSpec]:
         specs: dict[str, LossSpec] = {}
         for q in corpus.questions:
-            c = rec.input_steps.get(q.id)
+            c = counts.get(q.id)
             if c is None:
-                raise LossShapingError(f"schedule stage {rec.t} is missing question {q.id!r}")
+                raise LossShapingError(f"schedule stage {t} is missing question {q.id!r}")
             hit = last.get(q.id)
             if hit is None or hit[0] != c:
                 w = weights.get(q.id) if weights else None
-                hit = last[q.id] = (c, shape_stage_loss(q, c, w, stage=rec.t))
+                hit = last[q.id] = (c, shape_stage_loss(q, c, w, stage=t))
             specs[q.id] = hit[1]
         return specs
 
@@ -141,18 +140,20 @@ def _stage_specs(corpus: Corpus, weights: dict[str, np.ndarray] | None):
 
 
 def build_stage_loss_specs(
-    corpus: Corpus, schedule: Schedule, weights: dict[str, np.ndarray] | None = None
+    corpus: Corpus,
+    stages: list[dict[str, int]],
+    weights: dict[str, np.ndarray] | None = None,
 ) -> list[LossSpec]:
     """Every question's spec at training stage 1, then each spec built at a
     later stage, where that question's window changes; in stage order, then
-    corpus order. A spec holds until the next one for its question."""
+    corpus order. stages[t] holds stage t's input-step counts; a spec holds
+    until the next one for its question."""
     specs_at = _stage_specs(corpus, weights)
     return [
         s
-        for rec in schedule.stages
-        if rec.t >= 1
-        for s in specs_at(rec).values()
-        if s.stage == rec.t
+        for t in range(1, len(stages))
+        for s in specs_at(t, stages[t]).values()
+        if s.stage == t
     ]
 
 
@@ -268,23 +269,19 @@ def _run_student(
 
 def simulate_student(
     corpus: Corpus,
-    schedule: Schedule,
+    stages: list[dict[str, int]],
     weights: dict[str, np.ndarray] | None,
     config: StudentConfig,
 ) -> StudentTrace:
     """Train the tabular student for config.epochs epochs, epoch e using
-    the input-step counts of schedule stage e."""
-    for epoch in range(1, config.epochs + 1):
-        try:
-            schedule.stage(epoch)
-        except KeyError as exc:
-            raise LossShapingError(
-                f"schedule has no stage {epoch} but the student trains for"
-                f" {config.epochs} epochs"
-            ) from exc
-
+    stages[e], the input-step counts of schedule stage e."""
+    if len(stages) <= config.epochs:
+        raise LossShapingError(
+            f"schedule has no stage {max(len(stages), 1)} but the student trains for"
+            f" {config.epochs} epochs"
+        )
     specs_at = _stage_specs(corpus, weights)
-    return _run_student(corpus, lambda epoch: specs_at(schedule.stage(epoch)), config)
+    return _run_student(corpus, lambda epoch: specs_at(epoch, stages[epoch]), config)
 
 
 def train_plain(

@@ -12,8 +12,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
-
 from .corpus import Corpus, expect_type, json_object, read_json
 from .difficulty import DifficultyTable, question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
@@ -87,16 +85,6 @@ class StageRecord:
 class Schedule:
     stages: list[StageRecord]
     params: dict
-
-    def stage(self, t: int) -> StageRecord:
-        for rec in self.stages:
-            if rec.t == t:
-                return rec
-        raise KeyError(f"no stage {t} in schedule (have 0..{self.stages[-1].t})")
-
-    @property
-    def t_max(self) -> int:
-        return int(self.params["horizon"])
 
 
 def plan_full_schedule(
@@ -206,19 +194,19 @@ def write_schedule(schedule: Schedule, path) -> None:
         fh.write('\n],\n"params": ' + json.dumps(schedule.params) + "}\n")
 
 
-_STAGE_KEYS = ("t", "D_t", "delta_D", "selected", "delta_H", "H", "c")
-
-
-def read_schedule(path, corpus: Corpus) -> Schedule:
-    """schedule.json for corpus: every stage counts each corpus question's
-    input steps with a JSON integer in [0, n_steps] (int() would take a
-    hand-edited 0.9 for 0 and true for 1)."""
-    doc = read_json(path, ("stages", "params"))
+def read_schedule(path, corpus: Corpus) -> list[dict[str, int]]:
+    """The input-step counts of schedule.json, indexed by stage: stage k's
+    "t" must be the JSON integer k, and its "c" must count each corpus
+    question's input steps with a JSON integer in [0, n_steps] (int() would
+    take a hand-edited 0.9 for 0 and true for 1). No other field is read."""
+    doc = read_json(path, ("stages",))
     n_steps = {q.id: q.n_steps for q in corpus.questions}
     stages = []
     for k, rec in enumerate(expect_type(doc["stages"], list, "stages", str(path))):
         where = f"{path}: stage {k}"
-        json_object(rec, _STAGE_KEYS, where)
+        json_object(rec, ("t", "c"), where)
+        if type(rec["t"]) is not int or rec["t"] != k:  # rejects bool too
+            raise ValueError(f"{where}: t must be the integer {k}, got {rec['t']!r}")
         counts = expect_type(rec["c"], dict, "c", where)
         corpus.check_ids(where, counts, "input-step count")
         for qid, c in counts.items():
@@ -226,15 +214,5 @@ def read_schedule(path, corpus: Corpus) -> Schedule:
                 raise ValueError(
                     f"{where}: input-step count {c!r} of {qid!r} is not an integer in [0, {n_steps[qid]}]"
                 )
-        stages.append(
-            StageRecord(
-                t=int(rec["t"]),
-                budget=float(rec["D_t"]),
-                delta_budget=float(rec["delta_D"]),
-                selected=list(rec["selected"]),
-                delta_h=float(rec["delta_H"]),
-                input_steps=counts,
-                h_after=float(rec["H"]),
-            )
-        )
-    return Schedule(stages=stages, params=doc["params"])
+        stages.append(counts)
+    return stages

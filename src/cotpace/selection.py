@@ -34,13 +34,15 @@ MAX_PASSES = 5000
 class ClusterAssignment:
     n_clusters: int
     assignment: dict[str, int]  # question id -> cluster index in [0, n_clusters)
-    centroids: np.ndarray  # (n_clusters, dim)
 
 
-def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int) -> ClusterAssignment:
+def kmeans_cluster(
+    embeddings: dict[str, np.ndarray], n_clusters: int, seed: int
+) -> tuple[ClusterAssignment, np.ndarray]:
     """Seeded k-means (greedy ++-style init, Lloyd iterations to a fixed
-    point). With fewer distinct points than clusters, duplicate centroids
-    are allowed and the surplus clusters stay empty."""
+    point): the assignment and the (n_clusters, dim) centroids, which only
+    write_clusters takes. With fewer distinct points than clusters,
+    duplicate centroids are allowed and the surplus clusters stay empty."""
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     ids = list(embeddings)
@@ -51,8 +53,9 @@ def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int
     rng = np.random.default_rng(seed)
     centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n))]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest centroid so far
     for c in range(1, n_clusters):
-        d2 = ((points[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2).min(axis=1)
+        np.minimum(d2, ((points - centroids[c - 1]) ** 2).sum(axis=1), out=d2)
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
@@ -70,7 +73,7 @@ def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int
             break
         labels = new_labels
     assignment = {qid: int(lab) for qid, lab in zip(ids, labels)}
-    return ClusterAssignment(n_clusters=n_clusters, assignment=assignment, centroids=centroids)
+    return ClusterAssignment(n_clusters=n_clusters, assignment=assignment), centroids
 
 
 @dataclasses.dataclass
@@ -204,11 +207,12 @@ def select_bruteforce(problem: SelectionProblem) -> list[str]:
     return [qid for i, qid in enumerate(problem.ids) if (mask >> i) & 1]
 
 
-def write_clusters(clusters: ClusterAssignment, path) -> None:
+def write_clusters(clusters: ClusterAssignment, centroids: np.ndarray, path) -> None:
+    """clusters.json; the centroids are for people, no stage reads them."""
     doc = {
         "n_clusters": clusters.n_clusters,
         "assignment": clusters.assignment,
-        "centroids": clusters.centroids.tolist(),
+        "centroids": centroids.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")
@@ -217,8 +221,9 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
 def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
     """clusters.json for corpus: n_clusters a JSON integer >= 1, and one
     cluster index per corpus question, a JSON integer in [0, n_clusters)
-    (int() would take a hand-edited 2.7 for 2 and true for 1)."""
-    doc = read_json(path, ("n_clusters", "assignment", "centroids"))
+    (int() would take a hand-edited 2.7 for 2 and true for 1). The
+    centroids are not read."""
+    doc = read_json(path, ("n_clusters", "assignment"))
     n_clusters = doc["n_clusters"]
     if type(n_clusters) is not int or n_clusters < 1:  # rejects bool too
         raise ValueError(f"{path}: n_clusters must be an integer >= 1, got {n_clusters!r}")
@@ -229,11 +234,7 @@ def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
                 f"{path}: cluster index {k!r} of {qid!r} is not an integer in [0, {n_clusters})"
             )
     corpus.check_ids(path, assignment, "cluster")
-    return ClusterAssignment(
-        n_clusters=n_clusters,
-        assignment=assignment,
-        centroids=np.asarray(doc["centroids"], dtype=np.float64),
-    )
+    return ClusterAssignment(n_clusters=n_clusters, assignment=assignment)
 
 
 def candidate_increments(

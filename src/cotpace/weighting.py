@@ -216,6 +216,13 @@ def _soft_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> np.
     return np.clip(_sigmoid(u), SOFT_LO, SOFT_HI)
 
 
+def _draw_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> MaskSample:
+    """The mask that noise (g1, g0) draws from weights w: soft values,
+    and the hard mask that keeps each token whose soft value is >= 0.5."""
+    soft = _soft_mask(w, g1, g0, tau)
+    return MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
+
+
 def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
     """One relaxed-Bernoulli mask draw. P(hard_j = 1) equals weights[j]
     exactly at any tau; tau only controls how soft the relaxation is."""
@@ -227,13 +234,7 @@ def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
             "weights must lie strictly inside (0, 1); clamp to [1e-6, 1 - 1e-6] before sampling"
         )
     g1, g0 = _sample_noise(w.size, np.random.default_rng(seed))
-    soft = _soft_mask(w, g1, g0, tau)
-    return MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
-
-
-def mask_ratio_loss(sample: MaskSample) -> float:
-    """Expected kept-token count: the sum of soft mask values."""
-    return float(np.sum(sample.soft))
+    return _draw_mask(w, g1, g0, tau)
 
 
 def total_weighting_loss(prediction_loss: float, ratio_loss: float, alpha: float) -> float:
@@ -372,10 +373,9 @@ def weighting_loss_and_grads(
     w, scorer_cache = _scorer_forward(model, idx)
     e0, x, q, k_mat, v, attn, mixed, h, z = scorer_cache
     wc = np.clip(w, CLAMP_LO, CLAMP_HI)
-    soft = _soft_mask(wc, g1, g0, cfg.tau)
-    hard = (soft >= 0.5).astype(np.int8)
-    sample = MaskSample(hard=hard, soft=soft)
-    factors = soft if mask_mode == "soft" else hard.astype(np.float64)
+    sample = _draw_mask(wc, g1, g0, cfg.tau)
+    soft = sample.soft
+    factors = soft if mask_mode == "soft" else sample.hard.astype(np.float64)
 
     xr = question.embedding @ p["x_proj"]
     he = p["h_embed"][idx]
@@ -398,7 +398,7 @@ def weighting_loss_and_grads(
         rows = np.concatenate([rows, prefix])
     losses, cache = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
     lp = float(losses[:n_cuts].sum())
-    loss = lp + alpha * lm + unmasked_weight * float(losses[n_cuts:].sum())
+    loss = total_weighting_loss(lp, lm, alpha) + unmasked_weight * float(losses[n_cuts:].sum())
     if not with_grads:
         return loss, lp, lm, None, sample
 
@@ -550,7 +550,7 @@ def _selection_score(
         hard = np.empty((draws, q.n_tokens))
         for d in range(draws):
             g1, g0 = _sample_noise(q.n_tokens, rng)
-            hard[d] = _soft_mask(wc, g1, g0, model.config.tau) >= 0.5
+            hard[d] = _draw_mask(wc, g1, g0, model.config.tau).hard
         total += float(_cut_losses(model, q, hard).sum()) / draws
     return total
 

