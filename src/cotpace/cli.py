@@ -263,10 +263,14 @@ def cmd_weigh(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _maybe_weights(cfg: PipelineConfig, corpus):
-    """weights.jsonl from --out, or None when there is none."""
+def _run_weights(cfg: PipelineConfig, corpus):
+    """The token weights assess and simulate score with: weights.jsonl from
+    --out when it is there, else each question's token_weights from the
+    corpus. A question with neither is weighted uniformly."""
     path = _out_dir(cfg) / "weights.jsonl"
-    return read_weights(path, corpus) if path.exists() else None
+    if path.exists():
+        return read_weights(path, corpus)
+    return {q.id: q.token_weights for q in corpus.questions if q.token_weights is not None}
 
 
 def cmd_assess(cfg: PipelineConfig) -> int:
@@ -275,7 +279,7 @@ def cmd_assess(cfg: PipelineConfig) -> int:
     logprobs = None
     if cfg.synthetic_logprobs is not None:
         logprobs = synthetic_logprobs(corpus, cfg.synthetic_logprobs)
-    table = compute_table(corpus, weights=_maybe_weights(cfg, corpus), logprobs=logprobs)
+    table = compute_table(corpus, weights=_run_weights(cfg, corpus), logprobs=logprobs)
     out = _out_dir(cfg)
     _atomic(lambda p: write_table(table, p), out / "difficulty.jsonl")
     print(f"[assess] wrote {out / 'difficulty.jsonl'} (total difficulty {table.corpus_total:.4f})")
@@ -326,7 +330,7 @@ def cmd_shape_loss(cfg: PipelineConfig) -> int:
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     stages = read_schedule(out / "schedule.json", corpus)
-    specs = build_stage_loss_specs(corpus, stages, _maybe_weights(cfg, corpus))
+    specs = build_stage_loss_specs(corpus, stages, cfg.epochs)
     _atomic(lambda p: write_loss_specs(specs, p), out / "losses.jsonl")
     print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} loss windows, one per change)")
     return 0
@@ -338,7 +342,7 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     out = _out_dir(cfg)
     stages = read_schedule(out / "schedule.json", corpus)
     scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
-    trace = simulate_student(corpus, stages, _maybe_weights(cfg, corpus), scfg)
+    trace = simulate_student(corpus, stages, _run_weights(cfg, corpus), scfg)
     _atomic(lambda p: write_trace(trace, p), out / "trace.json")
     print(f"[simulate] wrote {out / 'trace.json'} (final loss {trace.epoch_losses[-1]:.4f})")
     return 0

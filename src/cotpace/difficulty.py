@@ -71,9 +71,9 @@ def compute_table(
 ) -> DifficultyTable:
     """Score every step of every question.
 
-    Raw significance weights come from the weights map, else the record's
-    token_weights, else a constant (softmax of a constant is uniform, so
-    unweighted scoring falls out as the default).
+    Raw significance weights come from the weights map, else a constant
+    (softmax of a constant is uniform, so unweighted scoring falls out as
+    the default).
     """
     steps: dict[str, np.ndarray] = {}
     for q in corpus.questions:
@@ -82,8 +82,6 @@ def compute_table(
             raise DifficultyError(f"question {q.id!r}: {lp.size} logprobs vs {q.n_tokens} tokens")
         if weights is not None and q.id in weights:
             w = np.asarray(weights[q.id], dtype=np.float64)
-        elif q.token_weights is not None:
-            w = np.asarray(q.token_weights, dtype=np.float64)
         else:
             w = np.zeros(q.n_tokens, dtype=np.float64)
         if w.size != q.n_tokens:

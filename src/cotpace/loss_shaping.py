@@ -4,11 +4,15 @@ A LossSpec splits one question's rationale at a stage's input-step count:
 tokens before the cut are fed as input (no loss), tokens from the cut on
 are generated and scored with significance-weighted NLL. The simulator
 trains a unigram+bigram softmax student under a schedule, full batch, so
-curriculum effects are observable end to end without a real LM.
+curriculum effects are observable end to end without a real LM. Both work
+from the input-step counts alone: a spec holds token ranges, and the
+student scores a token when its step index is at least its question's
+count, so neither copies a weight.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -30,11 +34,6 @@ class LossSpec:
     stage: int
     input_end: int  # first generated token index; input range is [0, input_end)
     gen_end: int  # exclusive; generation range is [input_end, gen_end)
-    weights: np.ndarray  # one weight per generated token
-
-    @property
-    def gen_start(self) -> int:
-        return self.input_end
 
     def validate(self) -> None:
         if not (0 <= self.input_end <= self.gen_end):
@@ -42,27 +41,10 @@ class LossSpec:
                 f"spec for {self.question_id!r}: ranges [0,{self.input_end}) /"
                 f" [{self.input_end},{self.gen_end}) are inconsistent"
             )
-        if self.weights.shape != (self.gen_end - self.input_end,):
-            raise LossShapingError(
-                f"spec for {self.question_id!r}: {self.weights.size} weights for"
-                f" {self.gen_end - self.input_end} generated tokens"
-            )
-        if self.weights.size and (
-            not np.all(np.isfinite(self.weights))
-            or self.weights.min() < 0.0
-            or self.weights.max() > 1.0
-        ):
-            raise LossShapingError(f"spec for {self.question_id!r}: weights must lie in [0, 1]")
 
 
-def shape_stage_loss(
-    question: Question,
-    input_steps: int,
-    weights: np.ndarray | None = None,
-    stage: int = 0,
-) -> LossSpec:
-    """Build the loss ranges for one question at one stage. weights, when
-    given, must cover the whole rationale; the generated slice is kept."""
+def shape_stage_loss(question: Question, input_steps: int, stage: int = 0) -> LossSpec:
+    """Build the loss ranges for one question at one stage."""
     c = int(input_steps)
     n_steps = question.n_steps
     n = question.n_tokens
@@ -71,42 +53,40 @@ def shape_stage_loss(
             f"question {question.id!r}: input_steps {c} outside [0, {n_steps}]"
         )
     input_end = n if c == n_steps else question.step_spans[c][0]
-    if weights is None:
-        w = np.ones(n - input_end, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise LossShapingError(
-                f"question {question.id!r}: {w.size} weights for {n} rationale tokens"
-            )
-        w = w[input_end:].copy()
-    spec = LossSpec(question_id=question.id, stage=stage, input_end=input_end, gen_end=n, weights=w)
+    spec = LossSpec(question_id=question.id, stage=stage, input_end=input_end, gen_end=n)
     spec.validate()
     return spec
 
 
-def evaluate_loss(spec: LossSpec, logprobs: np.ndarray) -> float:
-    """Weighted NLL over the generation range. logprobs index the whole
-    rationale (length gen_end); entries inside the range must be <= 0."""
+def evaluate_loss(spec: LossSpec, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Weighted NLL over the generation range. logprobs and weights index
+    the whole rationale (length gen_end); logprobs inside the range must be
+    <= 0, and weights (uniform when None) must lie in [0, 1]."""
     lp = np.asarray(logprobs, dtype=np.float64)
     if lp.shape != (spec.gen_end,):
         raise LossShapingError(
             f"spec for {spec.question_id!r}: {lp.size} logprobs do not cover"
             f" [0, {spec.gen_end})"
         )
-    window = lp[spec.gen_start : spec.gen_end]
+    window = lp[spec.input_end : spec.gen_end]
     if window.size and (not np.all(np.isfinite(window)) or window.max() > 0.0):
         raise LossShapingError(
             f"spec for {spec.question_id!r}: generation-range logprobs must be finite and <= 0"
         )
-    return -float(np.dot(spec.weights, window))
+    w = np.ones(spec.gen_end) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (spec.gen_end,):
+        raise LossShapingError(
+            f"spec for {spec.question_id!r}: {w.size} weights for {spec.gen_end} rationale tokens"
+        )
+    if w.size and (not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0):
+        raise LossShapingError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
+    return -float(np.dot(w[spec.input_end :], window))
 
 
 def write_loss_specs(specs: list[LossSpec], path) -> None:
     """One line of loss ranges per spec: the window of question id from
     stage t until that question's next line. The weights are left out: a
-    spec's are weights.jsonl[id][input_end:gen_end], and gen_start is
-    input_end."""
+    spec scores the run's token weights over [input_end, gen_end)."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in specs:  # the line json.dumps gives for the record's dict, at a fifth of the cost
             qid = json.dumps(s.question_id)
@@ -115,46 +95,48 @@ def write_loss_specs(specs: list[LossSpec], path) -> None:
             )
 
 
-def _stage_specs(corpus: Corpus, weights: dict[str, np.ndarray] | None):
-    """specs_at(t, counts) -> {id: LossSpec} for schedule stage t, whose
-    input-step counts are counts, in corpus order. A question's loss window
-    changes only when its input-step count does, so its spec is built (and
-    validated) only then; otherwise the object of the previous call comes
-    back as is, still carrying the stage it was built at."""
-    last: dict[str, tuple[int, LossSpec]] = {}
-
-    def specs_at(t: int, counts: dict[str, int]) -> dict[str, LossSpec]:
-        specs: dict[str, LossSpec] = {}
-        for q in corpus.questions:
-            c = counts.get(q.id)
-            if c is None:
-                raise LossShapingError(f"schedule stage {t} is missing question {q.id!r}")
-            hit = last.get(q.id)
-            if hit is None or hit[0] != c:
-                w = weights.get(q.id) if weights else None
-                hit = last[q.id] = (c, shape_stage_loss(q, c, w, stage=t))
-            specs[q.id] = hit[1]
-        return specs
-
-    return specs_at
+def _check_epochs(stages: list[dict[str, int]], epochs: int) -> None:
+    """Epoch e trains on stage e, so the schedule needs stages 1..epochs."""
+    if len(stages) <= epochs:
+        raise LossShapingError(
+            f"schedule has no stage {max(len(stages), 1)} but the student trains for"
+            f" {epochs} epochs"
+        )
 
 
-def build_stage_loss_specs(
-    corpus: Corpus,
-    stages: list[dict[str, int]],
-    weights: dict[str, np.ndarray] | None = None,
-) -> list[LossSpec]:
-    """Every question's spec at training stage 1, then each spec built at a
-    later stage, where that question's window changes; in stage order, then
-    corpus order. stages[t] holds stage t's input-step counts; a spec holds
-    until the next one for its question."""
-    specs_at = _stage_specs(corpus, weights)
-    return [
-        s
-        for t in range(1, len(stages))
-        for s in specs_at(t, stages[t]).values()
-        if s.stage == t
-    ]
+def _stage_counts(corpus: Corpus, stages: list[dict[str, int]]):
+    """Yield the input-step counts of stages 1, 2, ... in corpus order. A
+    stage that misses a question, or a count outside [0, n_steps], is
+    refused when its stage is reached."""
+    n_steps = np.array([q.n_steps for q in corpus.questions], dtype=np.int64)
+    for t in range(1, len(stages)):
+        try:
+            counts = np.array([stages[t][q.id] for q in corpus.questions], dtype=np.int64)
+        except KeyError as exc:
+            raise LossShapingError(f"schedule stage {t} is missing question {exc.args[0]!r}") from None
+        bad = np.flatnonzero((counts < 0) | (counts > n_steps))
+        if bad.size:
+            i = bad[0]
+            raise LossShapingError(
+                f"question {corpus.questions[i].id!r}: input_steps {counts[i]} outside [0, {n_steps[i]}]"
+            )
+        yield counts
+
+
+def build_stage_loss_specs(corpus: Corpus, stages: list[dict[str, int]], epochs: int) -> list[LossSpec]:
+    """Every question's spec at training stage 1, then a spec at each later
+    stage where that question's input-step count, and so its window,
+    changes; in stage order, then corpus order. stages[t] holds stage t's
+    input-step counts; a spec holds until the next one for its question.
+    The student trains for epochs epochs, so stages 1..epochs must exist."""
+    _check_epochs(stages, epochs)
+    specs: list[LossSpec] = []
+    previous = None
+    for t, counts in enumerate(_stage_counts(corpus, stages), start=1):
+        changed = range(counts.size) if previous is None else np.flatnonzero(counts != previous)
+        specs.extend(shape_stage_loss(corpus.questions[i], counts[i], stage=t) for i in changed)
+        previous = counts
+    return specs
 
 
 # --- tabular student -------------------------------------------------------
@@ -207,14 +189,6 @@ def _log_softmax_table(unigram: np.ndarray, bigram: np.ndarray) -> tuple[np.ndar
     return logp, probs
 
 
-def _pair_weights(specs: list[LossSpec], pairs: dict[str, np.ndarray], nv: int) -> np.ndarray:
-    """counts[r, t]: summed weight of the scored positions whose previous
-    token is r and whose target is t."""
-    ids = np.concatenate([pairs[s.question_id][s.gen_start : s.gen_end] for s in specs])
-    w = np.concatenate([s.weights for s in specs])
-    return np.bincount(ids, weights=w, minlength=nv * nv).reshape(nv, nv)
-
-
 def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale: float) -> float:
     """One full-batch step in place; returns the summed weighted NLL."""
     logp, g_bi = _log_softmax_table(unigram, bigram)
@@ -227,37 +201,59 @@ def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale:
     return total
 
 
+def _token_weights(corpus: Corpus, weights: dict[str, np.ndarray] | None) -> np.ndarray:
+    """Every rationale token's weight in corpus order: weights[id] where the
+    map has the question, else 1."""
+    parts = []
+    for q in corpus.questions:
+        w = weights.get(q.id) if weights else None
+        w = np.ones(q.n_tokens) if w is None else np.asarray(w, dtype=np.float64)
+        if w.shape != (q.n_tokens,):
+            raise LossShapingError(f"question {q.id!r}: {w.size} weights for {q.n_tokens} rationale tokens")
+        parts.append(w)
+    return np.concatenate(parts)
+
+
 def _run_student(
     corpus: Corpus,
-    specs_for_epoch,
+    weights: dict[str, np.ndarray] | None,
+    epoch_counts,
     config: StudentConfig,
 ) -> StudentTrace:
-    """Full-batch gradient descent on weighted NLL. specs_for_epoch(e)
-    returns {id: LossSpec} for epoch e in 1..epochs; simulate and plain
-    training share this engine so they differ only in the ranges fed in.
+    """Full-batch gradient descent on weighted NLL. epoch_counts yields each
+    epoch's input-step counts in corpus order; simulate and plain training
+    share this engine so they differ only in the counts fed in.
 
     The student's next-token distribution depends only on the previous
     token, so an epoch's loss and gradient follow from the summed weight
-    of each (previous, target) pair and one softmax table."""
+    of each (previous, target) pair and one softmax table. A token whose
+    step index is below its question's count adds an exact 0.0 to its
+    pair, and np.bincount adds in input order, so each pair's sum is the
+    sum over the scored tokens alone."""
     config.validate()
+    questions = corpus.questions
     vocab, pairs = _build_vocab(corpus)
     nv = len(vocab)
-    nq = len(corpus.questions)
+    nq = len(questions)
     for idx in pairs.values():  # token id t -> pair id (previous token) * nv + t
         idx += np.concatenate(([BOS_ID], idx[:-1])) * nv
+    pair = np.concatenate([pairs[q.id] for q in questions])
+    w = _token_weights(corpus, weights)
+    step = np.concatenate([np.repeat(np.arange(q.n_steps), [e - s for s, e in q.step_spans]) for q in questions])
+    n_tokens = np.array([q.n_tokens for q in questions])
     rng = np.random.default_rng(config.seed)
     unigram = rng.normal(0.0, config.init_scale, size=nv)
     bigram = rng.normal(0.0, config.init_scale, size=(nv, nv))
     epoch_losses: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        specs = specs_for_epoch(epoch)
-        scored = [specs[q.id] for q in corpus.questions]
-        total = _descend(_pair_weights(scored, pairs, nv), unigram, bigram, config.lr / nq)
+    for epoch, counts in zip(range(1, config.epochs + 1), epoch_counts):
+        scored = np.where(step >= np.repeat(counts, n_tokens), w, 0.0)
+        table = np.bincount(pair, weights=scored, minlength=nv * nv).reshape(nv, nv)
+        total = _descend(table, unigram, bigram, config.lr / nq)
         if not math.isfinite(total):
             raise RuntimeError(f"non-finite student loss at epoch {epoch}; lower the learning rate")
         epoch_losses.append(total / nq)
     logp = _log_softmax_table(unigram, bigram)[0].ravel()
-    final = {qid: np.exp(logp[pair]) for qid, pair in pairs.items()}
+    final = {qid: np.exp(logp[p]) for qid, p in pairs.items()}
     return StudentTrace(
         epoch_losses=epoch_losses,
         final_token_probs=final,
@@ -275,27 +271,16 @@ def simulate_student(
 ) -> StudentTrace:
     """Train the tabular student for config.epochs epochs, epoch e using
     stages[e], the input-step counts of schedule stage e."""
-    if len(stages) <= config.epochs:
-        raise LossShapingError(
-            f"schedule has no stage {max(len(stages), 1)} but the student trains for"
-            f" {config.epochs} epochs"
-        )
-    specs_at = _stage_specs(corpus, weights)
-    return _run_student(corpus, lambda epoch: specs_at(epoch, stages[epoch]), config)
+    _check_epochs(stages, config.epochs)
+    return _run_student(corpus, weights, _stage_counts(corpus, stages), config)
 
 
 def train_plain(
     corpus: Corpus, weights: dict[str, np.ndarray] | None, config: StudentConfig
 ) -> StudentTrace:
     """Same student, no curriculum: every epoch scores the whole rationale."""
-
-    def specs_for_epoch(epoch: int):
-        return {
-            q.id: shape_stage_loss(q, 0, weights.get(q.id) if weights else None, stage=epoch)
-            for q in corpus.questions
-        }
-
-    return _run_student(corpus, specs_for_epoch, config)
+    zeros = np.zeros(len(corpus.questions), dtype=np.int64)
+    return _run_student(corpus, weights, itertools.repeat(zeros), config)
 
 
 def write_trace(trace: StudentTrace, path) -> None:

@@ -485,6 +485,61 @@ def test_a_stage_out_of_place_exit_2(tmp_path, planned_out, small_corpus_path, c
     assert not (out / artifact).exists()
 
 
+def test_shape_loss_needs_a_stage_per_epoch(tmp_path, planned_out, small_corpus_path, capsys):
+    # shape-loss exited 0 and wrote an empty losses.jsonl, while simulate on
+    # the same schedule exited 2
+    def stage_0_only(doc):
+        doc["stages"] = doc["stages"][:1]
+
+    for command, artifact in (("shape-loss", "losses.jsonl"), ("simulate", "trace.json")):
+        (tmp_path / command).mkdir()
+        code, out = _rerun(tmp_path / command, planned_out, small_corpus_path, command, _edit_json("schedule.json", stage_0_only))
+        assert code == 2, command
+        assert "schedule has no stage 1 but the student trains for 4 epochs" in capsys.readouterr().err
+        assert not (out / artifact).exists()
+
+
+def test_shape_loss_reads_no_weights(tmp_path, planned_out, small_corpus_path):
+    # shape-loss read and checked weights.jsonl although losses.jsonl holds
+    # token ranges only, so a malformed file exited 2
+    written = []
+    for name, edit in (("kept", lambda out: None), ("malformed", _edit_lines("weights.jsonl", _truncate_line(1)))):
+        (tmp_path / name).mkdir()
+        code, out = _rerun(tmp_path / name, planned_out, small_corpus_path, "shape-loss", edit)
+        assert code == 0, name
+        written.append((out / "losses.jsonl").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_corpus_token_weights_reach_the_student(tmp_path, capsys):
+    # with no weights.jsonl, assess scored the corpus's token_weights and
+    # simulate scored every token as 1, so trace.json depended on where the
+    # same weights were kept
+    corpus = make_arith_corpus(10, seed=77)
+    rng = np.random.default_rng(77)
+    weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+    plain_path = tmp_path / "plain.jsonl"
+    write_corpus(corpus, plain_path)
+    for q in corpus.questions:
+        q.token_weights = weights[q.id].tolist()
+    weighted_path = tmp_path / "weighted.jsonl"
+    write_corpus(corpus, weighted_path)
+    outs = {"in-corpus": (weighted_path, tmp_path / "a"), "weights.jsonl": (plain_path, tmp_path / "b")}
+    outs["weights.jsonl"][1].mkdir()
+    write_weights(weights, outs["weights.jsonl"][1] / "weights.jsonl")
+    for corpus_path, out in outs.values():
+        for stage in ("assess", "cluster", "schedule", "shape-loss", "simulate"):
+            argv = [stage, "--corpus", str(corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+            assert main(argv) == 0, stage
+    names = ["difficulty.jsonl", "clusters.json", "schedule.json", "losses.jsonl", "trace.json"]
+    a, b = (_read_artifacts(out, names) for _, out in outs.values())
+    assert a == b
+    unweighted = tmp_path / "c"
+    for stage in ("assess", "cluster", "schedule", "simulate"):
+        assert main([stage, "--corpus", str(plain_path), "--out", str(unweighted), "--seed", "1", "--epochs", "4"]) == 0
+    assert (unweighted / "trace.json").read_bytes() != a["trace.json"]
+
+
 def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
     rows = [json.loads(line) for line in (planned_out / "difficulty.jsonl").read_text().splitlines()]
     assert all(set(row) == {"id", "step_difficulties"} for row in rows)  # no stored totals

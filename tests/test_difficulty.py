@@ -157,15 +157,14 @@ def test_bundled_corpus_golden_total(bundled_corpus, golden_dir):
 def test_compute_table_weight_precedence():
     q = _question("q", [-1.0, -2.0], weights=[0.0, 1.0])
     corpus = Corpus([q], 4)
-    # record weights are used when no override map is given
-    base = compute_table(corpus).steps["q"][0]
-    expected_base = -float(np.dot(normalize_step_weights(np.array([0.0, 1.0]), (0, 2)), [-1.0, -2.0]))
-    assert abs(base - expected_base) < 1e-12
-    # an override map wins over the record weights
+    # without a map every step is scored uniformly: the run's weights, the
+    # record's included, reach compute_table only through the map
+    assert compute_table(corpus).steps["q"][0] == 1.5
+    assert compute_table(corpus, weights={}).steps["q"][0] == 1.5
+    # the map's weights are the ones scored
     override = compute_table(corpus, weights={"q": np.array([1.0, 0.0])}).steps["q"][0]
     expected_override = -float(np.dot(normalize_step_weights(np.array([1.0, 0.0]), (0, 2)), [-1.0, -2.0]))
     assert abs(override - expected_override) < 1e-12
-    assert override != base
 
 
 def test_compute_table_missing_logprobs_instructs():
@@ -234,7 +233,7 @@ def test_h_non_increasing_in_input_steps(data):
     lp = [data.draw(st.floats(-5.0, 0.0)) for _ in range(pos)]
     tw = [data.draw(st.floats(0.0, 1.0)) for _ in range(pos)]
     q = _question("q", lp, weights=tw, steps=spans)
-    table = compute_table(Corpus([q], 4))
+    table = compute_table(Corpus([q], 4), weights={"q": np.array(tw)})
     values = [question_generation_difficulty(table, "q", c) for c in range(n_steps + 1)]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-12

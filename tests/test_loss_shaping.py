@@ -50,27 +50,24 @@ def test_zero_input_steps_covers_whole_rationale():
     spec = shape_stage_loss(_question(), 0)
     assert spec.input_end == 0
     assert spec.gen_end == 5
-    assert np.array_equal(spec.weights, np.ones(5))
 
 
 def test_all_input_steps_leaves_nothing_generated():
     spec = shape_stage_loss(_question(), 2)
     assert spec.input_end == 5
     assert spec.gen_end == 5
-    assert spec.weights.size == 0
 
 
 def test_partial_input_starts_at_step_boundary():
     spec = shape_stage_loss(_question(), 1)
     assert spec.input_end == 3
-    assert spec.gen_start == 3
     assert spec.gen_end == 5
 
 
 def test_weights_are_sliced_to_generated_range():
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    spec = shape_stage_loss(_question(), 1, w)
-    assert np.array_equal(spec.weights, np.array([0.4, 0.5]))
+    lp = np.array([-1.0, -2.0, -3.0, -4.0, -5.0])
+    assert abs(evaluate_loss(shape_stage_loss(_question(), 1), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
 
 
 def test_input_steps_out_of_range_rejected():
@@ -81,15 +78,16 @@ def test_input_steps_out_of_range_rejected():
 
 
 def test_weight_vector_must_cover_rationale():
-    with pytest.raises(LossShapingError, match="weights"):
-        shape_stage_loss(_question(), 1, np.ones(3))
+    with pytest.raises(LossShapingError, match="3 weights for 5 rationale tokens"):
+        evaluate_loss(shape_stage_loss(_question(), 1), np.full(5, -1.0), np.ones(3))
 
 
 def test_spec_validation_rejects_bad_weights():
-    spec = LossSpec(question_id="q", stage=0, input_end=0, gen_end=2, weights=np.array([0.5, 1.5]))
-    with pytest.raises(LossShapingError, match="lie in"):
-        spec.validate()
-    spec = LossSpec(question_id="q", stage=0, input_end=3, gen_end=2, weights=np.zeros(0))
+    spec = LossSpec(question_id="q", stage=0, input_end=0, gen_end=2)
+    for bad in ([0.5, 1.5], [0.5, -0.1], [np.nan, 0.5]):
+        with pytest.raises(LossShapingError, match="lie in"):
+            evaluate_loss(spec, np.full(2, -1.0), np.array(bad))
+    spec = LossSpec(question_id="q", stage=0, input_end=3, gen_end=2)
     with pytest.raises(LossShapingError, match="inconsistent"):
         spec.validate()
 
@@ -110,8 +108,8 @@ def test_evaluate_hand_value():
 
 
 def test_evaluate_zero_weights_ignore_tokens():
-    spec = shape_stage_loss(_question(), 0, np.zeros(5))
-    assert evaluate_loss(spec, np.full(5, -9.0)) == 0.0
+    spec = shape_stage_loss(_question(), 0)
+    assert evaluate_loss(spec, np.full(5, -9.0), np.zeros(5)) == 0.0
 
 
 def test_evaluate_is_linear_in_weights():
@@ -121,9 +119,10 @@ def test_evaluate_is_linear_in_weights():
     w1 = rng.uniform(0, 1, size=5)
     w2 = rng.uniform(0, 1, size=5)
     mid = 0.5 * (w1 + w2)
-    a = evaluate_loss(shape_stage_loss(q, 0, w1), lp)
-    b = evaluate_loss(shape_stage_loss(q, 0, w2), lp)
-    c = evaluate_loss(shape_stage_loss(q, 0, mid), lp)
+    spec = shape_stage_loss(q, 0)
+    a = evaluate_loss(spec, lp, w1)
+    b = evaluate_loss(spec, lp, w2)
+    c = evaluate_loss(spec, lp, mid)
     assert abs(c - 0.5 * (a + b)) < 1e-12
 
 
@@ -158,7 +157,7 @@ def test_loss_shrinks_as_input_steps_grow():
 
 def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 3)
-    specs = build_stage_loss_specs(bundled_corpus, sched)
+    specs = build_stage_loss_specs(bundled_corpus, sched, 3)
     assert [s.question_id for s in specs] == [q.id for q in bundled_corpus.questions]
     assert all(s.stage == 1 and s.input_end == 0 for s in specs)
 
@@ -167,7 +166,13 @@ def test_build_specs_requires_every_question():
     corpus_q = _question("only")
     corpus = Corpus(questions=[corpus_q], embedding_dim=None)
     with pytest.raises(LossShapingError, match="stage 1 is missing question 'only'"):
-        build_stage_loss_specs(corpus, [{"other": 0}, {"other": 0}])
+        build_stage_loss_specs(corpus, [{"other": 0}, {"other": 0}], 1)
+
+
+def test_build_specs_requires_a_stage_per_epoch(bundled_corpus):
+    sched = _zero_schedule(bundled_corpus, 2)
+    with pytest.raises(LossShapingError, match="no stage 3 but the student trains for 10 epochs"):
+        build_stage_loss_specs(bundled_corpus, sched, 10)
 
 
 def _stepped_schedule(corpus, n_stages: int, seed: int) -> list[dict[str, int]]:
@@ -189,11 +194,6 @@ def _distinct_pairs(stages: list[dict[str, int]], last_stage: int) -> int:
     return len({(qid, c) for counts in stages[1 : last_stage + 1] for qid, c in counts.items()})
 
 
-def _weights(corpus, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
-
-
 def _count_shape_calls(monkeypatch) -> list[int]:
     calls = [0]
     shape = loss_shaping.shape_stage_loss
@@ -206,29 +206,10 @@ def _count_shape_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def _record_scored(monkeypatch) -> list[list[LossSpec]]:
-    """The specs each student epoch scores, in corpus order."""
-    scored: list[list[LossSpec]] = []
-    pair_weights = loss_shaping._pair_weights
-
-    def recorded(specs, pairs, nv):
-        scored.append(list(specs))
-        return pair_weights(specs, pairs, nv)
-
-    monkeypatch.setattr(loss_shaping, "_pair_weights", recorded)
-    return scored
-
-
-def _assert_same_spec(got: LossSpec, want: LossSpec) -> None:
-    assert (got.question_id, got.input_end, got.gen_end) == (want.question_id, want.input_end, want.gen_end)
-    assert np.array_equal(got.weights, want.weights)
-
-
 def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 8, seed=4)
-    weights = _weights(bundled_corpus, 5)
     calls = _count_shape_calls(monkeypatch)
-    specs = build_stage_loss_specs(bundled_corpus, sched, weights)
+    specs = build_stage_loss_specs(bundled_corpus, sched, 8)
     assert calls[0] == len(specs) == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
     monkeypatch.undo()
     want, last = [], {}
@@ -237,46 +218,22 @@ def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
             c = counts[q.id]
             if last.get(q.id) != c:
                 last[q.id] = c
-                want.append(shape_stage_loss(q, c, weights[q.id], stage=t))
-    assert len(specs) == len(want)
-    for got, w in zip(specs, want):
-        assert got.stage == w.stage
-        _assert_same_spec(got, w)
-
-
-def test_simulate_shapes_once_per_count_change(monkeypatch, bundled_corpus):
-    sched = _stepped_schedule(bundled_corpus, 8, seed=6)
-    weights = _weights(bundled_corpus, 7)
-    cfg = StudentConfig(epochs=6, seed=2)
-    scored = _record_scored(monkeypatch)
-    calls = _count_shape_calls(monkeypatch)
-    simulate_student(bundled_corpus, sched, weights, cfg)
-    assert calls[0] == _distinct_pairs(sched, cfg.epochs)
-    monkeypatch.undo()
-    assert len(scored) == cfg.epochs
-    for epoch, specs in enumerate(scored, start=1):
-        for q, got in zip(bundled_corpus.questions, specs, strict=True):
-            _assert_same_spec(got, shape_stage_loss(q, sched[epoch][q.id], weights[q.id], stage=epoch))
+                want.append(shape_stage_loss(q, c, stage=t))
+    assert specs == want
 
 
 def test_a_held_count_is_listed_once(monkeypatch):
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     corpus = Corpus(questions=[q], embedding_dim=None)
     sched = [{"q": c} for c in (3, 3, 1, 1, 1, 1, 0)]  # drops at stage 2, holds through stage 5
-    w = np.linspace(0.1, 0.9, 9)
     calls = _count_shape_calls(monkeypatch)
-    specs = build_stage_loss_specs(corpus, sched, {"q": w})
+    specs = build_stage_loss_specs(corpus, sched, 6)
     assert calls[0] == 3
     assert [s.stage for s in specs] == [1, 2, 6]
     assert [s.input_end for s in specs] == [9, 2, 0]
-    assert np.array_equal(specs[1].weights, w[2:])
-    epochs = _record_scored(monkeypatch)
     calls[0] = 0
-    simulate_student(corpus, sched, {"q": w}, StudentConfig(epochs=6))
-    assert calls[0] == 3
-    scored = [specs[0] for specs in epochs]
-    assert scored[1] is scored[2] is scored[3] is scored[4]  # the held spec, as is
-    assert scored[1].stage == 2
+    simulate_student(corpus, sched, {"q": np.linspace(0.1, 0.9, 9)}, StudentConfig(epochs=6))
+    assert calls[0] == 0  # the student scores from the counts and builds no spec
 
 
 def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, tuple[int, int]]]:
@@ -294,24 +251,25 @@ def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, tuple[in
 
 def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 6, seed=12)
-    weights = _weights(bundled_corpus, 13)
     path = tmp_path / "losses.jsonl"
-    write_loss_specs(build_stage_loss_specs(bundled_corpus, sched, weights), path)
+    write_loss_specs(build_stage_loss_specs(bundled_corpus, sched, 6), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == _distinct_pairs(sched, 6)
     assert any(  # a count that drops and then holds
         sched[t - 1][qid] > sched[t][qid] == sched[t + 1][qid] for t in range(2, 6) for qid in sched[t]
     )
     expanded = _expand(lines, range(1, len(sched)))
-    specs_at = loss_shaping._stage_specs(bundled_corpus, weights)
     for t in range(1, len(sched)):
-        want = {qid: (s.input_end, s.gen_end) for qid, s in specs_at(t, sched[t]).items()}
+        want = {}
+        for q in bundled_corpus.questions:  # the window of stage t's count
+            c = sched[t][q.id]
+            want[q.id] = (q.n_tokens if c == q.n_steps else q.step_spans[c][0], q.n_tokens)
         assert expanded[t] == want
 
 
 def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 4, seed=9)
-    specs = build_stage_loss_specs(bundled_corpus, sched, _weights(bundled_corpus, 10))
+    specs = build_stage_loss_specs(bundled_corpus, sched, 4)
     path = tmp_path / "losses.jsonl"
     write_loss_specs(specs, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -384,9 +342,10 @@ def test_trace_written_as_json(tmp_path, bundled_corpus):
     assert set(doc["final_token_probs"]) == {q.id for q in corpus_slice.questions}
 
 
-def _reference_student(corpus, epoch_specs, cfg):
+def _reference_student(corpus, epoch_specs, weights, cfg):
     """The student as a per-question loop: one softmax per generated token,
-    gradients scattered with np.add.at. epoch_specs[e] maps id -> LossSpec."""
+    gradients scattered with np.add.at. epoch_specs[e] maps id -> LossSpec;
+    weights maps id -> the whole rationale's weights (uniform when None)."""
     vocab = {"<bos>": BOS_ID}
     for q in corpus.questions:
         for tok in q.rationale_tokens:
@@ -407,20 +366,21 @@ def _reference_student(corpus, epoch_specs, cfg):
         g_uni, g_bi, total = np.zeros(nv), np.zeros((nv, nv)), 0.0
         for q in corpus.questions:
             spec = specs[q.id]
-            m = spec.gen_end - spec.gen_start
+            m = spec.gen_end - spec.input_end
             if m == 0:
                 continue
+            w = weights[q.id][spec.input_end :] if weights else np.ones(m)
             idx = enc[q.id]
-            prev, tgt = context(idx, spec.gen_start), idx[spec.gen_start :]
+            prev, tgt = context(idx, spec.input_end), idx[spec.input_end :]
             logits = unigram[None, :] + bigram[prev]
             mx = logits.max(axis=1, keepdims=True)
             ez = np.exp(logits - mx)
             sz = ez.sum(axis=1, keepdims=True)
             logp = logits[np.arange(m), tgt] - mx[:, 0] - np.log(sz[:, 0])
-            total += -float(np.dot(spec.weights, logp))
+            total += -float(np.dot(w, logp))
             probs = ez / sz
             probs[np.arange(m), tgt] -= 1.0
-            probs *= spec.weights[:, None]
+            probs *= w[:, None]
             g_uni += probs.sum(axis=0)
             np.add.at(g_bi, prev, probs)
         unigram -= cfg.lr / nq * g_uni
@@ -440,8 +400,29 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_an_epoch_table_with_zeros_equals_the_scored_tokens_alone(bundled_corpus):
+    """The student bins every token, an unscored one with weight 0.0: since
+    np.bincount adds in input order and x + 0.0 is x, each pair's sum is bit
+    for bit the sum over the scored tokens alone."""
+    questions = bundled_corpus.questions
+    step = np.concatenate([np.repeat(np.arange(q.n_steps), [e - s for s, e in q.step_spans]) for q in questions])
+    n_tokens = np.array([q.n_tokens for q in questions])
+    rng = np.random.default_rng(17)
+    for nv in (3, 10, 40):  # few pairs, so most sums add many tokens
+        pair = rng.integers(0, nv * nv, size=step.size)
+        w = rng.uniform(0.0, 1.0, size=step.size)
+        for _ in range(20):
+            counts = np.array([rng.integers(0, q.n_steps + 1) for q in questions])
+            scored = step >= np.repeat(counts, n_tokens)
+            table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv)
+            alone = np.bincount(pair[scored], weights=w[scored], minlength=nv * nv)
+            assert table.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-@pytest.mark.parametrize("curriculum", [False, True], ids=["no-curriculum", "curriculum"])
+@pytest.mark.parametrize(
+    "curriculum", ["none", "random", "stepped"], ids=["no-curriculum", "curriculum", "stepped"]
+)
 def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curriculum):
     corpus = type(bundled_corpus)(
         questions=bundled_corpus.questions[:12], embedding_dim=bundled_corpus.embedding_dim
@@ -452,17 +433,14 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
         {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions} if weighted else None
     )
     sched = _zero_schedule(corpus, cfg.epochs)
-    if curriculum:  # every question a random number of input steps at every stage
+    if curriculum == "random":  # every question a random number of input steps at every stage
         sched = [{q.id: int(rng.integers(0, q.n_steps + 1)) for q in corpus.questions} for _ in sched]
-    epoch_specs = [
-        {
-            q.id: shape_stage_loss(q, counts[q.id], weights[q.id] if weights else None)
-            for q in corpus.questions
-        }
-        for counts in sched[1:]
-    ]
-    assert curriculum == any(s.gen_start > 0 for specs in epoch_specs for s in specs.values())
-    losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, cfg)
+    elif curriculum == "stepped":  # counts that drop and then hold
+        sched = _stepped_schedule(corpus, cfg.epochs, seed=3)
+        assert any(sched[t - 1][q] > sched[t][q] == sched[t + 1][q] for t in range(2, 6) for q in sched[t])
+    epoch_specs = [{q.id: shape_stage_loss(q, counts[q.id]) for q in corpus.questions} for counts in sched[1:]]
+    assert (curriculum != "none") == any(s.input_end > 0 for specs in epoch_specs for s in specs.values())
+    losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, weights, cfg)
     trace = simulate_student(corpus, sched, weights, cfg)
     _close(trace.epoch_losses, losses)
     _close(trace.unigram, unigram)
