@@ -38,11 +38,9 @@ from .weighting import (
     TokenWeightModel,
     TrainResult,
     WeightingConfig,
-    answer_prediction_loss,
     forward_weights,
     gradient_check,
     gumbel_sample,
-    total_weighting_loss,
     train_weighting,
 )
 

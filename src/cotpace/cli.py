@@ -113,6 +113,10 @@ class PipelineConfig:
             raise ValueError("no corpus given (config key 'corpus' or --corpus)")
         if self.seed is None:
             raise ValueError("a seed is required (config key 'seed' or --seed)")
+        if not -(2**63) <= self.seed < 2**63:  # stage_seed packs it as a signed 64-bit key
+            raise ValueError(f"seed must lie in [-2**63, 2**63 - 1], got {self.seed}")
+        if self.synthetic_logprobs is not None and self.synthetic_logprobs < 0:
+            raise ValueError(f"synthetic_logprobs must be >= 0, got {self.synthetic_logprobs}")
         for f in dataclasses.fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -124,6 +128,13 @@ class PipelineConfig:
             raise ValueError(f"c0_frac must lie in [0, 1], got {self.c0_frac}")
         if self.t_max is not None and self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        try:  # the budget curve divides by horizon ** (p + 1)
+            float(self.horizon) ** (self.p + 1.0)
+        except OverflowError:
+            raise ValueError(
+                f"p = {self.p} is too large for the horizon {self.horizon}:"
+                " horizon ** (p + 1) overflows a float"
+            ) from None
         if self.delta_s < 1 or self.n_clusters < 1:
             raise ValueError("delta_s and n_clusters must be >= 1")
         if self.beta < 0.0:

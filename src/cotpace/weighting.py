@@ -206,9 +206,9 @@ class MaskSample:
 
 
 def _sample_noise(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    g1 = -np.log(-np.log(np.maximum(rng.random(n), 1e-300)))
-    g0 = -np.log(-np.log(np.maximum(rng.random(n), 1e-300)))
-    return g1, g0
+    """Gumbel noise (g1, g0) for n tokens from 2n uniforms: g1's n, then g0's."""
+    g = -np.log(-np.log(np.maximum(rng.random(2 * n), 1e-300)))
+    return g[:n], g[n:]
 
 
 def _soft_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> np.ndarray:
@@ -235,12 +235,6 @@ def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
         )
     g1, g0 = _sample_noise(w.size, np.random.default_rng(seed))
     return _draw_mask(w, g1, g0, tau)
-
-
-def total_weighting_loss(prediction_loss: float, ratio_loss: float, alpha: float) -> float:
-    if alpha < 0.0:
-        raise WeightingError(f"alpha must be >= 0, got {alpha}")
-    return prediction_loss + alpha * ratio_loss
 
 
 def _pool_scores(e0, xr, pool_q, sd):
@@ -285,42 +279,28 @@ def _pool_cuts(e0, xr, s_tok, s_x, rows, w_cls, b_cls, cls_idx):
     return losses, (cx, et, ct, z, ax, at, pooled, probs)
 
 
-def _cut_losses(model: TokenWeightModel, question: Question, rows: np.ndarray) -> np.ndarray:
-    """Answer NLL of each row of rows (R, n_tokens), see _pool_cuts."""
-    p = model.params
-    he = p["h_embed"][model.token_ids(question.rationale_tokens)]
-    xr = question.embedding @ p["x_proj"]
-    s_tok, s_x, _, _ = _pool_scores(he, xr, p["pool_q"], math.sqrt(model.config.d_embed))
-    cls_idx = model.classes[question.answer_text]
-    losses, _ = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
-    return losses
-
-
-def answer_prediction_loss(
-    model: TokenWeightModel,
-    question: Question,
-    sample: MaskSample,
-    prefixes: list[int] | None = None,
-    seed: int = 0,
-) -> float:
-    """Sum over sampled prefix cuts k of the answer NLL when the
-    classifier sees only the unmasked tokens before k (plus the question).
-    Cut points are uniform over {0..n} when not supplied."""
-    n = question.n_tokens
-    if sample.hard.size != n:
-        raise WeightingError(f"mask has {sample.hard.size} entries for {n} tokens")
+def _pooling_inputs(model: TokenWeightModel, question: Question, idx: np.ndarray):
+    """The answer head's view of a question with token ids idx: the head's
+    token rows, the projected question, _pool_scores' four values and the
+    answer's class index."""
     if question.answer_text not in model.classes:
         raise WeightingError(f"answer {question.answer_text!r} has no class; retrain the model")
     if question.embedding is None:
         raise WeightingError(f"question {question.id!r} has no embedding")
-    if prefixes is None:
-        rng = np.random.default_rng(seed)
-        prefixes = rng.integers(0, n + 1, size=model.config.prefix_samples).tolist()
-    for k in prefixes:
-        if k < 0 or k > n:
-            raise WeightingError(f"prefix cut {k} outside [0, {n}]")
-    rows = _prefix_rows(prefixes, n) * sample.hard
-    return float(_cut_losses(model, question, rows).sum())
+    p = model.params
+    he = p["h_embed"][idx]
+    xr = question.embedding @ p["x_proj"]
+    scores = _pool_scores(he, xr, p["pool_q"], math.sqrt(model.config.d_embed))
+    return he, xr, scores, model.classes[question.answer_text]
+
+
+def _cut_losses(model: TokenWeightModel, question: Question, rows: np.ndarray) -> np.ndarray:
+    """Answer NLL of each row of rows (R, n_tokens), see _pool_cuts."""
+    p = model.params
+    idx = model.token_ids(question.rationale_tokens)
+    he, xr, (s_tok, s_x, _, _), cls_idx = _pooling_inputs(model, question, idx)
+    losses, _ = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
+    return losses
 
 
 def weighting_loss_and_grads(
@@ -333,7 +313,6 @@ def weighting_loss_and_grads(
     mask_mode: str = "hard",
     with_grads: bool = True,
     alpha: float | None = None,
-    unmasked_weight: float | None = None,
 ):
     """Combined loss (prediction + alpha * mask ratio) and, optionally,
     gradients for every parameter.
@@ -345,30 +324,25 @@ def weighting_loss_and_grads(
     runs against that relaxed form. alpha overrides the config value
     (training ramps it up).
 
-    unmasked_weight adds that multiple of the prediction loss computed
-    with every token visible. The extra term does not depend on the mask,
-    so it trains only the answer head; without it, a token masked early
-    is invisible to the head, the head stops valuing it, and the token
-    can never earn its way back.
+    The config's unmasked_weight adds that multiple of the prediction
+    loss computed with every token visible. The extra term does not
+    depend on the mask, so it trains only the answer head; without it, a
+    token masked early is invisible to the head, the head stops valuing
+    it, and the token can never earn its way back.
     """
     if mask_mode not in ("hard", "soft"):
         raise WeightingError(f"unknown mask_mode {mask_mode!r}")
     cfg = model.config
     if alpha is None:
         alpha = cfg.alpha
-    if unmasked_weight is None:
-        unmasked_weight = cfg.unmasked_weight
-    if unmasked_weight < 0.0:
-        raise WeightingError(f"unmasked_weight must be >= 0, got {unmasked_weight}")
+    if alpha < 0.0:
+        raise WeightingError(f"alpha must be >= 0, got {alpha}")
+    unmasked_weight = cfg.unmasked_weight
     p = model.params
-    de = cfg.d_embed
-    sd = math.sqrt(de)
-    if question.answer_text not in model.classes:
-        raise WeightingError(f"answer {question.answer_text!r} has no class; retrain the model")
-    if question.embedding is None:
-        raise WeightingError(f"question {question.id!r} has no embedding")
+    sd = math.sqrt(cfg.d_embed)
     idx = model.token_ids(question.rationale_tokens)
     n = idx.size
+    he, xr, (s_tok, s_x, slope_tok, slope_x), cls_idx = _pooling_inputs(model, question, idx)
 
     w, scorer_cache = _scorer_forward(model, idx)
     e0, x, q, k_mat, v, attn, mixed, h, z = scorer_cache
@@ -376,11 +350,6 @@ def weighting_loss_and_grads(
     sample = _draw_mask(wc, g1, g0, cfg.tau)
     soft = sample.soft
     factors = soft if mask_mode == "soft" else sample.hard.astype(np.float64)
-
-    xr = question.embedding @ p["x_proj"]
-    he = p["h_embed"][idx]
-    s_tok, s_x, slope_tok, slope_x = _pool_scores(he, xr, p["pool_q"], sd)
-    cls_idx = model.classes[question.answer_text]
 
     # The kept-token penalty is charged per prefix over the tokens that
     # prefix exposes, so each token meets the penalty and the prediction
@@ -398,7 +367,7 @@ def weighting_loss_and_grads(
         rows = np.concatenate([rows, prefix])
     losses, cache = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
     lp = float(losses[:n_cuts].sum())
-    loss = total_weighting_loss(lp, lm, alpha) + unmasked_weight * float(losses[n_cuts:].sum())
+    loss = lp + alpha * lm + unmasked_weight * float(losses[n_cuts:].sum())
     if not with_grads:
         return loss, lp, lm, None, sample
 
@@ -475,6 +444,31 @@ def _ramped_alpha(config: WeightingConfig, epoch: int) -> float:
     return config.alpha * min(1.0, (epoch + 1) / ramp)
 
 
+def _batch_loss_and_grads(
+    model: TokenWeightModel, batch: list[Question], rng: np.random.Generator, alpha: float
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """One minibatch: the summed loss, the summed prediction loss and the
+    summed gradients of one hard-mask visit per question. Each question
+    draws its noise, then its prefix cuts, from rng in batch order."""
+    prefix_samples = model.config.prefix_samples
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    batch_loss = 0.0
+    batch_pred = 0.0
+    for q in batch:
+        g1, g0 = _sample_noise(q.n_tokens, rng)
+        # one full-visibility cut per draw, the rest random: every
+        # token gets at least one prediction gradient each visit
+        prefixes = [q.n_tokens] + rng.integers(0, q.n_tokens + 1, size=prefix_samples - 1).tolist()
+        loss, lp, _, g, _ = weighting_loss_and_grads(
+            model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", alpha=alpha
+        )
+        batch_loss += loss
+        batch_pred += lp
+        for name in grads:
+            grads[name] += g[name]
+    return batch_loss, batch_pred, grads
+
+
 def _train_once(
     corpus: Corpus,
     config: WeightingConfig,
@@ -498,33 +492,18 @@ def _train_once(
         epoch_sum = 0.0
         epoch_pred = 0.0
         for start in range(0, nq, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-            batch_loss = 0.0
-            for qi in batch:
-                q = questions[int(qi)]
-                g1, g0 = _sample_noise(q.n_tokens, rng)
-                # one full-visibility cut per draw, the rest random: every
-                # token gets at least one prediction gradient each visit
-                prefixes = [q.n_tokens] + rng.integers(
-                    0, q.n_tokens + 1, size=config.prefix_samples - 1
-                ).tolist()
-                loss, lp, _, g, _ = weighting_loss_and_grads(
-                    model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", alpha=alpha
-                )
-                batch_loss += loss
-                epoch_pred += lp
-                for name in grads:
-                    grads[name] += g[name]
+            batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
+            batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}; lower the learning rate"
                 )
             for name in model.params:
-                model.params[name] -= (lr_by_name[name] / batch.size) * grads[name]
+                model.params[name] -= (lr_by_name[name] / len(batch)) * grads[name]
             for name in HEAD_DECAY_PARAMS:
                 model.params[name] *= decay_factor
             epoch_sum += batch_loss
+            epoch_pred += batch_pred
         epoch_losses.append(epoch_sum / nq)
         epoch_pred_losses.append(epoch_pred / nq)
     return model, epoch_losses, epoch_pred_losses

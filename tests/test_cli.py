@@ -606,6 +606,39 @@ def test_invalid_parameter_exits_2(small_corpus_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 99999999999999999999])
+@pytest.mark.parametrize("command", ["cluster", "weigh", "run"])
+def test_seed_outside_64_bits_exits_2(tmp_path, small_corpus_path, capsys, command, seed):
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(small_corpus_path), "--out", str(out), f"--seed={seed}"]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_seed_at_the_64_bit_bounds_works(tmp_path, small_corpus_path, seed):
+    argv = ["cluster", "--corpus", str(small_corpus_path), "--out", str(tmp_path), f"--seed={seed}"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "assess"])
+def test_negative_synthetic_logprobs_exits_2_and_names_it(tmp_path, small_corpus_path, capsys, command):
+    argv = [command, "--corpus", str(small_corpus_path), "--out", str(tmp_path), "--seed", "1"]
+    assert main(argv + ["--synthetic-logprobs", "-3"]) == 2
+    assert "synthetic_logprobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "assess", "cluster", "schedule"])
+def test_p_that_overflows_the_budget_curve_exits_2(tmp_path, small_corpus_path, capsys, command):
+    argv = [command, "--corpus", str(small_corpus_path), "--out", str(tmp_path), "--seed", "1"]
+    assert main(argv + ["--p", "500"]) == 2
+    err = capsys.readouterr().err
+    assert "p = 500" in err and "horizon 10" in err
+    # 1 ** (p + 1) is 1 for any p, so a horizon of 1 takes the same p
+    assert main(["validate", "--corpus", str(small_corpus_path), "--seed", "1", "--p", "500", "--t-max", "1"]) == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     code = main([

@@ -13,7 +13,6 @@ from cotpace.weighting import (
     MaskSample,
     WeightingConfig,
     WeightingError,
-    answer_prediction_loss,
     build_model,
     forward_weights,
     gradient_check,
@@ -21,7 +20,6 @@ from cotpace.weighting import (
     load_model,
     read_weights,
     save_model,
-    total_weighting_loss,
     train_weighting,
     write_weights,
 )
@@ -112,6 +110,17 @@ def test_sample_input_validation():
         gumbel_sample(np.array([1.0]), 1.0, seed=0)
 
 
+def test_noise_is_g1_then_g0_from_one_stream():
+    n = 13
+    rng = np.random.default_rng(31)
+    g1, g0 = weighting._sample_noise(n, rng)
+    ref = np.random.default_rng(31)
+    gumbel = lambda u: -np.log(-np.log(np.maximum(u, 1e-300)))
+    assert np.array_equal(g1, gumbel(ref.random(n)))
+    assert np.array_equal(g0, gumbel(ref.random(n)))
+    assert rng.random() == ref.random()
+
+
 def test_keep_rate_matches_weight_monte_carlo():
     n = 10_000
     s = gumbel_sample(np.full(n, 0.5), 1.0, seed=123)
@@ -149,26 +158,33 @@ def test_mask_ratio_loss_is_expected_kept_count():
     assert abs(mask_ratio_loss(ones) - n) < 1e-9
 
 
-def test_total_loss_combination():
-    assert total_weighting_loss(2.0, 4.0, 0.5) == 4.0
-    assert total_weighting_loss(2.0, 100.0, 0.0) == 2.0
-    assert total_weighting_loss(0.0, 0.0, 3.0) == 0.0
-    with pytest.raises(WeightingError, match="alpha"):
-        total_weighting_loss(1.0, 1.0, -0.1)
+# --- prediction loss of a visit ----------------------------------------------------
+#
+# The trainer's visit is the one place the masked prediction loss is computed;
+# these read its prediction part lp (no gradients) under noise that forces the
+# hard mask, as _noise_cases does.
 
 
-# --- answer_prediction_loss -------------------------------------------------------
+def _forced_noise(hard) -> tuple[np.ndarray, np.ndarray]:
+    """Noise (g1, g0) whose draw keeps exactly the tokens where hard is 1."""
+    big = np.where(np.asarray(hard) == 1, 60.0, -60.0)
+    return big, -big
 
 
-def _all_zero_sample(n: int) -> MaskSample:
-    return MaskSample(hard=np.zeros(n, dtype=np.int8), soft=np.full(n, 1e-9))
+def _prediction_loss(model, q, hard, prefixes) -> float:
+    g1, g0 = _forced_noise(hard)
+    _, lp, _, grads, sample = weighting.weighting_loss_and_grads(
+        model, q, g1=g1, g0=g0, prefixes=prefixes, with_grads=False
+    )
+    assert grads is None and np.array_equal(sample.hard, hard)
+    return lp
 
 
 def test_fully_masked_prefix_equals_question_only(model_small, arith_small):
     q = arith_small.questions[0]
-    sample = _all_zero_sample(q.n_tokens)
-    full = answer_prediction_loss(model_small, q, sample, prefixes=[q.n_tokens])
-    empty = answer_prediction_loss(model_small, q, sample, prefixes=[0])
+    masked = np.zeros(q.n_tokens, dtype=np.int8)
+    full = _prediction_loss(model_small, q, masked, prefixes=[q.n_tokens])
+    empty = _prediction_loss(model_small, q, masked, prefixes=[0])
     assert abs(full - empty) < 1e-9
 
 
@@ -178,31 +194,36 @@ def test_uniform_classifier_gives_log_num_classes(arith_small):
     model.params["b_cls"][:] = 0.0
     nc = len(model.classes)
     q = arith_small.questions[0]
-    sample = gumbel_sample(np.full(q.n_tokens, 0.5), 1.0, seed=0)
-    loss = answer_prediction_loss(model, q, sample, prefixes=[0, 1, q.n_tokens, 2])
-    assert abs(loss - 4.0 * math.log(nc)) < 1e-12
+    prefixes = [0, 1, q.n_tokens, 2]
+    for label, g1, g0 in _noise_cases(q.n_tokens):
+        _, lp, _, _, _ = weighting.weighting_loss_and_grads(
+            model, q, g1=g1, g0=g0, prefixes=prefixes, with_grads=False
+        )
+        assert abs(lp - len(prefixes) * math.log(nc)) < 1e-12, label
 
 
 def test_prediction_loss_input_validation(model_small, arith_small):
     q = arith_small.questions[0]
-    with pytest.raises(WeightingError, match="mask"):
-        answer_prediction_loss(model_small, q, _all_zero_sample(q.n_tokens + 1))
-    with pytest.raises(WeightingError, match="prefix"):
-        answer_prediction_loss(model_small, q, _all_zero_sample(q.n_tokens), prefixes=[q.n_tokens + 1])
+    g1, g0 = _forced_noise(np.ones(1, dtype=np.int8))
     stranger = Question(
         id="x", question_text="q", answer_text="never-seen-answer",
         rationale_tokens=["a"], step_spans=[(0, 1)], token_logprobs=None,
         token_weights=None, embedding=np.zeros(model_small.question_dim),
     )
-    with pytest.raises(WeightingError, match="class"):
-        answer_prediction_loss(model_small, stranger, _all_zero_sample(1))
     no_embed = Question(
-        id="y", question_text="q", answer_text=arith_small.questions[0].answer_text,
+        id="y", question_text="q", answer_text=q.answer_text,
         rationale_tokens=["a"], step_spans=[(0, 1)], token_logprobs=None,
         token_weights=None, embedding=None,
     )
-    with pytest.raises(WeightingError, match="embedding"):
-        answer_prediction_loss(model_small, no_embed, _all_zero_sample(1))
+    # the visit and the restart score's _cut_losses share these refusals
+    for bad, match in [(stranger, "class"), (no_embed, "embedding")]:
+        with pytest.raises(WeightingError, match=match):
+            weighting.weighting_loss_and_grads(model_small, bad, g1=g1, g0=g0, prefixes=[1])
+        with pytest.raises(WeightingError, match=match):
+            weighting._cut_losses(model_small, bad, np.ones((1, 1)))
+    g1, g0 = _forced_noise(np.ones(q.n_tokens, dtype=np.int8))
+    with pytest.raises(WeightingError, match="alpha"):
+        weighting.weighting_loss_and_grads(model_small, q, g1=g1, g0=g0, prefixes=[1], alpha=-0.1)
 
 
 def test_masked_token_cannot_influence_prediction(arith_small):
@@ -214,10 +235,9 @@ def test_masked_token_cannot_influence_prediction(arith_small):
     masked = next(i for i, t in enumerate(q.rationale_tokens) if q.rationale_tokens.count(t) == 1)
     hard = np.ones(n, dtype=np.int8)
     hard[masked] = 0
-    sample = MaskSample(hard=hard, soft=hard.astype(np.float64).clip(1e-9, 1 - 1e-9))
-    before = answer_prediction_loss(model, q, sample, prefixes=[n])
+    before = _prediction_loss(model, q, hard, prefixes=[n])
     model.params["h_embed"][model.vocab[q.rationale_tokens[masked]]] += 3.0
-    after = answer_prediction_loss(model, q, sample, prefixes=[n])
+    after = _prediction_loss(model, q, hard, prefixes=[n])
     assert abs(before - after) < 1e-9
 
 
@@ -356,16 +376,14 @@ def _noise_cases(n: int):
 @pytest.mark.parametrize("mask_mode", ["hard", "soft"])
 @pytest.mark.parametrize("unmasked_weight", [0.0, 0.3])
 def test_pooled_cuts_match_per_cut_reference(arith_small, mask_mode, unmasked_weight):
-    model = build_model(arith_small, WeightingConfig(seed=11))
+    model = build_model(arith_small, WeightingConfig(seed=11, unmasked_weight=unmasked_weight))
     checked = set()
     for q in arith_small.questions[:3]:
         n = q.n_tokens
         for label, g1, g0 in _noise_cases(n):
             prefixes = [0, n, 2, 2, n - 1, n]
             kwargs = dict(g1=g1, g0=g0, prefixes=prefixes, mask_mode=mask_mode, alpha=0.7)
-            loss, lp, lm, grads, sample = weighting.weighting_loss_and_grads(
-                model, q, unmasked_weight=unmasked_weight, **kwargs
-            )
+            loss, lp, lm, grads, sample = weighting.weighting_loss_and_grads(model, q, **kwargs)
             ref = _oracle_loss_and_grads(
                 model, q, g1, g0, prefixes, mask_mode, alpha=0.7, unmasked_weight=unmasked_weight
             )
@@ -384,16 +402,14 @@ def test_pooled_cuts_match_per_cut_reference(arith_small, mask_mode, unmasked_we
             g_scale = max(float(np.max(np.abs(g))) for g in r_grads.values())
             for name, g in r_grads.items():
                 _assert_close(grads[name], g, f"d{name} {where}", g_scale)
-            no_grads = weighting.weighting_loss_and_grads(
-                model, q, unmasked_weight=unmasked_weight, with_grads=False, **kwargs
-            )
+            no_grads = weighting.weighting_loss_and_grads(model, q, with_grads=False, **kwargs)
             assert no_grads[:3] == (loss, lp, lm) and no_grads[3] is None
             checked.add(int(sample.hard.sum()))
     # the fixed noise really produced an all-masked and an all-kept draw
     assert 0 in checked and max(checked) == max(q.n_tokens for q in arith_small.questions[:3])
 
 
-def test_answer_prediction_loss_matches_per_cut_reference(arith_small):
+def test_cut_losses_match_per_cut_reference(arith_small):
     model = build_model(arith_small, WeightingConfig(seed=12))
     p = model.params
     sd = math.sqrt(model.config.d_embed)
@@ -405,17 +421,15 @@ def test_answer_prediction_loss_matches_per_cut_reference(arith_small):
         cls_idx = model.classes[q.answer_text]
         for label, g1, g0 in _noise_cases(n):
             soft = weighting._soft_mask(np.full(n, 0.5), g1, g0, model.config.tau)
-            sample = MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
+            hard = (soft >= 0.5).astype(np.float64)
             prefixes = [0, n, 1, 1, n // 2]
-            expected = sum(
-                _oracle_prefix_loss(
-                    he, xr, s_tok, s_x, sample.hard.astype(np.float64), k,
-                    p["w_cls"], p["b_cls"], cls_idx,
-                )[0]
+            expected = [
+                _oracle_prefix_loss(he, xr, s_tok, s_x, hard, k, p["w_cls"], p["b_cls"], cls_idx)[0]
                 for k in prefixes
-            )
-            got = answer_prediction_loss(model, q, sample, prefixes=prefixes)
-            _assert_close(got, expected, f"{q.id} {label}")
+            ]
+            got = weighting._cut_losses(model, q, weighting._prefix_rows(prefixes, n) * hard)
+            for c, (g, e) in enumerate(zip(got, expected)):
+                _assert_close(g, e, f"{q.id} {label} cut {c}")
 
 
 # --- gradient check ---------------------------------------------------------------
@@ -447,6 +461,63 @@ def test_training_is_deterministic():
     assert a.restart_scores == b.restart_scores
     for qid, w in a.weights.items():
         assert np.array_equal(w, b.weights[qid])
+
+
+def test_batch_step_sums_the_visits_in_batch_order(arith_small, monkeypatch):
+    model = build_model(arith_small, WeightingConfig(seed=13, prefix_samples=3))
+    qs = arith_small.questions
+    batch = [qs[3], qs[0], qs[5], qs[0]]
+    alpha = 0.35
+    # the documented order: per question in batch order, its noise, then
+    # its prefix cuts (the full cut first, then prefix_samples - 1 draws)
+    rng = np.random.default_rng(8)
+    loss = pred = 0.0
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    for q in batch:
+        g1, g0 = weighting._sample_noise(q.n_tokens, rng)
+        prefixes = [q.n_tokens] + rng.integers(0, q.n_tokens + 1, size=2).tolist()
+        q_loss, lp, _, g, _ = weighting.weighting_loss_and_grads(
+            model, q, g1=g1, g0=g0, prefixes=prefixes, alpha=alpha
+        )
+        loss += q_loss
+        pred += lp
+        for name in grads:
+            grads[name] += g[name]
+    visited = []
+    visit = weighting.weighting_loss_and_grads
+
+    def counted(model, question, **kwargs):
+        visited.append(question.id)
+        return visit(model, question, **kwargs)
+
+    monkeypatch.setattr(weighting, "weighting_loss_and_grads", counted)
+    got_rng = np.random.default_rng(8)
+    got_loss, got_pred, got_grads = weighting._batch_loss_and_grads(model, batch, got_rng, alpha)
+    assert visited == [q.id for q in batch]
+    assert got_loss == loss and got_pred == pred
+    assert set(got_grads) == set(grads)
+    for name, g in grads.items():
+        assert np.array_equal(got_grads[name], g), name
+    assert got_rng.random() == rng.random()
+
+
+def test_trainer_takes_each_minibatch_through_the_batch_step(monkeypatch):
+    corpus = make_arith_corpus(7, seed=2)
+    config = WeightingConfig(epochs=3, restarts=2, batch_size=3, seed=17)
+    plain = train_weighting(corpus, config)
+    batches = []
+    step = weighting._batch_loss_and_grads
+
+    def counted(model, batch, rng, alpha):
+        batches.append(len(batch))
+        return step(model, batch, rng, alpha)
+
+    monkeypatch.setattr(weighting, "_batch_loss_and_grads", counted)
+    traced = train_weighting(corpus, config)
+    assert batches == [3, 3, 1] * (config.epochs * config.restarts)
+    assert traced.epoch_losses == plain.epoch_losses
+    for qid, w in plain.weights.items():
+        assert np.array_equal(traced.weights[qid], w)
 
 
 def test_keypoint_tokens_outscore_filler(keypoint_run):
