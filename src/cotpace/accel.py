@@ -66,109 +66,67 @@ def bruteforce_best_subset(deltas, clusters, n_clusters, budget, beta):
 
 # ---------------------------------------------------------------------------
 # threshold-greedy admission sweep. Thresholds start at the largest initial
-# gain density and decay by (1 - eps) down to theta_max * eps / (2n). The
-# sweep also stops once a decay step no longer lowers theta: an infinite
-# theta_max (a delta small enough for (d + beta) / d to overflow) or an eps
-# too small to move theta would otherwise loop forever.
-# _greedy_admit_seq is the plain sequential loop. greedy_admit gives the same
-# mask while visiting fewer candidates, and falls back to the loop where its
-# pruning does not hold.
-
-
-def _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps):
-    n = deltas.shape[0]
-    selected = np.zeros(n, dtype=np.bool_)
-    counts = np.zeros(n_clusters, dtype=np.int64)
-    total = 0.0
-    theta_max = 0.0
-    for i in range(n):
-        d = deltas[i]
-        if d > 0.0 and d <= budget:
-            dens = (d + beta) / d
-            if dens > theta_max:
-                theta_max = dens
-    if theta_max > 0.0:
-        theta = theta_max
-        theta_min = theta_max * eps / (2.0 * n)
-        while theta >= theta_min:
-            for i in range(n):
-                if selected[i]:
-                    continue
-                d = deltas[i]
-                c = clusters[i]
-                gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
-                if d == 0.0:
-                    if gain > 0.0:
-                        selected[i] = True
-                        counts[c] += 1
-                elif total + d <= budget and gain / d >= theta:
-                    selected[i] = True
-                    counts[c] += 1
-                    total += d
-            lower = theta * (1.0 - eps)
-            if not lower < theta:
-                break
-            theta = lower
-    # zero-threshold pass: any remaining feasible candidate with positive
-    # gain only raises the (monotone) objective.
-    for i in range(n):
-        if selected[i]:
-            continue
-        d = deltas[i]
-        c = clusters[i]
-        gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
-        if gain > 0.0 and total + d <= budget:
-            selected[i] = True
-            counts[c] += 1
-            total += d
-    return selected
+# gain density and decay by (1 - eps) down to theta_max * eps / (2n), then a
+# last pass at threshold 0 admits any feasible candidate whose gain is still
+# positive. The sweep also stops once a decay step no longer lowers theta: an
+# infinite theta_max (a delta small enough for (d + beta) / d to overflow) or
+# an eps too small to move theta would otherwise loop forever.
+# tests/test_accel.py holds the plain per-candidate loop this sweep equals.
 
 
 # sqrt(c + 1) - sqrt(c), rounded to float64, is non-increasing for every
-# cluster count c below this (tests/test_accel.py checks it).
+# cluster count c below this (tests/test_accel.py checks it); the sweep's
+# pruning needs that, so it takes fewer candidates than this.
 MONOTONE_COUNTS = 1 << 21
 
 
 def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):
     """Boolean mask of candidates admitted by the decaying threshold sweep.
 
-    The mask of _greedy_admit_seq, pass by pass. Within a pass cluster
-    counts and the running total only grow, so with beta >= 0 and no
-    negative delta a candidate's gain density only falls and its budget
-    test only gets harder. A candidate that fails at the start of a pass
-    therefore fails at its turn: each pass tests every open candidate at
-    once, then walks only those that passed, in index order, re-testing
-    each with the live counts and total."""
+    Each pass walks the open candidates in index order and admits one when
+    it fits the budget and its gain over its delta reaches the threshold (a
+    zero delta: when its gain is positive). Within a pass cluster counts
+    and the running total only grow, so with beta >= 0 and no negative
+    delta a candidate's gain density only falls and its budget test only
+    gets harder. A candidate that fails at the start of a pass therefore
+    fails at its turn: each pass tests every open candidate at once, then
+    walks only those that passed, re-testing each with the live counts and
+    total. Raises ValueError, before any work, where that argument fails:
+    a budget or beta below 0, a negative delta, or MONOTONE_COUNTS
+    candidates or more."""
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
     clusters = np.ascontiguousarray(clusters, dtype=np.int64)
     budget, beta, eps = float(budget), float(beta), float(eps)
     n = deltas.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.bool_)
-    if beta < 0.0 or n >= MONOTONE_COUNTS or np.any(deltas < 0.0):
-        return _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps)
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if beta < 0.0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    if np.any(deltas < 0.0):
+        raise ValueError(f"deltas must be >= 0, got {deltas.min()}")
+    if n >= MONOTONE_COUNTS:
+        raise ValueError(
+            f"{n} candidates: the sweep takes fewer than {MONOTONE_COUNTS} (2**21),"
+            " below which its pruning holds"
+        )
     selected = np.zeros(n, dtype=np.bool_)
+    if n == 0:
+        return selected
     counts = np.zeros(n_clusters, dtype=np.int64)
     total = 0.0
 
-    def sweep(theta):  # theta None: the zero-threshold pass
+    def sweep(theta):
         nonlocal total
         open_ = np.flatnonzero(~selected)
         d = deltas[open_]
         c = counts[clusters[open_]].astype(np.float64)
         gain = d + beta * (np.sqrt(c + 1.0) - np.sqrt(c))
-        fits = total + d <= budget
-        if theta is None:
-            ok = (gain > 0.0) & fits
-        else:
-            ok = np.where(d == 0.0, gain > 0.0, fits & (gain / d >= theta))
+        ok = np.where(d == 0.0, gain > 0.0, (total + d <= budget) & (gain / d >= theta))
         for i in open_[ok]:
             d = deltas[i]
             c = clusters[i]
             gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
-            if theta is None:
-                admit = gain > 0.0 and total + d <= budget
-            elif d == 0.0:
+            if d == 0.0:
                 admit = gain > 0.0
             else:
                 admit = total + d <= budget and gain / d >= theta
@@ -178,11 +136,10 @@ def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):
                 total += d
 
     # (d + beta) / d and gain / d overflow for tiny d and are nan for d == 0;
-    # the comparisons treat both as the sequential loop does.
+    # the comparisons treat both as the plain loop does.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pos = deltas[(deltas > 0.0) & (deltas <= budget)]
         dens = (pos + beta) / pos
-        dens = dens[dens > 0.0]
         theta_max = dens.max() if dens.size else 0.0
         if theta_max > 0.0:
             theta = theta_max
@@ -193,7 +150,9 @@ def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):
                 if not lower < theta:
                     break
                 theta = lower
-        sweep(None)
+        # with every delta >= 0, a candidate with d > 0 has gain >= d > 0,
+        # so gain / d >= 0 is the zero-threshold pass's gain > 0.
+        sweep(0.0)
     return selected
 
 

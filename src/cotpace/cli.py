@@ -50,15 +50,21 @@ from .weighting import (
 def _knob(default, help, *, flag=None, metavar=None, stage=None, stage_field=None):
     """A PipelineConfig field. Its metadata holds the flag where it is not
     the name with dashes, the --help text, and the stage config class the
-    value is copied into (under stage_field where the names differ)."""
+    value is copied into, under stage_field."""
     meta = {"help": help, "flag": flag, "metavar": metavar, "stage": stage, "stage_field": stage_field}
     return dataclasses.field(default=default, metadata=meta)
+
+
+def _stage_knob(stage, stage_field, help):
+    """A knob copied into stage's config field stage_field, whose default it takes."""
+    return _knob(getattr(stage, stage_field), help, stage=stage, stage_field=stage_field)
 
 
 @dataclasses.dataclass
 class PipelineConfig:
     """Every pipeline knob, defined once: each field is a config key and a
-    flag, and the converters, flags and stage configs derive from it."""
+    flag, and the converters, flags and stage configs derive from it. A
+    knob copied into a stage config takes that config's default."""
 
     corpus: str = _knob("", "corpus JSONL path")
     out: str = _knob("out", "output directory (default: out)")
@@ -68,20 +74,20 @@ class PipelineConfig:
         None, "generate seeded logprobs instead of requiring token_logprobs", metavar="SEED"
     )
     # significance model
-    alpha: float = _knob(0.5, "mask-ratio penalty", stage=WeightingConfig)
-    tau: float = _knob(1.0, "relaxation temperature", stage=WeightingConfig)
-    weight_lr: float = _knob(0.05, "answer-head learning rate", stage=WeightingConfig, stage_field="lr")
-    scorer_lr: float = _knob(0.005, "scorer learning rate", stage=WeightingConfig)
-    head_decay: float = _knob(5e-3, "L2 shrink per update on answer-head weights", stage=WeightingConfig)
-    weight_epochs: int = _knob(200, "significance model epochs", stage=WeightingConfig, stage_field="epochs")
-    batch_size: int = _knob(8, "questions per significance model update", stage=WeightingConfig)
-    prefix_samples: int = _knob(4, "prefix cuts sampled per question visit", stage=WeightingConfig)
-    restarts: int = _knob(3, "independent weighting runs, best kept", stage=WeightingConfig)
-    unmasked_weight: float = _knob(0.3, "weight of the always-visible predictor pass", stage=WeightingConfig)
-    d_embed: int = _knob(32, "token embedding width", stage=WeightingConfig)
-    d_hidden: int = _knob(32, "scorer hidden width", stage=WeightingConfig)
+    alpha: float = _stage_knob(WeightingConfig, "alpha", "mask-ratio penalty")
+    tau: float = _stage_knob(WeightingConfig, "tau", "relaxation temperature")
+    weight_lr: float = _stage_knob(WeightingConfig, "lr", "answer-head learning rate")
+    scorer_lr: float = _stage_knob(WeightingConfig, "scorer_lr", "scorer learning rate")
+    head_decay: float = _stage_knob(WeightingConfig, "head_decay", "L2 shrink per update on answer-head weights")
+    weight_epochs: int = _stage_knob(WeightingConfig, "epochs", "significance model epochs")
+    batch_size: int = _stage_knob(WeightingConfig, "batch_size", "questions per significance model update")
+    prefix_samples: int = _stage_knob(WeightingConfig, "prefix_samples", "prefix cuts sampled per question visit")
+    restarts: int = _stage_knob(WeightingConfig, "restarts", "independent weighting runs, best kept")
+    unmasked_weight: float = _stage_knob(WeightingConfig, "unmasked_weight", "weight of the always-visible predictor pass")
+    d_embed: int = _stage_knob(WeightingConfig, "d_embed", "token embedding width")
+    d_hidden: int = _stage_knob(WeightingConfig, "d_hidden", "scorer hidden width")
     # schedule and selection
-    epochs: int = _knob(20, "student epochs / schedule stages", stage=StudentConfig)
+    epochs: int = _stage_knob(StudentConfig, "epochs", "student epochs / schedule stages")
     t_max: int | None = _knob(None, "budget horizon (default epochs/2)")
     p: float = _knob(0.5, "budget curve exponent")
     c0_frac: float = _knob(0.3, "warm start as a fraction of total difficulty")
@@ -90,7 +96,7 @@ class PipelineConfig:
     beta: float = _knob(12.0, "diversity bonus")
     eps: float = _knob(0.1, "threshold decay")
     # student simulation
-    student_lr: float = _knob(0.5, "student learning rate", stage=StudentConfig, stage_field="lr")
+    student_lr: float = _stage_knob(StudentConfig, "lr", "student learning rate")
     simulate: bool = _knob(False, "run the student after the pipeline")
 
     @property
@@ -100,7 +106,7 @@ class PipelineConfig:
     def stage_config(self, cls, **extra):
         """cls built from the knobs whose metadata names it, plus extra."""
         values = {
-            f.metadata["stage_field"] or f.name: getattr(self, f.name)
+            f.metadata["stage_field"]: getattr(self, f.name)
             for f in dataclasses.fields(self)
             if f.metadata["stage"] is cls
         }
@@ -309,7 +315,7 @@ def cmd_cluster(cfg: PipelineConfig) -> int:
 
 
 def cmd_schedule(cfg: PipelineConfig) -> int:
-    """Plan every stage under the budget curve -> schedule.json."""
+    """Plan stages 0..epochs under the budget curve -> schedule.json."""
     corpus = _load_corpus(cfg)
     out = _out_dir(cfg)
     table = read_table(out / "difficulty.jsonl", corpus)
@@ -329,7 +335,7 @@ def cmd_schedule(cfg: PipelineConfig) -> int:
         beta=cfg.beta,
         eps=cfg.eps,
         step_reduction=cfg.delta_s,
-        total_stages=max(cfg.epochs, cfg.horizon),
+        total_stages=cfg.epochs,
     )
     _atomic(lambda p: write_schedule(plan, p), out / "schedule.json")
     print(f"[schedule] wrote {out / 'schedule.json'} ({len(plan.stages)} stages)")

@@ -299,7 +299,8 @@ def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: 
     Missing step_spans are derived by segment_steps; missing embeddings by
     embed_question (dim inferred from any supplied embedding, else
     embedding_dim). Blank lines are skipped. Raises ParseError naming the
-    file and line for malformed lines, ValidationError for invariant breaks.
+    file and line for malformed lines, ValidationError for invariant breaks
+    and for a file without questions.
     """
     questions: list[Question] = []
     for lineno, rec in read_jsonl(path, REQUIRED_KEYS):
@@ -311,6 +312,8 @@ def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: 
         for key in unknown:
             del rec[key]
         questions.append(_record_to_question(rec, f"line {lineno}"))
+    if not questions:
+        raise ValidationError(f"{path}: no questions")
     dim = embedding_dim
     for q in questions:
         if q.embedding is not None:

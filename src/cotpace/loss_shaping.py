@@ -128,11 +128,12 @@ def build_stage_loss_specs(corpus: Corpus, stages: list[dict[str, int]], epochs:
     stage where that question's input-step count, and so its window,
     changes; in stage order, then corpus order. stages[t] holds stage t's
     input-step counts; a spec holds until the next one for its question.
-    The student trains for epochs epochs, so stages 1..epochs must exist."""
+    The student trains for epochs epochs, so stages 1..epochs must exist,
+    and later stages are not shaped."""
     _check_epochs(stages, epochs)
     specs: list[LossSpec] = []
     previous = None
-    for t, counts in enumerate(_stage_counts(corpus, stages), start=1):
+    for t, counts in enumerate(_stage_counts(corpus, stages[: epochs + 1]), start=1):
         changed = range(counts.size) if previous is None else np.flatnonzero(counts != previous)
         specs.extend(shape_stage_loss(corpus.questions[i], counts[i], stage=t) for i in changed)
         previous = counts

@@ -3,8 +3,9 @@
 The budget curve starts at a warm-start allowance and grows polynomially
 to the full corpus difficulty at the horizon stage. Each stage admits
 question increments (selection module) so that the cumulative generated
-difficulty never outruns the curve; past the horizon every question is
-generated in full (no input steps remain).
+difficulty never outruns the curve; from the horizon on every question is
+generated in full (no input steps remain). A plan that ends before its
+horizon stops the curriculum at its last stage.
 """
 from __future__ import annotations
 
@@ -98,20 +99,17 @@ def plan_full_schedule(
     step_reduction: int = 1,
     total_stages: int | None = None,
 ) -> Schedule:
-    """Plan every stage 0..total_stages.
+    """Plan every stage 0..total_stages (default: the curve horizon).
 
     Each stage's budget is D(t) minus the difficulty already generated.
     Stage 0 repeats selection rounds against it until no candidate is
     admitted; stages before the horizon run one round each; at the horizon
     and beyond the budget covers the whole corpus and every input-step
-    count drops to zero.
+    count drops to zero. With total_stages below the horizon the plan is
+    the first total_stages + 1 stages of the horizon's plan.
     """
     if total_stages is None:
         total_stages = curve.t_max
-    if total_stages < curve.t_max:
-        raise ValueError(
-            f"total_stages {total_stages} shorter than the curve horizon {curve.t_max}"
-        )
 
     def select_round(steps: dict[str, int], budget: float) -> tuple[list[str], list[float]]:
         """The ids one selection round admits, and their increments."""

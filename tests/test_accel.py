@@ -1,6 +1,7 @@
 """The numpy kernels of the selection stage against plain reference loops."""
 from __future__ import annotations
 
+import inspect
 import os
 import re
 import subprocess
@@ -105,6 +106,58 @@ def test_empty_inputs_short_circuit():
 
 # --- the pruned greedy sweep ------------------------------------------------------
 
+
+# The plain sequential loop: every pass tests every open candidate in index
+# order with the live counts and total. accel.greedy_admit must give its mask.
+def _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps):
+    n = deltas.shape[0]
+    selected = np.zeros(n, dtype=np.bool_)
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    total = 0.0
+    theta_max = 0.0
+    for i in range(n):
+        d = deltas[i]
+        if d > 0.0 and d <= budget:
+            dens = (d + beta) / d
+            if dens > theta_max:
+                theta_max = dens
+    if theta_max > 0.0:
+        theta = theta_max
+        theta_min = theta_max * eps / (2.0 * n)
+        while theta >= theta_min:
+            for i in range(n):
+                if selected[i]:
+                    continue
+                d = deltas[i]
+                c = clusters[i]
+                gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
+                if d == 0.0:
+                    if gain > 0.0:
+                        selected[i] = True
+                        counts[c] += 1
+                elif total + d <= budget and gain / d >= theta:
+                    selected[i] = True
+                    counts[c] += 1
+                    total += d
+            lower = theta * (1.0 - eps)
+            if not lower < theta:
+                break
+            theta = lower
+    # zero-threshold pass: any remaining feasible candidate with positive
+    # gain only raises the (monotone) objective.
+    for i in range(n):
+        if selected[i]:
+            continue
+        d = deltas[i]
+        c = clusters[i]
+        gain = d + beta * (np.sqrt(counts[c] + 1.0) - np.sqrt(float(counts[c])))
+        if gain > 0.0 and total + d <= budget:
+            selected[i] = True
+            counts[c] += 1
+            total += d
+    return selected
+
+
 # 1e-308 and 5e-324 make (d + beta) / d overflow to inf for beta > 1.
 _deltas = st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-308, 5e-324]) | st.floats(0.0, 10.0)
 
@@ -125,12 +178,36 @@ def test_pruned_sweep_matches_the_sequential_loop(deltas, budget, beta, eps, k, 
     d = np.asarray(deltas, dtype=np.float64)
     c = np.asarray(labels, dtype=np.int64)
     with np.errstate(over="ignore"):
-        expected = accel._greedy_admit_seq(d, c, k, budget, beta, eps)
+        expected = _greedy_admit_seq(d, c, k, budget, beta, eps)
     assert np.array_equal(accel.greedy_admit(d, c, k, budget, beta, eps), expected)
 
 
+@pytest.mark.parametrize(
+    "n, budget, beta, delta, match",
+    [
+        (3, 1.0, -0.5, 1.0, "beta must be >= 0"),
+        (3, 1.0, 1.0, -1e-300, "deltas must be >= 0"),
+        (3, -1.0, 1.0, 1.0, "budget must be >= 0"),
+        (3, float("nan"), 1.0, 1.0, "budget must be >= 0"),
+        (accel.MONOTONE_COUNTS, 1.0, 1.0, 1.0, "2097152 candidates.*fewer than 2097152"),
+    ],
+)
+def test_greedy_refuses_what_its_pruning_does_not_cover(monkeypatch, n, budget, beta, delta, match):
+    # Each refusal comes before any work: no zeros array is allocated.
+    deltas = np.full(n, 1.0)
+    deltas[-1] = delta
+    clusters = np.zeros(n, dtype=np.int64)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(accel.np, "zeros", no_work)
+    with pytest.raises(ValueError, match=match):
+        accel.greedy_admit(deltas, clusters, 1, budget, beta, 0.1)
+
+
 def test_sqrt_step_is_non_increasing_below_the_pruning_limit():
-    # The pruned sweep skips a candidate that fails at the start of a pass
+    # The limit on greedy_admit's candidates comes from here: the pruned sweep skips a candidate that fails at the start of a pass
     # because its gain can only fall as its cluster fills; that needs the
     # rounded sqrt(c + 1) - sqrt(c) to be non-increasing in c.
     prev = np.inf
@@ -142,14 +219,16 @@ def test_sqrt_step_is_non_increasing_below_the_pruning_limit():
         prev = step[-1]
 
 
+# The child runs the sweep and the oracle, whose source it is given.
 _OVERFLOW_CHILD = """
 import numpy as np
 from cotpace import accel
 from cotpace.selection import ClusterAssignment, SelectionProblem, select_ftgp
 
+""" + inspect.getsource(_greedy_admit_seq) + """
 d, c = np.array([1e-308, 1.0]), np.array([0, 1])
-for name in ("greedy_admit", "_greedy_admit_seq"):
-    mask = getattr(accel, name)(d, c, 2, 2.0, 12.0, 0.1)
+for name, admit in (("greedy_admit", accel.greedy_admit), ("_greedy_admit_seq", _greedy_admit_seq)):
+    mask = admit(d, c, 2, 2.0, 12.0, 0.1)
     assert d[mask].sum() <= 2.0, mask
     print(name, mask.tolist())
 clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1})

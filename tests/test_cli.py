@@ -499,6 +499,21 @@ def test_shape_loss_needs_a_stage_per_epoch(tmp_path, planned_out, small_corpus_
         assert not (out / artifact).exists()
 
 
+def test_schedule_plans_only_the_stages_the_student_trains_on(tmp_path, small_corpus_path, capsys):
+    # schedule planned max(epochs, horizon) stages: --t-max 2000 wrote 2001
+    # of them, and shape-loss shaped windows up to stage 2000, while the
+    # student trains on stages 1..20. A horizon past the last epoch now cuts
+    # the curriculum there.
+    argv = ["--corpus", str(small_corpus_path), "--out", str(tmp_path), "--seed", "1", "--t-max", "2000"]
+    for command in ("assess", "cluster", "schedule", "shape-loss", "simulate"):
+        assert main([command, *argv]) == 0, command
+    stages = json.loads((tmp_path / "schedule.json").read_text())["stages"]
+    assert [rec["t"] for rec in stages] == list(range(21))
+    assert any(stages[-1]["c"].values())  # the horizon is not reached
+    lines = [json.loads(line) for line in (tmp_path / "losses.jsonl").read_text().splitlines()]
+    assert lines and max(line["t"] for line in lines) <= 20
+
+
 def test_shape_loss_reads_no_weights(tmp_path, planned_out, small_corpus_path):
     # shape-loss read and checked weights.jsonl although losses.jsonl holds
     # token ranges only, so a malformed file exited 2
@@ -591,6 +606,19 @@ def test_malformed_file_names_the_file(tmp_path, planned_out, small_corpus_path,
     code, _ = _rerun(tmp_path, planned_out, corpus_path, command, edit or (lambda out: None))
     assert code == 2  # the message named neither the file nor the line
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", ["validate", "assess", "cluster", "weigh", "run"])
+def test_a_corpus_without_questions_exits_2_and_names_it(tmp_path, capsys, command, text):
+    # validate said "ok: 0 questions", assess wrote an empty difficulty.jsonl
+    # and cluster exited 2 with "no embeddings to cluster", naming no file.
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text(text)
+    argv = [command, "--corpus", str(corpus), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main([*argv, "--synthetic-logprobs", "1"]) == 2
+    assert f"{corpus}: no questions" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):

@@ -240,10 +240,16 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     assert [len(r.selected) for r in plan.stages] == [50, 5, 10, 11, 11, 12, 9, 0, 0]
 
 
-def test_plan_requires_enough_stages():
-    table = _unit_table()
-    with pytest.raises(ValueError, match="shorter"):
-        _plan(table, c0=1.0, t_max=5, total_stages=3)
+def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():
+    # The curriculum is cut at the last stage: the stages before it are
+    # those of the full plan, and input steps are left.
+    table = _unit_table(n_questions=4, n_steps=3)
+    cut = _plan(table, c0=1.0, t_max=5, total_stages=3)
+    full = _plan(table, c0=1.0, t_max=5)
+    assert [r.t for r in cut.stages] == [0, 1, 2, 3]
+    assert cut.stages == full.stages[:4]
+    assert cut.params == full.params
+    assert any(cut.stages[-1].input_steps.values())
 
 
 def test_plan_deterministic():
