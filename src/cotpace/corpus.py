@@ -16,8 +16,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import struct
+import sys
 
 import numpy as np
 
@@ -100,8 +100,8 @@ class Question:
     answer_text: str
     rationale_tokens: list[str]
     step_spans: list[tuple[int, int]]
-    token_logprobs: list[float] | None = None
-    token_weights: list[float] | None = None
+    token_logprobs: np.ndarray | None = None  # float64, one per token
+    token_weights: np.ndarray | None = None  # float64, one per token
     embedding: np.ndarray | None = None
 
     @property
@@ -134,26 +134,26 @@ class Question:
             if k > 0 and s != spans[k - 1][1]:
                 raise ValidationError(f"field 'step_spans' of {qid!r}: span {k} not contiguous")
         if self.token_logprobs is not None:
-            lp = self.token_logprobs
+            lp = np.asarray(self.token_logprobs, dtype=np.float64)
             if len(lp) != n:
                 raise ValidationError(
                     f"field 'token_logprobs' of {qid!r}: length {len(lp)} != {n} tokens"
                 )
-            if not all(-math.inf < v <= 0.0 for v in lp):  # NaN fails both comparisons
+            if not ((lp > -np.inf) & (lp <= 0.0)).all():  # NaN fails both comparisons
                 raise ValidationError(
                     f"field 'token_logprobs' of {qid!r}: entries must be finite and <= 0"
                 )
         if self.token_weights is not None:
-            tw = self.token_weights
+            tw = np.asarray(self.token_weights, dtype=np.float64)
             if len(tw) != n:
                 raise ValidationError(
                     f"field 'token_weights' of {qid!r}: length {len(tw)} != {n} tokens"
                 )
-            if not all(0.0 <= v <= 1.0 for v in tw):
+            if not ((tw >= 0.0) & (tw <= 1.0)).all():
                 raise ValidationError(
                     f"field 'token_weights' of {qid!r}: entries must lie in [0, 1]"
                 )
-        if self.embedding is not None and not np.all(np.isfinite(self.embedding)):
+        if self.embedding is not None and not np.isfinite(self.embedding).all():
             raise ValidationError(f"field 'embedding' of {qid!r}: non-finite values")
 
 
@@ -219,6 +219,11 @@ def float_list(value, field: str, where: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def float_array(value, field: str, where: str) -> np.ndarray:
+    """The JSON list as a float64 array; errors as float_list's."""
+    return np.asarray(float_list(value, field, where), dtype=np.float64)
+
+
 def json_object(value, keys, where: str) -> dict:
     """value, which must be a JSON object holding every key in keys."""
     if not isinstance(value, dict):
@@ -254,6 +259,10 @@ def read_json(path, keys=()) -> dict:
         return json_object(_decode(fh.read(), str(path)), keys, str(path))
 
 
+def _optional_array(rec: dict, field: str, where: str) -> np.ndarray | None:
+    return float_array(rec[field], field, where) if field in rec else None
+
+
 def _record_to_question(rec: dict, where: str) -> Question:
     qid = expect_type(rec["id"], str, "id", where)
     where = f"{qid!r} ({where})"
@@ -261,6 +270,9 @@ def _record_to_question(rec: dict, where: str) -> Question:
     if not set(map(type, tokens)) <= {str}:
         for t in tokens:  # name the type of the first entry that is not a string
             expect_type(t, str, "rationale_tokens", where)
+    # a corpus repeats a small vocabulary; one string per distinct token keeps
+    # the parsed corpus at vocabulary size, not at one object per occurrence
+    tokens = list(map(sys.intern, tokens))
     if "step_spans" in rec:
         raw = expect_type(rec["step_spans"], list, "step_spans", where)
         spans = []
@@ -274,21 +286,15 @@ def _record_to_question(rec: dict, where: str) -> Question:
             spans.append((start, end))
     else:
         spans = segment_steps(tokens)
-    embedding = None
-    if "embedding" in rec:
-        embedding = np.asarray(float_list(rec["embedding"], "embedding", where), dtype=np.float64)
+    embedding = _optional_array(rec, "embedding", where)
     return Question(
         id=qid,
         question_text=expect_type(rec["question"], str, "question", where),
         answer_text=expect_type(rec["answer"], str, "answer", where),
         rationale_tokens=tokens,
         step_spans=spans,
-        token_logprobs=float_list(rec["token_logprobs"], "token_logprobs", where)
-        if "token_logprobs" in rec
-        else None,
-        token_weights=float_list(rec["token_weights"], "token_weights", where)
-        if "token_weights" in rec
-        else None,
+        token_logprobs=_optional_array(rec, "token_logprobs", where),
+        token_weights=_optional_array(rec, "token_weights", where),
         embedding=embedding,
     )
 
@@ -335,9 +341,9 @@ def question_to_record(q: Question) -> dict:
         "rationale_tokens": list(q.rationale_tokens),
     }
     if q.token_logprobs is not None:
-        rec["token_logprobs"] = list(q.token_logprobs)
+        rec["token_logprobs"] = np.asarray(q.token_logprobs, dtype=np.float64).tolist()
     if q.token_weights is not None:
-        rec["token_weights"] = list(q.token_weights)
+        rec["token_weights"] = np.asarray(q.token_weights, dtype=np.float64).tolist()
     rec["step_spans"] = [[s, e] for s, e in q.step_spans]
     if q.embedding is not None:
         rec["embedding"] = [float(v) for v in q.embedding]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, expect_type, float_list, read_jsonl
+from .corpus import Corpus, Question, expect_type, float_array, read_jsonl
 
 
 class DifficultyError(ValueError):
@@ -131,7 +131,7 @@ def read_table(path, corpus: Corpus) -> DifficultyTable:
         qid = expect_type(rec["id"], str, "id", where)
         if qid in steps:
             raise DifficultyError(f"{path}: step difficulties for {qid!r} appear twice")
-        d = np.asarray(float_list(rec["step_difficulties"], "step_difficulties", f"{qid!r} ({where})"))
+        d = float_array(rec["step_difficulties"], "step_difficulties", f"{qid!r} ({where})")
         bad = d[~np.isfinite(d)]
         if bad.size:
             raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is not finite")

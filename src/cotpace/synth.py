@@ -27,9 +27,9 @@ _FILLERS = (
 _TOPICS = ("apples", "coins", "marbles", "pages", "points", "blocks", "cards", "shells")
 
 
-def _beta_logprobs(rng: np.random.Generator, n: int) -> list[float]:
+def _beta_logprobs(rng: np.random.Generator, n: int) -> np.ndarray:
     p = np.clip(rng.beta(2.0, 2.0, size=n), 1e-12, 1.0 - 1e-12)
-    return [float(v) for v in np.log(p)]
+    return np.log(p)
 
 
 def make_arith_corpus(n_questions: int = 50, seed: int = 1234, dim: int = 64) -> Corpus:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, expect_type, float_list, read_jsonl
+from .corpus import Corpus, Question, expect_type, float_array, read_jsonl
 
 CLAMP_LO = 1e-6
 CLAMP_HI = 1.0 - 1e-6
@@ -654,7 +654,7 @@ def read_weights(path, corpus: Corpus) -> dict[str, np.ndarray]:
         qid = expect_type(rec["id"], str, "id", where)
         if qid in out:
             raise WeightingError(f"{path}: weights for {qid!r} appear twice")
-        w = np.asarray(float_list(rec["weights"], "weights", f"{qid!r} ({where})"))
+        w = float_array(rec["weights"], "weights", f"{qid!r} ({where})")
         bad = w[~np.isfinite(w)]
         if bad.size:
             raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} is not finite")

@@ -20,6 +20,7 @@ from cotpace.corpus import (
     segment_steps,
     write_corpus,
 )
+from cotpace.synth import make_arith_corpus
 
 
 # --- segment_steps ----------------------------------------------------------
@@ -255,9 +256,38 @@ def test_parse_integer_entries_become_floats(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(token_logprobs=[0, -1, -1.5, 0, -2, 0, -1],
                                                        embedding=[1, 0.5])])
     q = parse_corpus(path).questions[0]
-    assert q.token_logprobs == [0.0, -1.0, -1.5, 0.0, -2.0, 0.0, -1.0]
-    assert all(type(v) is float for v in q.token_logprobs)
+    assert type(q.token_logprobs) is np.ndarray and q.token_logprobs.dtype == np.float64
+    assert q.token_logprobs.tolist() == [0.0, -1.0, -1.5, 0.0, -2.0, 0.0, -1.0]
     assert q.embedding.dtype == np.float64 and q.embedding.tolist() == [1.0, 0.5]
+
+
+def test_a_token_in_two_questions_is_one_object(tmp_path):
+    other = ["three", "minus", "one", ".", "so", "two", "."]
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("a"), _record("b", rationale_tokens=other)])
+    a, b = parse_corpus(path).questions
+    assert a.rationale_tokens[0] is b.rationale_tokens[2]  # "one"
+    assert a.rationale_tokens[5] is b.rationale_tokens[0]  # "three"
+    assert a.rationale_tokens[4] is b.rationale_tokens[4]  # "so"
+
+
+def test_parse_holds_one_string_per_distinct_token(bundled_corpus):
+    tokens = [t for q in bundled_corpus for t in q.rationale_tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens) / 5
+
+
+def test_parsed_and_synthetic_vectors_are_float64_arrays(tmp_path):
+    rec = _record(token_logprobs=[-0.5] * 7, token_weights=[0.25] * 7)
+    parsed = parse_corpus(_write_jsonl(tmp_path / "c.jsonl", [rec])).questions[0]
+    made = make_arith_corpus(3, seed=5).questions[0]
+    for q, v in ((parsed, parsed.token_logprobs), (parsed, parsed.token_weights), (made, made.token_logprobs)):
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (q.n_tokens,)
+
+
+def test_the_bundled_corpus_regenerates_byte_for_byte(bundled_corpus, bundled_corpus_path, tmp_path):
+    made, parsed = tmp_path / "made.jsonl", tmp_path / "parsed.jsonl"
+    write_corpus(make_arith_corpus(), made)
+    write_corpus(bundled_corpus, parsed)
+    assert made.read_bytes() == parsed.read_bytes() == bundled_corpus_path.read_bytes()
 
 
 @pytest.mark.parametrize(
