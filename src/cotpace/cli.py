@@ -190,8 +190,10 @@ def _renumbered(exc: configparser.Error, shift: int) -> configparser.Error:
 
 
 def load_config(path) -> dict:
-    """INI-style key = value lines; a bare file without section headers is
-    accepted. Unknown keys are rejected (they are almost always typos)."""
+    """INI-style key = value lines, in a bare file or under one [pipeline]
+    header. Any other section is refused: its keys would otherwise merge
+    into the pipeline's without a word. Unknown keys are rejected (they are
+    almost always typos)."""
     text = Path(path).read_text(encoding="utf-8")
     bare = not text.lstrip().startswith("[")
     if bare:
@@ -201,9 +203,16 @@ def load_config(path) -> dict:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ValueError(f"config {path}: {_renumbered(exc, -1) if bare else exc}") from None
+    other = [name for name in parser.sections() if name != "pipeline"]
+    if parser.defaults():
+        other.insert(0, parser.default_section)
+    if other:
+        raise ValueError(
+            f"config {path}: section [{other[0]}] is not allowed; use a bare file or one [pipeline] section"
+        )
     out: dict = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
+    if parser.has_section("pipeline"):
+        for key, value in parser.items("pipeline"):
             key = key.replace("-", "_")
             if key not in _KNOBS:
                 raise ValueError(f"config {path}: unknown key {key!r}")

@@ -208,20 +208,12 @@ def expect_type(value, types, field: str, where: str):
     return value
 
 
-def float_list(value, field: str, where: str) -> list[float]:
-    """The JSON list as floats; the list itself when every entry already is
-    one. type() keeps bool out, which isinstance(v, int) would let in."""
-    kinds = set(map(type, expect_type(value, list, field, where)))
-    if kinds <= {float}:
-        return value
-    if not kinds <= {int, float}:
-        raise ValidationError(f"field {field!r} of {where}: entries must be numbers")
-    return [float(v) for v in value]
-
-
 def float_array(value, field: str, where: str) -> np.ndarray:
-    """The JSON list as a float64 array; errors as float_list's."""
-    return np.asarray(float_list(value, field, where), dtype=np.float64)
+    """The JSON list of numbers as a float64 array. type() keeps bool out,
+    which isinstance(v, int) would let in."""
+    if not set(map(type, expect_type(value, list, field, where))) <= {int, float}:
+        raise ValidationError(f"field {field!r} of {where}: entries must be numbers")
+    return np.asarray(value, dtype=np.float64)
 
 
 def json_object(value, keys, where: str) -> dict:
@@ -263,7 +255,8 @@ def _optional_array(rec: dict, field: str, where: str) -> np.ndarray | None:
     return float_array(rec[field], field, where) if field in rec else None
 
 
-def _record_to_question(rec: dict, where: str) -> Question:
+def _record_to_question(rec: dict, path, lineno: int) -> Question:
+    where = f"line {lineno}"
     qid = expect_type(rec["id"], str, "id", where)
     where = f"{qid!r} ({where})"
     tokens = expect_type(rec["rationale_tokens"], list, "rationale_tokens", where)
@@ -287,9 +280,12 @@ def _record_to_question(rec: dict, where: str) -> Question:
     else:
         spans = segment_steps(tokens)
     embedding = _optional_array(rec, "embedding", where)
+    text = expect_type(rec["question"], str, "question", where)
+    if not text.strip():  # Question.validate refuses it too, but without the file and line
+        raise ValidationError(f"field 'question' of {qid!r} ({path}: line {lineno}): empty text")
     return Question(
         id=qid,
-        question_text=expect_type(rec["question"], str, "question", where),
+        question_text=text,
         answer_text=expect_type(rec["answer"], str, "answer", where),
         rationale_tokens=tokens,
         step_spans=spans,
@@ -317,7 +313,7 @@ def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: 
             )
         for key in unknown:
             del rec[key]
-        questions.append(_record_to_question(rec, f"line {lineno}"))
+        questions.append(_record_to_question(rec, path, lineno))
     if not questions:
         raise ValidationError(f"{path}: no questions")
     dim = embedding_dim

@@ -193,7 +193,9 @@ def _log_softmax_table(unigram: np.ndarray, bigram: np.ndarray) -> tuple[np.ndar
 def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale: float) -> float:
     """One full-batch step in place; returns the summed weighted NLL."""
     logp, g_bi = _log_softmax_table(unigram, bigram)
-    total = -float(counts.ravel() @ logp.ravel())
+    # einsum's own loop, not a BLAS dot: the sum's order, and so its last
+    # bits, must not depend on the BLAS thread count
+    total = -float(np.einsum("ij,ij->", counts, logp))
     g_bi *= counts.sum(axis=1)[:, None]
     g_bi -= counts
     unigram -= scale * g_bi.sum(axis=0)

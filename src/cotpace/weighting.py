@@ -554,7 +554,8 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
 
     One generator per restart drives init, shuffling, Gumbel noise and
     prefix draws in a fixed order, so results are bit-reproducible for a
-    given seed. Aborts on a non-finite loss (learning rate too high).
+    given seed. Aborts on a non-finite loss, parameter, restart score or
+    token weight (a learning rate too high, or extreme corpus values).
     """
     config.validate()
     streams = np.random.SeedSequence(config.seed).spawn(3 * config.restarts)
@@ -564,12 +565,25 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
         init_seq, train_seq, eval_seq = streams[3 * r : 3 * r + 3]
         model, epoch_losses, epoch_pred_losses = _train_once(corpus, config, init_seq, train_seq)
         score = _selection_score(model, corpus, config.alpha, eval_seq)
+        # the last update can leave non-finite parameters behind a finite
+        # batch loss, and a first NaN score would win every comparison after it
+        if not (math.isfinite(score) and all(np.isfinite(a).all() for a in model.params.values())):
+            raise RuntimeError(
+                f"restart {r} ended with non-finite parameters or selection score;"
+                " lower the learning rate or check the corpus for extreme values"
+            )
         scores.append(score)
         if best is None or score < best[0]:
             best = (score, r, model, epoch_losses, epoch_pred_losses)
     assert best is not None
     _, _, model, epoch_losses, epoch_pred_losses = best
     weights = {q.id: forward_weights(model, q.rationale_tokens) for q in corpus.questions}
+    bad = next((qid for qid, w in weights.items() if not np.isfinite(w).all()), None)
+    if bad is not None:
+        raise RuntimeError(
+            f"non-finite token weights for {bad!r};"
+            " lower the learning rate or check the corpus for extreme values"
+        )
     return TrainResult(
         weights=weights,
         model=model,

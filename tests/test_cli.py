@@ -5,11 +5,16 @@ import dataclasses
 import filecmp
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cotpace
 from cotpace.cli import (
     PipelineConfig,
     _flag,
@@ -555,6 +560,32 @@ def test_corpus_token_weights_reach_the_student(tmp_path, capsys):
     assert (unweighted / "trace.json").read_bytes() != a["trace.json"]
 
 
+def test_trace_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus_path):
+    # each epoch loss was an OpenBLAS dot over the pair table, whose sum
+    # OpenBLAS splits by thread: on the bundled corpus some of the 20 epoch
+    # losses changed their last bit between 1 and 2 threads
+    corpus = parse_corpus(bundled_corpus_path)
+    rng = np.random.default_rng(1)
+    base = tmp_path / "base"
+    base.mkdir()
+    weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+    write_weights(weights, base / "weights.jsonl")
+    args = ["--corpus", str(bundled_corpus_path), "--seed", "1"]
+    for stage in ("assess", "cluster", "schedule"):
+        assert main([stage, *args, "--out", str(base)]) == 0
+    src = str(Path(cotpace.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        shutil.copytree(base, out)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "cotpace.cli", "simulate", *args, "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        traces.append((out / "trace.json").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
     rows = [json.loads(line) for line in (planned_out / "difficulty.jsonl").read_text().splitlines()]
     assert all(set(row) == {"id", "step_difficulties"} for row in rows)  # no stored totals
@@ -678,6 +709,23 @@ def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weigh_that_ends_non_finite_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the batch losses stayed finite while the last update turned every
+    # parameter into NaN: weigh exited 0 and wrote NaN weights
+    corpus = make_arith_corpus(4, seed=5)
+    q = corpus.questions[1]
+    assert q.id == "q001"
+    q.embedding[0] = 1e308  # finite, so the corpus is valid
+    path = tmp_path / "huge.jsonl"
+    write_corpus(corpus, path)
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(path), "--out", str(out), "--seed", "1", "--weight-epochs", "1"]
+    assert main(argv) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "text",
     ["seed = 1\nseed = 2\n", "seed = 1\nno equals sign here\n", "seed = 1\nalpha = 50%\n"],
@@ -769,6 +817,27 @@ def test_config_errors_give_the_line_of_the_file(tmp_path, header, body, pattern
     line = 3 + header.count("\n")
     with pytest.raises(ValueError, match=pattern.format(line)):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        ("[pipeline]\nseed = 1\n[weigh]\nseed = 2\n", "weigh"),
+        ("[pipline]\nseed = 1\n", "pipline"),
+        ("seed = 1\n[weigh]\nalpha = 0.2\n", "weigh"),
+        ("[DEFAULT]\nseed = 2\n[pipeline]\nseed = 1\n", "DEFAULT"),
+    ],
+    ids=["second-section", "misspelled-header", "bare-then-section", "default-section"],
+)
+def test_a_config_section_other_than_pipeline_exits_2_and_names_it(
+    tmp_path, small_corpus_path, capsys, text, section
+):
+    # the keys of every section merged into one, whatever its name
+    cfg = tmp_path / "sections.ini"
+    cfg.write_text(text)
+    assert main(["validate", "--corpus", str(small_corpus_path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config {cfg}: section [{section}]" in err
 
 
 def test_config_rejects_unknown_key(tmp_path):

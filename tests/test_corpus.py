@@ -261,6 +261,19 @@ def test_parse_integer_entries_become_floats(tmp_path):
     assert q.embedding.dtype == np.float64 and q.embedding.tolist() == [1.0, 0.5]
 
 
+@pytest.mark.parametrize("embedding", [None, [0.6, 0.8]], ids=["derived", "given"])
+def test_blank_question_text_names_file_line_and_id(tmp_path, embedding):
+    # without an embedding the error was "cannot embed empty question text",
+    # raised after every record was read, naming neither question nor file
+    blank = _record("blank", question="  ")
+    if embedding is not None:
+        blank["embedding"] = embedding
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("ok"), blank])
+    message = f"field 'question' of 'blank' ({path}: line 2): empty text"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
+
+
 def test_a_token_in_two_questions_is_one_object(tmp_path):
     other = ["three", "minus", "one", ".", "so", "two", "."]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("a"), _record("b", rationale_tokens=other)])
