@@ -195,7 +195,9 @@ def load_config(path) -> dict:
     into the pipeline's without a word. Unknown keys are rejected (they are
     almost always typos)."""
     text = Path(path).read_text(encoding="utf-8")
-    bare = not text.lstrip().startswith("[")
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line and not line.startswith(("#", ";"))), "")
+    bare = not first.startswith("[")  # comment lines may come before a header
     if bare:
         text = "[pipeline]\n" + text
     parser = configparser.ConfigParser(interpolation=None)

@@ -800,6 +800,10 @@ def test_config_accepts_missing_section_header(tmp_path):
     headed = tmp_path / "headed.ini"
     headed.write_text("[pipeline]\nseed = 5\nsimulate = on\n")
     assert load_config(headed) == load_config(bare)
+    # a comment before the header made it a bare file with a second [pipeline]
+    commented = tmp_path / "commented.ini"
+    commented.write_text("# pace settings\n\n; seed first\n[pipeline]\nseed = 5\nsimulate = on\n")
+    assert load_config(commented) == load_config(bare)
 
 
 @pytest.mark.parametrize("header", ["", "[pipeline]\n"], ids=["bare", "headed"])
