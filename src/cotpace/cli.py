@@ -18,17 +18,11 @@ import os
 import struct
 import sys
 from pathlib import Path
+from typing import Callable
 
-from .corpus import CorpusError, parse_corpus
-from .difficulty import (
-    DifficultyError,
-    compute_table,
-    read_table,
-    synthetic_logprobs,
-    write_table,
-)
+from .corpus import parse_corpus
+from .difficulty import compute_table, read_table, synthetic_logprobs, write_table
 from .loss_shaping import (
-    LossShapingError,
     StudentConfig,
     build_stage_loss_specs,
     simulate_student,
@@ -37,14 +31,7 @@ from .loss_shaping import (
 )
 from .schedule import BudgetCurve, plan_full_schedule, read_schedule, write_schedule
 from .selection import kmeans_cluster, read_clusters, write_clusters
-from .weighting import (
-    WeightingConfig,
-    WeightingError,
-    read_weights,
-    save_model,
-    train_weighting,
-    write_weights,
-)
+from .weighting import WeightingConfig, read_weights, save_model, train_weighting, write_weights
 
 
 def _knob(default, help, *, flag=None, metavar=None, stage=None, stage_field=None):
@@ -247,133 +234,144 @@ def stage_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest, "little") >> 1  # keep it non-negative
 
 
-def _atomic(write_fn, path: Path) -> Path:
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
-    return path
+# Every file the stages keep in --out, each named once.
+WEIGHTS, MODEL, DIFFICULTY, CLUSTERS = "weights.jsonl", "weight_model.json", "difficulty.jsonl", "clusters.json"
+SCHEDULE, LOSSES, TRACE = "schedule.json", "losses.jsonl", "trace.json"
+
+# The reader of each file a stage takes from --out: (path, corpus) -> value.
+# Without weights.jsonl the corpus token_weights serve (uniform where absent).
+# Here and in STAGES each cotpace call sits in a lambda, so it is looked up at
+# call time among this module's globals, where pipebench/traced_cli.py wraps it.
+READERS = {
+    WEIGHTS: lambda path, corpus: (
+        read_weights(path, corpus)
+        if path.exists()
+        else {q.id: q.token_weights for q in corpus.questions if q.token_weights is not None}
+    ),
+    DIFFICULTY: lambda path, corpus: read_table(path, corpus),
+    CLUSTERS: lambda path, corpus: read_clusters(path, corpus),
+    SCHEDULE: lambda path, corpus: read_schedule(path, corpus),
+}
 
 
-def _load_corpus(cfg: PipelineConfig):
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: what it does, compute(cfg, corpus, inputs) over the
+    --out files it reads (inputs keyed by file name), the (file, write(result,
+    path)) pairs it writes, and note(cfg, result), which ends its printed line."""
+
+    summary: str
+    compute: Callable
+    note: Callable
+    reads: tuple = ()
+    writes: tuple = ()
+
+
+def _plan(cfg: PipelineConfig, corpus, inputs):
+    table = inputs[DIFFICULTY]
+    total = table.corpus_total
+    curve = BudgetCurve.solve(b_total=total, c0=cfg.c0_frac * total, p=cfg.p, t_max=cfg.horizon)
+    return plan_full_schedule(
+        corpus, table, curve, inputs[CLUSTERS],
+        beta=cfg.beta, eps=cfg.eps, step_reduction=cfg.delta_s, total_stages=cfg.epochs,
+    )
+
+
+STAGES = {
+    "validate": Stage(
+        "Parse the corpus and check every invariant",
+        compute=lambda cfg, corpus, inputs: corpus,
+        note=lambda cfg, corpus: (
+            f"ok: {len(corpus)} questions, {sum(q.n_steps for q in corpus.questions)} steps,"
+            f" {sum(q.token_logprobs is not None for q in corpus.questions)} with logprobs,"
+            f" embedding dim {corpus.embedding_dim}"
+        ),
+    ),
+    "weigh": Stage(
+        "Train the significance model",
+        compute=lambda cfg, corpus, inputs: train_weighting(
+            corpus, cfg.stage_config(WeightingConfig, seed=stage_seed(cfg.seed, "weigh"))
+        ),
+        writes=(
+            (WEIGHTS, lambda result, path: write_weights(result.weights, path)),
+            (MODEL, lambda result, path: save_model(result.model, path)),
+        ),
+        note=lambda cfg, result: f"final loss {result.epoch_losses[-1]:.4f}",
+    ),
+    "assess": Stage(
+        "Score step difficulties",
+        reads=(WEIGHTS,),
+        compute=lambda cfg, corpus, inputs: compute_table(
+            corpus,
+            weights=inputs[WEIGHTS],
+            logprobs=None if cfg.synthetic_logprobs is None else synthetic_logprobs(corpus, cfg.synthetic_logprobs),
+        ),
+        writes=((DIFFICULTY, lambda table, path: write_table(table, path)),),
+        note=lambda cfg, table: f"total difficulty {table.corpus_total:.4f}",
+    ),
+    "cluster": Stage(
+        "K-means over question embeddings",
+        compute=lambda cfg, corpus, inputs: kmeans_cluster(
+            {q.id: q.embedding for q in corpus.questions}, cfg.n_clusters, stage_seed(cfg.seed, "cluster")
+        ),
+        writes=((CLUSTERS, lambda result, path: write_clusters(*result, path)),),
+        note=lambda cfg, result: f"{cfg.n_clusters} clusters",
+    ),
+    "schedule": Stage(
+        "Plan stages 0..epochs under the budget curve",
+        reads=(DIFFICULTY, CLUSTERS),
+        compute=_plan,
+        writes=((SCHEDULE, lambda plan, path: write_schedule(plan, path)),),
+        note=lambda cfg, plan: f"{len(plan.stages)} stages",
+    ),
+    "shape-loss": Stage(
+        "Loss token ranges where each question's window changes",
+        reads=(SCHEDULE,),
+        compute=lambda cfg, corpus, inputs: build_stage_loss_specs(corpus, inputs[SCHEDULE], cfg.epochs),
+        writes=((LOSSES, lambda specs, path: write_loss_specs(specs, path)),),
+        note=lambda cfg, specs: f"{len(specs)} loss windows, one per change",
+    ),
+    "simulate": Stage(
+        "Tabular student under the schedule",
+        reads=(SCHEDULE, WEIGHTS),
+        compute=lambda cfg, corpus, inputs: simulate_student(
+            corpus, inputs[SCHEDULE], inputs[WEIGHTS], cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
+        ),
+        writes=((TRACE, lambda trace, path: write_trace(trace, path)),),
+        note=lambda cfg, trace: f"final loss {trace.epoch_losses[-1]:.4f}",
+    ),
+}
+
+
+def run_stage(name: str, cfg: PipelineConfig) -> int:
+    """Parse the corpus, read the stage's inputs and compute; then create
+    --out and write each file to a .tmp sibling that os.replace moves into
+    place, so a stage that fails leaves neither a file nor an --out behind."""
+    stage = STAGES[name]
     path = Path(cfg.corpus)
     if not path.exists():
         raise FileNotFoundError(f"corpus not found: {path}")
-    return parse_corpus(path, strict=not cfg.lenient)
-
-
-def _out_dir(cfg: PipelineConfig) -> Path:
+    corpus = parse_corpus(path, strict=not cfg.lenient)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_validate(cfg: PipelineConfig) -> int:
-    """Parse the corpus and check every invariant."""
-    corpus = _load_corpus(cfg)
-    n_steps = sum(q.n_steps for q in corpus.questions)
-    with_lp = sum(1 for q in corpus.questions if q.token_logprobs is not None)
-    print(
-        f"[validate] ok: {len(corpus)} questions, {n_steps} steps,"
-        f" {with_lp} with logprobs, embedding dim {corpus.embedding_dim}"
-    )
+    inputs = {file: READERS[file](out / file, corpus) for file in stage.reads}
+    result = stage.compute(cfg, corpus, inputs)
+    if stage.writes:
+        out.mkdir(parents=True, exist_ok=True)
+    for file, write in stage.writes:
+        write(result, out / (file + ".tmp"))
+        os.replace(out / (file + ".tmp"), out / file)
+    note = stage.note(cfg, result)
+    print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0
 
 
-def cmd_weigh(cfg: PipelineConfig) -> int:
-    """Train the significance model -> weights.jsonl, weight_model.json."""
-    corpus = _load_corpus(cfg)
-    wcfg = cfg.stage_config(WeightingConfig, seed=stage_seed(cfg.seed, "weigh"))
-    result = train_weighting(corpus, wcfg)
-    out = _out_dir(cfg)
-    _atomic(lambda p: write_weights(result.weights, p), out / "weights.jsonl")
-    _atomic(lambda p: save_model(result.model, p), out / "weight_model.json")
-    print(f"[weigh] wrote {out / 'weights.jsonl'} (final loss {result.epoch_losses[-1]:.4f})")
-    return 0
+def _command(name: str):
+    def command(cfg: PipelineConfig) -> int:
+        return run_stage(name, cfg)
 
-
-def _run_weights(cfg: PipelineConfig, corpus):
-    """The token weights assess and simulate score with: weights.jsonl from
-    --out when it is there, else each question's token_weights from the
-    corpus. A question with neither is weighted uniformly."""
-    path = _out_dir(cfg) / "weights.jsonl"
-    if path.exists():
-        return read_weights(path, corpus)
-    return {q.id: q.token_weights for q in corpus.questions if q.token_weights is not None}
-
-
-def cmd_assess(cfg: PipelineConfig) -> int:
-    """Score step difficulties -> difficulty.jsonl."""
-    corpus = _load_corpus(cfg)
-    logprobs = None
-    if cfg.synthetic_logprobs is not None:
-        logprobs = synthetic_logprobs(corpus, cfg.synthetic_logprobs)
-    table = compute_table(corpus, weights=_run_weights(cfg, corpus), logprobs=logprobs)
-    out = _out_dir(cfg)
-    _atomic(lambda p: write_table(table, p), out / "difficulty.jsonl")
-    print(f"[assess] wrote {out / 'difficulty.jsonl'} (total difficulty {table.corpus_total:.4f})")
-    return 0
-
-
-def cmd_cluster(cfg: PipelineConfig) -> int:
-    """K-means over question embeddings -> clusters.json."""
-    corpus = _load_corpus(cfg)
-    embeddings = {q.id: q.embedding for q in corpus.questions}
-    clusters, centroids = kmeans_cluster(embeddings, cfg.n_clusters, stage_seed(cfg.seed, "cluster"))
-    out = _out_dir(cfg)
-    _atomic(lambda p: write_clusters(clusters, centroids, p), out / "clusters.json")
-    print(f"[cluster] wrote {out / 'clusters.json'} ({cfg.n_clusters} clusters)")
-    return 0
-
-
-def cmd_schedule(cfg: PipelineConfig) -> int:
-    """Plan stages 0..epochs under the budget curve -> schedule.json."""
-    corpus = _load_corpus(cfg)
-    out = _out_dir(cfg)
-    table = read_table(out / "difficulty.jsonl", corpus)
-    clusters = read_clusters(out / "clusters.json", corpus)
-    total = table.corpus_total
-    curve = BudgetCurve.solve(
-        b_total=total,
-        c0=cfg.c0_frac * total,
-        p=cfg.p,
-        t_max=cfg.horizon,
-    )
-    plan = plan_full_schedule(
-        corpus,
-        table,
-        curve,
-        clusters,
-        beta=cfg.beta,
-        eps=cfg.eps,
-        step_reduction=cfg.delta_s,
-        total_stages=cfg.epochs,
-    )
-    _atomic(lambda p: write_schedule(plan, p), out / "schedule.json")
-    print(f"[schedule] wrote {out / 'schedule.json'} ({len(plan.stages)} stages)")
-    return 0
-
-
-def cmd_shape_loss(cfg: PipelineConfig) -> int:
-    """Loss token ranges where each question's window changes -> losses.jsonl."""
-    corpus = _load_corpus(cfg)
-    out = _out_dir(cfg)
-    stages = read_schedule(out / "schedule.json", corpus)
-    specs = build_stage_loss_specs(corpus, stages, cfg.epochs)
-    _atomic(lambda p: write_loss_specs(specs, p), out / "losses.jsonl")
-    print(f"[shape-loss] wrote {out / 'losses.jsonl'} ({len(specs)} loss windows, one per change)")
-    return 0
-
-
-def cmd_simulate(cfg: PipelineConfig) -> int:
-    """Tabular student under the schedule -> trace.json."""
-    corpus = _load_corpus(cfg)
-    out = _out_dir(cfg)
-    stages = read_schedule(out / "schedule.json", corpus)
-    scfg = cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
-    trace = simulate_student(corpus, stages, _run_weights(cfg, corpus), scfg)
-    _atomic(lambda p: write_trace(trace, p), out / "trace.json")
-    print(f"[simulate] wrote {out / 'trace.json'} (final loss {trace.epoch_losses[-1]:.4f})")
-    return 0
+    files = ", ".join(file for file, _ in STAGES[name].writes)
+    command.__doc__ = f"{STAGES[name].summary} -> {files}." if files else f"{STAGES[name].summary}."
+    return command
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
@@ -381,25 +379,16 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 
     The stages share the persisted artifacts, so a full run and
     stage-by-stage runs produce identical outputs."""
-    for step in (cmd_validate, cmd_weigh, cmd_assess, cmd_cluster, cmd_schedule, cmd_shape_loss):
-        code = step(cfg)
-        if code != 0:
-            return code
-    if cfg.simulate:
-        return cmd_simulate(cfg)
+    for name in STAGES:
+        if name != "simulate" or cfg.simulate:
+            COMMANDS[name](cfg)  # a stage raises on failure
     return 0
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "weigh": cmd_weigh,
-    "assess": cmd_assess,
-    "cluster": cmd_cluster,
-    "schedule": cmd_schedule,
-    "shape-loss": cmd_shape_loss,
-    "simulate": cmd_simulate,
-    "run": run_pipeline,
-}
+COMMANDS = {name: _command(name) for name in STAGES}
+# pipebench/traced_cli.py wraps each stage command under its cmd_* name
+cmd_validate, cmd_weigh, cmd_assess, cmd_cluster, cmd_schedule, cmd_shape_loss, cmd_simulate = COMMANDS.values()
+COMMANDS["run"] = run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -443,9 +432,6 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args)
         return COMMANDS[args.command](cfg)
-    except (CorpusError, DifficultyError, LossShapingError, WeightingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
