@@ -358,8 +358,9 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     if stage.writes:
         out.mkdir(parents=True, exist_ok=True)
     for file, write in stage.writes:
-        write(result, out / (file + ".tmp"))
-        os.replace(out / (file + ".tmp"), out / file)
+        tmp = out / (file + ".tmp")
+        write(result, tmp)
+        os.replace(tmp, out / file)
     note = stage.note(cfg, result)
     print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0

@@ -168,12 +168,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.questions)
 
-    def by_id(self, qid: str) -> Question:
-        for q in self.questions:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
-
     def validate(self) -> None:
         seen: set[str] = set()
         for q in self.questions:
@@ -280,6 +274,8 @@ def _record_to_question(rec: dict, path, lineno: int) -> Question:
     else:
         spans = segment_steps(tokens)
     embedding = _optional_array(rec, "embedding", where)
+    if embedding is not None and embedding.size == 0:  # the trainer divides by its dim
+        raise ValidationError(f"field 'embedding' of {qid!r} ({path}: line {lineno}): empty")
     text = expect_type(rec["question"], str, "question", where)
     if not text.strip():  # Question.validate refuses it too, but without the file and line
         raise ValidationError(f"field 'question' of {qid!r} ({path}: line {lineno}): empty text")

@@ -105,14 +105,15 @@ def question_generation_difficulty(table: DifficultyTable, qid: str, input_steps
     return math.fsum(d[c:])
 
 
+def beta_logprobs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n log-probabilities ln(Beta(2,2)), clipped away from 0 and 1; always < 0."""
+    return np.log(np.clip(rng.beta(2.0, 2.0, size=n), 1e-12, 1.0 - 1e-12))
+
+
 def synthetic_logprobs(corpus: Corpus, seed: int) -> dict[str, np.ndarray]:
-    """Seeded per-token log-probabilities, ln(Beta(2,2)); always < 0."""
+    """Seeded per-token log-probabilities, one beta_logprobs draw per question."""
     rng = np.random.default_rng(seed)
-    out: dict[str, np.ndarray] = {}
-    for q in corpus.questions:
-        p = np.clip(rng.beta(2.0, 2.0, size=q.n_tokens), 1e-12, 1.0 - 1e-12)
-        out[q.id] = np.log(p)
-    return out
+    return {q.id: beta_logprobs(rng, q.n_tokens) for q in corpus.questions}
 
 
 def write_table(table: DifficultyTable, path) -> None:

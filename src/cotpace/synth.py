@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Corpus, Question, embed_question, segment_steps
+from .difficulty import beta_logprobs
 
 KEY_TOKENS = ("K0", "K1", "K2", "K3", "K4", "K5")
 
@@ -25,11 +26,6 @@ _FILLERS = (
 )
 
 _TOPICS = ("apples", "coins", "marbles", "pages", "points", "blocks", "cards", "shells")
-
-
-def _beta_logprobs(rng: np.random.Generator, n: int) -> np.ndarray:
-    p = np.clip(rng.beta(2.0, 2.0, size=n), 1e-12, 1.0 - 1e-12)
-    return np.log(p)
 
 
 def make_arith_corpus(n_questions: int = 50, seed: int = 1234, dim: int = 64) -> Corpus:
@@ -80,7 +76,7 @@ def make_arith_corpus(n_questions: int = 50, seed: int = 1234, dim: int = 64) ->
                 answer_text=str(answer),
                 rationale_tokens=tokens,
                 step_spans=segment_steps(tokens),
-                token_logprobs=_beta_logprobs(rng, len(tokens)),
+                token_logprobs=beta_logprobs(rng, len(tokens)),
                 embedding=embed_question(text, dim=dim),
             )
         )

@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, config layering, artifact determinism."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import filecmp
 import json
 import math
@@ -726,6 +728,21 @@ def test_weigh_that_ends_non_finite_exits_3_and_writes_nothing(tmp_path, capsys)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["validate", "cluster", "weigh", "run"])
+def test_an_empty_embedding_exits_2_and_names_it(tmp_path, capsys, command):
+    # validate said "embedding dim 0" and cluster exited 0, while weigh and
+    # run died with a ZeroDivisionError traceback and exit 1
+    path = tmp_path / "flat.jsonl"
+    write_corpus(make_arith_corpus(4, seed=5), path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**rec, "embedding": []}) + "\n" for rec in records))
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(path), "--out", str(out), "--seed", "1", "--weight-epochs", "1"]
+    assert main(argv) == 2
+    assert f"field 'embedding' of 'q000' ({path}: line 1): empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["seed = 1\nseed = 2\n", "seed = 1\nno equals sign here\n", "seed = 1\nalpha = 50%\n"],
@@ -920,6 +937,42 @@ def test_stage_seed_is_stable_and_named():
 
 
 # --- pipeline runs -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stage_output(small_corpus_path, tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """--out and each stage command's stdout, the seven run in order on FAST_FLAGS."""
+    out = tmp_path_factory.mktemp("stages") / "out"
+    printed = {}
+    for command in ("validate", "weigh", "assess", "cluster", "schedule", "shape-loss", "simulate"):
+        with contextlib.redirect_stdout(io.StringIO()) as buffer:
+            assert main([command, "--corpus", str(small_corpus_path), "--out", str(out), *FAST_FLAGS]) == 0
+        printed[command] = buffer.getvalue()
+    return out, printed
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("validate", "[validate] ok: 10 questions, 31 steps, 10 with logprobs, embedding dim 64"),
+        ("weigh", "[weigh] wrote {out}/weights.jsonl (final loss 13.0616)"),
+        ("assess", "[assess] wrote {out}/difficulty.jsonl (total difficulty 26.8689)"),
+        ("cluster", "[cluster] wrote {out}/clusters.json (2 clusters)"),
+        ("schedule", "[schedule] wrote {out}/schedule.json (7 stages)"),
+        ("shape-loss", "[shape-loss] wrote {out}/losses.jsonl (22 loss windows, one per change)"),
+        ("simulate", "[simulate] wrote {out}/trace.json (final loss 2.9047)"),
+    ],
+)
+def test_each_stage_prints_one_line(stage_output, command, line):
+    out, printed = stage_output
+    assert printed[command] == line.format(out=out) + "\n"
+
+
+def test_a_stage_that_fails_leaves_no_out_directory(tmp_path, small_corpus_path, capsys):
+    out = tmp_path / "fresh"
+    assert main(["schedule", "--corpus", str(small_corpus_path), "--out", str(out), *FAST_FLAGS]) == 2
+    assert "difficulty.jsonl" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_full_run_writes_all_artifacts_and_repeats_byte_identically(

@@ -367,13 +367,6 @@ def test_corpus_embedding_dim_mismatch():
         corpus.validate()
 
 
-def test_corpus_by_id(bundled_corpus):
-    q = bundled_corpus.questions[3]
-    assert bundled_corpus.by_id(q.id) is q
-    with pytest.raises(KeyError):
-        bundled_corpus.by_id("nope")
-
-
 # --- round-trips -------------------------------------------------------------
 
 

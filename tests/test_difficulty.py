@@ -185,10 +185,11 @@ def test_compute_table_length_mismatches():
 def test_synthetic_logprobs_deterministic(bundled_corpus):
     a = synthetic_logprobs(bundled_corpus, 11)
     b = synthetic_logprobs(bundled_corpus, 11)
+    questions = {q.id: q for q in bundled_corpus.questions}
     for qid in a:
         assert np.array_equal(a[qid], b[qid])
         assert np.all(a[qid] < 0.0)
-        assert a[qid].size == bundled_corpus.by_id(qid).n_tokens
+        assert a[qid].size == questions[qid].n_tokens
     c = synthetic_logprobs(bundled_corpus, 12)
     assert any(not np.array_equal(a[qid], c[qid]) for qid in a)
 
