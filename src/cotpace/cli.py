@@ -314,7 +314,7 @@ STAGES = {
         compute=lambda cfg, corpus, inputs: kmeans_cluster(
             {q.id: q.embedding for q in corpus.questions}, cfg.n_clusters, stage_seed(cfg.seed, "cluster")
         ),
-        writes=((CLUSTERS, lambda result, path: write_clusters(*result, path)),),
+        writes=((CLUSTERS, lambda result, path: write_clusters(result, path)),),
         note=lambda cfg, result: f"{cfg.n_clusters} clusters",
     ),
     "schedule": Stage(
@@ -344,9 +344,9 @@ STAGES = {
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> int:
-    """Parse the corpus, read the stage's inputs and compute; then create
-    --out and write each file to a .tmp sibling that os.replace moves into
-    place, so a stage that fails leaves neither a file nor an --out behind."""
+    """Parse the corpus, read the stage's inputs, compute, word the note; then
+    create --out and write each file to a .tmp sibling that os.replace moves
+    into place, so a stage that fails leaves neither a file nor an --out behind."""
     stage = STAGES[name]
     path = Path(cfg.corpus)
     if not path.exists():
@@ -355,13 +355,13 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     out = Path(cfg.out)
     inputs = {file: READERS[file](out / file, corpus) for file in stage.reads}
     result = stage.compute(cfg, corpus, inputs)
+    note = stage.note(cfg, result)  # before any write: assess's total can overflow
     if stage.writes:
         out.mkdir(parents=True, exist_ok=True)
     for file, write in stage.writes:
         tmp = out / (file + ".tmp")
         write(result, tmp)
         os.replace(tmp, out / file)
-    note = stage.note(cfg, result)
     print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0
 

@@ -10,6 +10,12 @@ One record per line:
      "embedding": [float, ...]?}                # derived when absent
 
 Strict parsing rejects unknown keys; lenient mode ignores them.
+
+Each check is made once, as the file is read: read_jsonl refuses a line that
+is not a JSON object with the required keys, _record_to_question checks each
+field of a record, and parse_corpus unknown keys, repeated ids and embedding
+sizes. Refusals read "field '<f>' of '<id>' (<path>: line <n>): <reason>", or
+"<path>: line <n>: <reason>" for a whole line. Code-built Questions are unchecked.
 """
 from __future__ import annotations
 
@@ -112,50 +118,6 @@ class Question:
     def n_steps(self) -> int:
         return len(self.step_spans)
 
-    def validate(self) -> None:
-        qid = self.id
-        if not isinstance(qid, str) or not qid:
-            raise ValidationError(f"field 'id': must be a non-empty string, got {qid!r}")
-        if not self.question_text.strip():
-            raise ValidationError(f"field 'question' of {qid!r}: empty text")
-        if not self.rationale_tokens:
-            raise ValidationError(f"field 'rationale_tokens' of {qid!r}: empty")
-        if not set(map(type, self.rationale_tokens)) <= {str} or "" in self.rationale_tokens:
-            raise ValidationError(f"field 'rationale_tokens' of {qid!r}: tokens must be non-empty strings")
-        n = self.n_tokens
-        spans = self.step_spans
-        if not spans:
-            raise ValidationError(f"field 'step_spans' of {qid!r}: empty")
-        if spans[0][0] != 0 or spans[-1][1] != n:
-            raise ValidationError(f"field 'step_spans' of {qid!r}: must cover [0, {n})")
-        for k, (s, e) in enumerate(spans):
-            if e <= s:
-                raise ValidationError(f"field 'step_spans' of {qid!r}: span {k} is empty")
-            if k > 0 and s != spans[k - 1][1]:
-                raise ValidationError(f"field 'step_spans' of {qid!r}: span {k} not contiguous")
-        if self.token_logprobs is not None:
-            lp = np.asarray(self.token_logprobs, dtype=np.float64)
-            if len(lp) != n:
-                raise ValidationError(
-                    f"field 'token_logprobs' of {qid!r}: length {len(lp)} != {n} tokens"
-                )
-            if not ((lp > -np.inf) & (lp <= 0.0)).all():  # NaN fails both comparisons
-                raise ValidationError(
-                    f"field 'token_logprobs' of {qid!r}: entries must be finite and <= 0"
-                )
-        if self.token_weights is not None:
-            tw = np.asarray(self.token_weights, dtype=np.float64)
-            if len(tw) != n:
-                raise ValidationError(
-                    f"field 'token_weights' of {qid!r}: length {len(tw)} != {n} tokens"
-                )
-            if not ((tw >= 0.0) & (tw <= 1.0)).all():
-                raise ValidationError(
-                    f"field 'token_weights' of {qid!r}: entries must lie in [0, 1]"
-                )
-        if self.embedding is not None and not np.isfinite(self.embedding).all():
-            raise ValidationError(f"field 'embedding' of {qid!r}: non-finite values")
-
 
 @dataclasses.dataclass
 class Corpus:
@@ -167,19 +129,6 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.questions)
-
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for q in self.questions:
-            q.validate()
-            if q.id in seen:
-                raise ValidationError(f"field 'id': duplicate id {q.id!r}")
-            seen.add(q.id)
-            if q.embedding is not None and q.embedding.shape != (self.embedding_dim,):
-                raise ValidationError(
-                    f"field 'embedding' of {q.id!r}: dim {q.embedding.shape[0]}"
-                    f" != corpus dim {self.embedding_dim}"
-                )
 
     def check_ids(self, where, found, what: str) -> None:
         """found (keyed by question id, read from the file named in where) must
@@ -245,84 +194,121 @@ def read_json(path, keys=()) -> dict:
         return json_object(_decode(fh.read(), str(path)), keys, str(path))
 
 
-def _optional_array(rec: dict, field: str, where: str) -> np.ndarray | None:
-    return float_array(rec[field], field, where) if field in rec else None
+def _per_token(rec: dict, field: str, where: str, n: int, lo: float, hi: float, rule: str) -> np.ndarray | None:
+    """rec[field], when present: one finite number in [lo, hi] per token."""
+    if field not in rec:
+        return None
+    values = float_array(rec[field], field, where)
+    if len(values) != n:
+        raise ValidationError(f"field {field!r} of {where}: length {len(values)} != {n} tokens")
+    if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
+        raise ValidationError(f"field {field!r} of {where}: entries must {rule}")
+    return values
+
+
+def _spans(raw, n: int, where: str) -> list[tuple[int, int]]:
+    """Given step_spans: [start, end] integer pairs, each non-empty, each
+    starting where the last ended, together covering [0, n)."""
+    spans = []
+    for item in expect_type(raw, list, "step_spans", where):
+        expect_type(item, list, "step_spans", where)
+        if len(item) != 2:
+            raise ValidationError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
+        start, end = item
+        if type(start) is not int or type(end) is not int:  # rejects bool too
+            raise ValidationError(f"field 'step_spans' of {where}: bounds must be integers")
+        spans.append((start, end))
+    if not spans:
+        raise ValidationError(f"field 'step_spans' of {where}: empty")
+    if spans[0][0] != 0 or spans[-1][1] != n:
+        raise ValidationError(f"field 'step_spans' of {where}: must cover [0, {n})")
+    for k, (s, e) in enumerate(spans):
+        if e <= s:
+            raise ValidationError(f"field 'step_spans' of {where}: span {k} is empty")
+        if k > 0 and s != spans[k - 1][1]:
+            raise ValidationError(f"field 'step_spans' of {where}: span {k} not contiguous")
+    return spans
 
 
 def _record_to_question(rec: dict, path, lineno: int) -> Question:
-    where = f"line {lineno}"
-    qid = expect_type(rec["id"], str, "id", where)
-    where = f"{qid!r} ({where})"
+    """The question on line lineno; every check on one record is made here,
+    and each refusal names the field, the id, the file and the line."""
+    qid = rec["id"]
+    where = f"{qid!r} ({path}: line {lineno})"
+    if not expect_type(qid, str, "id", where):
+        raise ValidationError(f"field 'id' of {where}: empty")
+    text = expect_type(rec["question"], str, "question", where)
+    if not text.strip():
+        raise ValidationError(f"field 'question' of {where}: empty text")
     tokens = expect_type(rec["rationale_tokens"], list, "rationale_tokens", where)
+    if not tokens:
+        raise ValidationError(f"field 'rationale_tokens' of {where}: empty")
     if not set(map(type, tokens)) <= {str}:
         for t in tokens:  # name the type of the first entry that is not a string
             expect_type(t, str, "rationale_tokens", where)
+    if "" in tokens:
+        raise ValidationError(f"field 'rationale_tokens' of {where}: tokens must be non-empty strings")
     # a corpus repeats a small vocabulary; one string per distinct token keeps
     # the parsed corpus at vocabulary size, not at one object per occurrence
     tokens = list(map(sys.intern, tokens))
-    if "step_spans" in rec:
-        raw = expect_type(rec["step_spans"], list, "step_spans", where)
-        spans = []
-        for item in raw:
-            expect_type(item, list, "step_spans", where)
-            if len(item) != 2:
-                raise ValidationError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
-            start, end = item
-            if type(start) is not int or type(end) is not int:  # rejects bool too
-                raise ValidationError(f"field 'step_spans' of {where}: bounds must be integers")
-            spans.append((start, end))
-    else:
-        spans = segment_steps(tokens)
-    embedding = _optional_array(rec, "embedding", where)
-    if embedding is not None and embedding.size == 0:  # the trainer divides by its dim
-        raise ValidationError(f"field 'embedding' of {qid!r} ({path}: line {lineno}): empty")
-    text = expect_type(rec["question"], str, "question", where)
-    if not text.strip():  # Question.validate refuses it too, but without the file and line
-        raise ValidationError(f"field 'question' of {qid!r} ({path}: line {lineno}): empty text")
+    n = len(tokens)
+    embedding = None
+    if "embedding" in rec:
+        embedding = float_array(rec["embedding"], "embedding", where)
+        if embedding.size == 0:  # the trainer divides by its dim
+            raise ValidationError(f"field 'embedding' of {where}: empty")
+        if not np.isfinite(embedding).all():
+            raise ValidationError(f"field 'embedding' of {where}: non-finite values")
     return Question(
         id=qid,
         question_text=text,
         answer_text=expect_type(rec["answer"], str, "answer", where),
         rationale_tokens=tokens,
-        step_spans=spans,
-        token_logprobs=_optional_array(rec, "token_logprobs", where),
-        token_weights=_optional_array(rec, "token_weights", where),
+        step_spans=_spans(rec["step_spans"], n, where) if "step_spans" in rec else segment_steps(tokens),
+        token_logprobs=_per_token(rec, "token_logprobs", where, n, -np.inf, 0.0, "be finite and <= 0"),
+        token_weights=_per_token(rec, "token_weights", where, n, 0.0, 1.0, "lie in [0, 1]"),
         embedding=embedding,
     )
 
 
 def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: bool = True) -> Corpus:
-    """Read a JSONL corpus, fill derived fields, validate everything.
+    """Read a JSONL corpus and fill derived fields, checking each record once.
 
     Missing step_spans are derived by segment_steps; missing embeddings by
-    embed_question (dim inferred from any supplied embedding, else
+    embed_question (dim taken from the first supplied embedding, else
     embedding_dim). Blank lines are skipped. Raises ParseError naming the
     file and line for malformed lines, ValidationError for invariant breaks
-    and for a file without questions.
+    (a repeated id names both lines) and for a file without questions.
     """
     questions: list[Question] = []
+    lines: dict[str, int] = {}  # id -> its line
+    dim = dim_line = None  # the first supplied embedding's size, and its line
     for lineno, rec in read_jsonl(path, REQUIRED_KEYS):
         unknown = set(rec) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
         if unknown and strict:
-            raise ParseError(
-                f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore"
-            )
+            raise ParseError(f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore")
         for key in unknown:
             del rec[key]
-        questions.append(_record_to_question(rec, path, lineno))
+        q = _record_to_question(rec, path, lineno)
+        where = f"{q.id!r} ({path}: line {lineno})"
+        if q.id in lines:
+            raise ValidationError(f"field 'id' of {where}: duplicate of line {lines[q.id]}")
+        lines[q.id] = lineno
+        if q.embedding is not None:
+            if dim is None:
+                dim, dim_line = q.embedding.size, lineno
+            elif q.embedding.size != dim:
+                raise ValidationError(
+                    f"field 'embedding' of {where}: dim {q.embedding.size} != dim {dim} of line {dim_line}"
+                )
+        questions.append(q)
     if not questions:
         raise ValidationError(f"{path}: no questions")
-    dim = embedding_dim
-    for q in questions:
-        if q.embedding is not None:
-            dim = int(q.embedding.shape[0])
-            break
+    dim = embedding_dim if dim is None else dim
     for q in questions:
         if q.embedding is None:
             q.embedding = embed_question(q.question_text, dim=dim, seed=embed_seed)
-    corpus = Corpus(questions=questions, embedding_dim=dim)
-    corpus.validate()
-    return corpus
+    return Corpus(questions=questions, embedding_dim=dim)
 
 
 def question_to_record(q: Question) -> dict:

@@ -49,8 +49,19 @@ class DifficultyTable:
 
     @property
     def corpus_total(self) -> float:
-        """fsum of each question's fsum (exactly rounded, so in any order)."""
-        return math.fsum(math.fsum(d) for d in self.steps.values())
+        """fsum of each question's fsum (exactly rounded, so in any order).
+        OverflowError names the question at which the running total leaves
+        the float range."""
+        try:
+            return math.fsum(math.fsum(d) for d in self.steps.values())
+        except OverflowError:
+            totals = []  # found again one question at a time, only on failure
+            for qid, d in self.steps.items():
+                try:
+                    totals.append(math.fsum(d))
+                    math.fsum(totals)
+                except OverflowError:
+                    raise OverflowError(f"total difficulty overflows a float at question {qid!r}") from None
 
 
 def _question_logprobs(q: Question, logprobs: dict[str, np.ndarray] | None) -> np.ndarray:
@@ -125,7 +136,8 @@ def write_table(table: DifficultyTable, path) -> None:
 
 def read_table(path, corpus: Corpus) -> DifficultyTable:
     """difficulty.jsonl for corpus: one row per corpus question, each id once,
-    one step difficulty per step, and every one finite and >= 0."""
+    one step difficulty per step, and every one finite and >= 0; their total
+    must be finite too (OverflowError otherwise)."""
     steps: dict[str, np.ndarray] = {}
     for lineno, rec in read_jsonl(path, ("id", "step_difficulties")):
         where = f"{path}: line {lineno}"
@@ -145,4 +157,9 @@ def read_table(path, corpus: Corpus) -> DifficultyTable:
         n = steps[q.id].size
         if n != q.n_steps:
             raise DifficultyError(f"{path}: {n} step difficulties for {q.id!r}, which has {q.n_steps} steps")
-    return DifficultyTable(steps=steps)
+    table = DifficultyTable(steps=steps)
+    try:
+        table.corpus_total
+    except OverflowError as exc:
+        raise OverflowError(f"{path}: {exc}") from None
+    return table

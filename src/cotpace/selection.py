@@ -36,21 +36,27 @@ class ClusterAssignment:
     assignment: dict[str, int]  # question id -> cluster index in [0, n_clusters)
 
 
-def kmeans_cluster(
-    embeddings: dict[str, np.ndarray], n_clusters: int, seed: int
-) -> tuple[ClusterAssignment, np.ndarray]:
+def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int) -> ClusterAssignment:
     """Seeded k-means (greedy ++-style init, Lloyd iterations to a fixed
-    point): the assignment and the (n_clusters, dim) centroids, which only
-    write_clusters takes. With fewer distinct points than clusters,
-    duplicate centroids are allowed and the surplus clusters stay empty."""
+    point). With fewer distinct points than clusters, duplicate centroids
+    are allowed and the surplus clusters stay empty. Embeddings so large
+    that a squared distance overflows a float are refused with ValueError."""
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     ids = list(embeddings)
     if not ids:
         raise ValueError("no embeddings to cluster")
     points = np.stack([np.asarray(embeddings[i], dtype=np.float64) for i in ids])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            labels = _lloyd(points, n_clusters, np.random.default_rng(seed))
+    except FloatingPointError:
+        raise ValueError("field 'embedding': a squared distance between question embeddings overflows a float") from None
+    return ClusterAssignment(n_clusters=n_clusters, assignment={qid: int(lab) for qid, lab in zip(ids, labels)})
+
+
+def _lloyd(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
-    rng = np.random.default_rng(seed)
     centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n))]
     d2 = np.full(n, np.inf)  # squared distance to the nearest centroid so far
@@ -72,8 +78,7 @@ def kmeans_cluster(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    assignment = {qid: int(lab) for qid, lab in zip(ids, labels)}
-    return ClusterAssignment(n_clusters=n_clusters, assignment=assignment), centroids
+    return labels
 
 
 @dataclasses.dataclass
@@ -207,22 +212,15 @@ def select_bruteforce(problem: SelectionProblem) -> list[str]:
     return [qid for i, qid in enumerate(problem.ids) if (mask >> i) & 1]
 
 
-def write_clusters(clusters: ClusterAssignment, centroids: np.ndarray, path) -> None:
-    """clusters.json; the centroids are for people, no stage reads them."""
-    doc = {
-        "n_clusters": clusters.n_clusters,
-        "assignment": clusters.assignment,
-        "centroids": centroids.tolist(),
-    }
+def write_clusters(clusters: ClusterAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps({"n_clusters": clusters.n_clusters, "assignment": clusters.assignment}) + "\n")
 
 
 def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
     """clusters.json for corpus: n_clusters a JSON integer >= 1, and one
     cluster index per corpus question, a JSON integer in [0, n_clusters)
-    (int() would take a hand-edited 2.7 for 2 and true for 1). The
-    centroids are not read."""
+    (int() would take a hand-edited 2.7 for 2 and true for 1)."""
     doc = read_json(path, ("n_clusters", "assignment"))
     n_clusters = doc["n_clusters"]
     if type(n_clusters) is not int or n_clusters < 1:  # rejects bool too

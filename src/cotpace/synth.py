@@ -80,9 +80,7 @@ def make_arith_corpus(n_questions: int = 50, seed: int = 1234, dim: int = 64) ->
                 embedding=embed_question(text, dim=dim),
             )
         )
-    corpus = Corpus(questions=questions, embedding_dim=dim)
-    corpus.validate()
-    return corpus
+    return Corpus(questions=questions, embedding_dim=dim)
 
 
 def make_keypoint_corpus(
@@ -117,9 +115,7 @@ def make_keypoint_corpus(
                 embedding=emb.copy(),
             )
         )
-    corpus = Corpus(questions=questions, embedding_dim=dim)
-    corpus.validate()
-    return corpus
+    return Corpus(questions=questions, embedding_dim=dim)
 
 
 def main() -> None:

@@ -2,12 +2,24 @@
 from __future__ import annotations
 
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import cotpace
 from cotpace.corpus import parse_corpus
+
+# Every run draws the same hypothesis examples and saves none of them.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+# Hypothesis still caches the constants it reads from the source, while it
+# collects, under its home directory (.hypothesis/ in the working directory by
+# default); a temporary one, removed at exit, keeps the checkout clean.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 PACKAGE_DATA = Path(cotpace.__file__).parent / "data"
 BUNDLED_CORPUS = PACKAGE_DATA / "synthetic50.jsonl"

@@ -26,12 +26,12 @@ def planned():
     """A schedule, its clusters and the simulated student on 60 questions."""
     corpus = make_arith_corpus(60, seed=5)
     table = compute_table(corpus)
-    clusters, centroids = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 3, seed=2)
+    clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 3, seed=2)
     curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=5)
     plan = plan_full_schedule(corpus, table, curve, clusters, total_stages=10)
     stages = [rec.input_steps for rec in plan.stages]
     trace = simulate_student(corpus, stages, None, StudentConfig(epochs=10, seed=4))
-    return plan, (clusters, centroids), trace
+    return plan, clusters, trace
 
 
 def _indented(doc: dict, path) -> dict:
@@ -84,13 +84,9 @@ def test_trace_loads_equal_to_the_indented_document_without_counts(tmp_path, pla
 
 
 def test_clusters_load_equal_to_the_indented_document(tmp_path, planned):
-    _, (clusters, centroids), _ = planned
-    doc = {
-        "n_clusters": clusters.n_clusters,
-        "assignment": clusters.assignment,
-        "centroids": [[float(v) for v in row] for row in centroids],
-    }
-    write_clusters(clusters, centroids, tmp_path / "clusters.json")
+    _, clusters, _ = planned
+    doc = {"n_clusters": clusters.n_clusters, "assignment": clusters.assignment}
+    write_clusters(clusters, tmp_path / "clusters.json")
     assert len((tmp_path / "clusters.json").read_text(encoding="utf-8").splitlines()) == 1
     assert _load(tmp_path / "clusters.json") == _indented(doc, tmp_path / "old.json")
 

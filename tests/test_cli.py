@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -741,6 +742,74 @@ def test_an_empty_embedding_exits_2_and_names_it(tmp_path, capsys, command):
     assert main(argv) == 2
     assert f"field 'embedding' of 'q000' ({path}: line 1): empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+def test_embeddings_whose_distances_overflow_exit_2_and_name_them(tmp_path, capsys, shared):
+    # distinct: numpy warned of an overflow in square and an invalid divide,
+    # then cluster exited 2 with "Probabilities contain NaN"; shared: a
+    # centroid mean one rounding away from the point overflowed in the label
+    # kernel, with a warning, and cluster exited 0
+    rng = np.random.default_rng(0)
+    path = tmp_path / "large.jsonl"
+    write_corpus(make_arith_corpus(6, seed=5), path)
+    vector = lambda: [float(v) for v in np.where(rng.random(64) < 0.5, -1e200, 1e200)]
+    common = vector()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(
+        json.dumps({**rec, "embedding": common if shared else vector()}) + "\n" for rec in records
+    ))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["cluster", "--corpus", str(path), "--out", str(out), "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: field 'embedding': a squared distance between question embeddings overflows a float\n"
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+def test_clusters_json_does_not_grow_with_the_cluster_count(tmp_path, capsys):
+    # one 64-float centroid per requested cluster was written: 10,023,217
+    # bytes for 20,000 clusters of 4 questions
+    path = tmp_path / "c.jsonl"
+    write_corpus(make_arith_corpus(4, seed=5), path)
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(path), "--out", str(out), "--seed", "5", "--clusters", "20000"]) == 0
+    doc = json.loads((out / "clusters.json").read_text())
+    assert set(doc) == {"n_clusters", "assignment"} and doc["n_clusters"] == 20000
+    assert (out / "clusters.json").stat().st_size < 1000
+
+
+def test_assess_whose_total_overflows_exits_3_and_names_the_question(tmp_path, capsys):
+    # exited 3 with "intermediate overflow in fsum", naming nothing
+    corpus = make_arith_corpus(3, seed=5)
+    for q in corpus.questions:
+        q.token_logprobs = np.full(q.n_tokens, -1e308)
+    path = tmp_path / "c.jsonl"
+    write_corpus(corpus, path)
+    out = tmp_path / "out"
+    assert main(["assess", "--corpus", str(path), "--out", str(out), "--seed", "1"]) == 3
+    assert capsys.readouterr().err == "numeric failure: total difficulty overflows a float at question 'q000'\n"
+    assert not out.exists()
+
+
+def test_schedule_whose_total_overflows_exits_3_and_names_the_file(tmp_path, planned_out, small_corpus_path, capsys):
+    # each row sums to 1e308, so the running total leaves the float range at
+    # the second question; schedule said only "intermediate overflow in fsum"
+    def huge(lines):
+        for k, line in enumerate(lines):
+            rec = json.loads(line)
+            rec["step_difficulties"] = [1e308] + [0.0] * (len(rec["step_difficulties"]) - 1)
+            lines[k] = json.dumps(rec)
+
+    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "schedule", _edit_lines("difficulty.jsonl", huge))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"numeric failure: {out / 'difficulty.jsonl'}: total difficulty overflows a float at question 'q001'\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -10,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotpace.corpus import (
-    Corpus,
     ParseError,
-    Question,
     ValidationError,
     embed_question,
     parse_corpus,
@@ -20,7 +19,8 @@ from cotpace.corpus import (
     segment_steps,
     write_corpus,
 )
-from cotpace.synth import make_arith_corpus
+from cotpace.cli import main
+from cotpace.synth import make_arith_corpus, make_keypoint_corpus
 
 
 # --- segment_steps ----------------------------------------------------------
@@ -164,7 +164,8 @@ def test_parse_fills_spans_and_embeddings(tmp_path):
 
 def test_parse_logprob_length_mismatch_names_id(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("bad", token_logprobs=[-0.5])])
-    with pytest.raises(ValidationError, match="bad"):
+    message = f"field 'token_logprobs' of 'bad' ({path}: line 1): length 1 != 7 tokens"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         parse_corpus(path)
 
 
@@ -176,8 +177,9 @@ def test_parse_positive_logprob_rejected(tmp_path):
 
 
 def test_parse_duplicate_id_rejected(tmp_path):
-    path = _write_jsonl(tmp_path / "c.jsonl", [_record("dup"), _record("dup")])
-    with pytest.raises(ValidationError, match="dup"):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("dup"), _record("ok"), _record("dup")])
+    message = f"field 'id' of 'dup' ({path}: line 3): duplicate of line 1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         parse_corpus(path)
 
 
@@ -247,7 +249,7 @@ def test_parse_non_number_entry_rejected(tmp_path, field, bad):
     values = [NUMBER_FIELDS[field]] * 7
     values[3] = bad
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("nn", **{field: values})])
-    message = f"field '{field}' of 'nn' (line 1): entries must be numbers"
+    message = f"field '{field}' of 'nn' ({path}: line 1): entries must be numbers"
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_corpus(path)
 
@@ -298,15 +300,15 @@ def test_the_bundled_corpus_regenerates_byte_for_byte(bundled_corpus, bundled_co
 @pytest.mark.parametrize(
     "token, message",
     [
-        (5, "field 'rationale_tokens' of 'tk' (line 1): expected str, got int"),
-        ("", "field 'rationale_tokens' of 'tk': tokens must be non-empty strings"),
+        (5, "field 'rationale_tokens' of 'tk' ({path}: line 1): expected str, got int"),
+        ("", "field 'rationale_tokens' of 'tk' ({path}: line 1): tokens must be non-empty strings"),
     ],
     ids=["non-string", "empty"],
 )
 def test_parse_bad_token_rejected(tmp_path, token, message):
     tokens = ["one", "plus", "two", token, ".", "so", "three", "."]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("tk", rationale_tokens=tokens)])
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValidationError, match=re.escape(message.format(path=path))):
         parse_corpus(path)
 
 
@@ -323,48 +325,41 @@ def test_parse_non_finite_literal_rejected(tmp_path, field, message, literal):
     line = json.dumps(_record("nf"))[:-1] + f', "{field}": [{values}]}}\n'
     path = tmp_path / "c.jsonl"
     path.write_text(line)
+    head, reason = message.split(": ", 1)  # the message without the file and line
+    with pytest.raises(ValidationError, match=re.escape(f"{head} ({path}: line 1): {reason}")):
+        parse_corpus(path)
+
+
+# --- checks spanning fields and records --------------------------------------
+
+
+def test_validate_span_gap_rejected(tmp_path):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("sg", step_spans=[[0, 4], [5, 7]])])
+    message = f"field 'step_spans' of 'sg' ({path}: line 1): span 1 not contiguous"
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_corpus(path)
 
 
-# --- Question / Corpus validation -------------------------------------------
+def test_validate_span_coverage_rejected(tmp_path):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("sc", step_spans=[[0, 4]])])
+    message = f"field 'step_spans' of 'sc' ({path}: line 1): must cover [0, 7)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
 
 
-def _question(**overrides):
-    fields = dict(
-        id="q0",
-        question_text="text",
-        answer_text="a",
-        rationale_tokens=["x", "y"],
-        step_spans=[(0, 2)],
-    )
-    fields.update(overrides)
-    return Question(**fields)
+def test_validate_empty_span_rejected(tmp_path):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_record("se", step_spans=[[0, 7], [7, 7]])])
+    message = f"field 'step_spans' of 'se' ({path}: line 1): span 1 is empty"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
 
 
-def test_validate_span_gap_rejected():
-    q = _question(rationale_tokens=["x", "y", "z"], step_spans=[(0, 1), (2, 3)])
-    with pytest.raises(ValidationError, match="contiguous"):
-        q.validate()
-
-
-def test_validate_span_coverage_rejected():
-    q = _question(step_spans=[(0, 1)])
-    with pytest.raises(ValidationError, match="cover"):
-        q.validate()
-
-
-def test_validate_empty_span_rejected():
-    q = _question(step_spans=[(0, 2), (2, 2)])
-    with pytest.raises(ValidationError, match="cover|empty"):
-        q.validate()
-
-
-def test_corpus_embedding_dim_mismatch():
-    q = _question(embedding=np.zeros(3))
-    corpus = Corpus(questions=[q], embedding_dim=4)
-    with pytest.raises(ValidationError, match="dim"):
-        corpus.validate()
+def test_corpus_embedding_dim_mismatch(tmp_path):
+    records = [_record("a", embedding=[0.6, 0.8]), _record("b", embedding=[1.0, 0.0, 0.0])]
+    path = _write_jsonl(tmp_path / "c.jsonl", records)
+    message = f"field 'embedding' of 'b' ({path}: line 2): dim 3 != dim 2 of line 1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_corpus(path)
 
 
 # --- round-trips -------------------------------------------------------------
@@ -391,3 +386,149 @@ def test_round_trip_preserves_optional_fields(tmp_path):
     write_corpus(corpus, out)
     again = parse_corpus(out)
     assert question_to_record(corpus.questions[0]) == question_to_record(again.questions[0])
+
+
+@pytest.mark.parametrize(
+    "make, n, seed, dim",
+    [
+        (make_arith_corpus, 1, 0, 64),
+        (make_arith_corpus, 17, 5, 64),
+        (make_arith_corpus, 60, 99, 8),
+        (make_keypoint_corpus, 1, 7, 64),
+        (make_keypoint_corpus, 25, 3, 16),
+    ],
+)
+def test_synthetic_corpora_round_trip(tmp_path, make, n, seed, dim):
+    # the generators build Question objects directly, unchecked; parsing
+    # what they write is what checks them
+    corpus = make(n, seed=seed, dim=dim)
+    path = tmp_path / "c.jsonl"
+    write_corpus(corpus, path)
+    back = parse_corpus(path)
+    assert back.embedding_dim == corpus.embedding_dim == dim
+    assert [question_to_record(q) for q in back] == [question_to_record(q) for q in corpus]
+
+
+# --- every corpus refusal through the CLI -----------------------------------
+
+# (change to the record on line 2, field, the id as the message shows it,
+# reason); in a reason, n is the record's token count and m is n - 1
+FIELD_REFUSALS = {
+    "id-type": (lambda rec: rec.update(id=5), "id", "5", "expected str, got int"),
+    "id-empty": (lambda rec: rec.update(id=""), "id", "''", "empty"),
+    "id-duplicate": (lambda rec: rec.update(id="q000"), "id", "'q000'", "duplicate of line 1"),
+    "question-type": (lambda rec: rec.update(question=7), "question", "'q001'", "expected str, got int"),
+    "question-blank": (lambda rec: rec.update(question="  "), "question", "'q001'", "empty text"),
+    "answer-type": (lambda rec: rec.update(answer=None), "answer", "'q001'", "expected str, got NoneType"),
+    "tokens-type": (lambda rec: rec.update(rationale_tokens="x"), "rationale_tokens", "'q001'", "expected list, got str"),
+    "tokens-empty": (lambda rec: rec.update(rationale_tokens=[]), "rationale_tokens", "'q001'", "empty"),
+    "token-type": (
+        lambda rec: rec["rationale_tokens"].__setitem__(1, 5), "rationale_tokens", "'q001'", "expected str, got int"
+    ),
+    "token-empty": (
+        lambda rec: rec["rationale_tokens"].__setitem__(1, ""),
+        "rationale_tokens", "'q001'", "tokens must be non-empty strings",
+    ),
+    "spans-type": (lambda rec: rec.update(step_spans="x"), "step_spans", "'q001'", "expected list, got str"),
+    "spans-pair": (lambda rec: rec.update(step_spans=[[0]]), "step_spans", "'q001'", "spans are [start, end] pairs"),
+    "spans-float": (
+        lambda rec: rec.update(step_spans=[[0, float(len(rec["rationale_tokens"]))]]),
+        "step_spans", "'q001'", "bounds must be integers",
+    ),
+    "spans-none": (lambda rec: rec.update(step_spans=[]), "step_spans", "'q001'", "empty"),
+    "spans-short": (
+        lambda rec: rec.update(step_spans=[[0, len(rec["rationale_tokens"]) - 1]]),
+        "step_spans", "'q001'", "must cover [0, {n})",
+    ),
+    "span-empty": (
+        lambda rec: rec.update(step_spans=[[0, 0], [0, len(rec["rationale_tokens"])]]),
+        "step_spans", "'q001'", "span 0 is empty",
+    ),
+    "span-gap": (
+        lambda rec: rec.update(step_spans=[[0, 1], [2, len(rec["rationale_tokens"])]]),
+        "step_spans", "'q001'", "span 1 not contiguous",
+    ),
+    "logprobs-short": (
+        lambda rec: rec.update(token_logprobs=rec["token_logprobs"][:-1]),
+        "token_logprobs", "'q001'", "length {m} != {n} tokens",
+    ),
+    "logprobs-positive": (
+        lambda rec: rec["token_logprobs"].__setitem__(0, 0.5),
+        "token_logprobs", "'q001'", "entries must be finite and <= 0",
+    ),
+    "logprobs-nan": (
+        lambda rec: rec["token_logprobs"].__setitem__(0, math.nan),
+        "token_logprobs", "'q001'", "entries must be finite and <= 0",
+    ),
+    "logprobs-string": (
+        lambda rec: rec["token_logprobs"].__setitem__(0, "x"), "token_logprobs", "'q001'", "entries must be numbers"
+    ),
+    "weights-short": (
+        lambda rec: rec.update(token_weights=[0.5] * (len(rec["rationale_tokens"]) - 1)),
+        "token_weights", "'q001'", "length {m} != {n} tokens",
+    ),
+    "weights-range": (
+        lambda rec: rec.update(token_weights=[1.5] * len(rec["rationale_tokens"])),
+        "token_weights", "'q001'", "entries must lie in [0, 1]",
+    ),
+    "embedding-type": (lambda rec: rec.update(embedding="x"), "embedding", "'q001'", "expected list, got str"),
+    "embedding-bool": (
+        lambda rec: rec["embedding"].__setitem__(0, True), "embedding", "'q001'", "entries must be numbers"
+    ),
+    "embedding-empty": (lambda rec: rec.update(embedding=[]), "embedding", "'q001'", "empty"),
+    "embedding-nan": (
+        lambda rec: rec["embedding"].__setitem__(0, math.nan), "embedding", "'q001'", "non-finite values"
+    ),
+    "embedding-dim": (
+        lambda rec: rec.update(embedding=[1.0, 0.0, 0.0]), "embedding", "'q001'", "dim 3 != dim 64 of line 1"
+    ),
+}
+
+# (change to line 2's text, what the refusal says after "<path>: line 2: ")
+LINE_REFUSALS = {
+    "not-json": (lambda line: line[:-1], "invalid JSON"),
+    "not-object": (lambda line: "[1, 2]", "expected a JSON object, got list"),
+    "missing-key": (
+        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "answer"}),
+        "missing key(s) ['answer']",
+    ),
+    "unknown-key": (lambda line: line[:-1] + ', "extra": 1}', "unknown key(s) ['extra']; pass lenient mode to ignore"),
+}
+
+
+def _validate_with_line_2(tmp_path, change):
+    """Exit code of `cotpace validate` on make_arith_corpus(3, seed=5) with
+    line 2 changed, and the corpus path."""
+    path = tmp_path / "c.jsonl"
+    write_corpus(make_arith_corpus(3, seed=5), path)
+    lines = path.read_text().splitlines()
+    lines[1] = change(lines[1])
+    path.write_text("".join(line + "\n" for line in lines))
+    return main(["validate", "--corpus", str(path), "--seed", "1"]), path
+
+
+def _change_record(change):
+    def edit(line):
+        rec = json.loads(line)
+        change(rec)
+        return json.dumps(rec)
+
+    return edit
+
+
+@pytest.mark.parametrize("case", list(FIELD_REFUSALS))
+def test_every_field_refusal_names_field_id_file_and_line(tmp_path, capsys, case):
+    change, field, qid, reason = FIELD_REFUSALS[case]
+    code, path = _validate_with_line_2(tmp_path, _change_record(change))
+    n = make_arith_corpus(3, seed=5).questions[1].n_tokens
+    assert code == 2
+    message = f"error: field '{field}' of {qid} ({path}: line 2): {reason.format(n=n, m=n - 1)}\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("case", list(LINE_REFUSALS))
+def test_every_line_refusal_names_file_and_line(tmp_path, capsys, case):
+    change, reason = LINE_REFUSALS[case]
+    code, path = _validate_with_line_2(tmp_path, change)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: {reason}")

@@ -186,7 +186,7 @@ def test_plan_counts_never_increase():
 def test_plan_invariants_on_bundled_corpus(bundled_corpus):
     table = compute_table(bundled_corpus)
     embeddings = {q.id: q.embedding for q in bundled_corpus.questions}
-    clusters, _ = kmeans_cluster(embeddings, 4, seed=11)
+    clusters = kmeans_cluster(embeddings, 4, seed=11)
     curve = BudgetCurve.solve(
         b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=6
     )
@@ -226,7 +226,7 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     monkeypatch.setattr(schedule, "candidate_increments", counted_increments)
     monkeypatch.setattr(schedule, "select_ftgp", counted_ftgp)
     table = compute_table(bundled_corpus)
-    clusters, _ = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
+    clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
     curve = BudgetCurve.solve(
         b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6
     )

@@ -57,7 +57,7 @@ def _random_problem(rng, n=None, k=None, beta=None):
 
 def test_kmeans_single_cluster():
     emb = {f"q{i}": np.array([float(i), 0.0]) for i in range(5)}
-    out, _ = kmeans_cluster(emb, 1, seed=0)
+    out = kmeans_cluster(emb, 1, seed=0)
     assert set(out.assignment.values()) == {0}
 
 
@@ -67,7 +67,7 @@ def test_kmeans_separates_two_clouds():
     for i in range(10):
         emb[f"a{i}"] = np.array([-10.0, 0.0]) + rng.normal(0, 0.1, 2)
         emb[f"b{i}"] = np.array([10.0, 0.0]) + rng.normal(0, 0.1, 2)
-    out, _ = kmeans_cluster(emb, 2, seed=3)
+    out = kmeans_cluster(emb, 2, seed=3)
     a_labels = {out.assignment[f"a{i}"] for i in range(10)}
     b_labels = {out.assignment[f"b{i}"] for i in range(10)}
     assert len(a_labels) == 1 and len(b_labels) == 1 and a_labels != b_labels
@@ -75,16 +75,15 @@ def test_kmeans_separates_two_clouds():
 
 def test_kmeans_deterministic(bundled_corpus):
     emb = {q.id: q.embedding for q in bundled_corpus.questions}
-    a, a_centroids = kmeans_cluster(emb, 5, seed=9)
-    b, b_centroids = kmeans_cluster(emb, 5, seed=9)
+    a = kmeans_cluster(emb, 5, seed=9)
+    b = kmeans_cluster(emb, 5, seed=9)
     assert a.assignment == b.assignment
-    assert np.array_equal(a_centroids, b_centroids)
     assert all(0 <= c < 5 for c in a.assignment.values())
 
 
 def test_kmeans_more_clusters_than_points():
     emb = {"a": np.zeros(2), "b": np.ones(2)}
-    out, _ = kmeans_cluster(emb, 4, seed=0)
+    out = kmeans_cluster(emb, 4, seed=0)
     assert set(out.assignment) == {"a", "b"}
     assert all(0 <= c < 4 for c in out.assignment.values())
 
@@ -396,6 +395,6 @@ def test_clusters_round_trip(tmp_path):
     a, b = (q.id for q in corpus.questions)
     clusters = ClusterAssignment(n_clusters=2, assignment={a: 0, b: 1})
     path = tmp_path / "clusters.json"
-    write_clusters(clusters, np.array([[0.0, 1.0], [2.0, 3.0]]), path)
-    assert json.loads(path.read_text())["centroids"] == [[0.0, 1.0], [2.0, 3.0]]
+    write_clusters(clusters, path)
+    assert json.loads(path.read_text()) == {"n_clusters": 2, "assignment": {a: 0, b: 1}}
     assert read_clusters(path, corpus) == clusters
