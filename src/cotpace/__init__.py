@@ -11,10 +11,8 @@ from .loss_shaping import (
     LossSpec,
     StudentConfig,
     StudentTrace,
-    evaluate_loss,
     shape_stage_loss,
     simulate_student,
-    train_plain,
 )
 from .schedule import (
     BudgetCurve,
@@ -28,8 +26,6 @@ from .selection import (
     SelectionProblem,
     candidate_increments,
     kmeans_cluster,
-    marginal_gain,
-    select_bruteforce,
     select_ftgp,
     value_of,
 )
@@ -40,7 +36,6 @@ from .weighting import (
     WeightingConfig,
     forward_weights,
     gradient_check,
-    gumbel_sample,
     train_weighting,
 )
 

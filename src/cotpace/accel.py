@@ -1,6 +1,5 @@
-"""Hot numeric kernels of the selection stage, in numpy: the exhaustive
-best-subset oracle, the threshold-greedy admission sweep and the k-means
-label assignment."""
+"""Hot numeric kernels of the selection stage, in numpy: the
+threshold-greedy admission sweep and the k-means label assignment."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,56 +11,6 @@ HAVE_NUMBA = False
 
 def active_backend() -> str:
     return "numpy"
-
-
-# ---------------------------------------------------------------------------
-# subset comparison: lexicographic order on the sorted member lists.
-# Lowest differing bit p decides: the mask containing p is smaller unless
-# the other mask still has members above p (a shorter prefix wins).
-
-
-def _lex_smaller(a: int, b: int) -> bool:
-    if a == b:
-        return False
-    x = a ^ b
-    p_bit = x & (-x)
-    above = ~((p_bit << 1) - 1)
-    if a & p_bit:
-        return (b & above) != 0
-    return (a & above) == 0
-
-
-# ---------------------------------------------------------------------------
-# exhaustive best feasible subset (oracle). Subset sums and per-cluster
-# counts are built by doubling over items in index order; value is
-# (sum - budget) + beta * sum_k sqrt(count_k), added cluster by cluster.
-
-
-def bruteforce_best_subset(deltas, clusters, n_clusters, budget, beta):
-    """Return (best value, best subset bitmask) over all feasible subsets."""
-    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
-    clusters = np.ascontiguousarray(clusters, dtype=np.int64)
-    budget, beta = float(budget), float(beta)
-    n = deltas.shape[0]
-    if n == 0:
-        return -budget, 0  # value of the empty set (all sqrt counts are 0)
-    sums = np.zeros(1, dtype=np.float64)
-    for i in range(n):
-        sums = np.concatenate([sums, sums + deltas[i]])
-    values = sums - budget
-    for c in range(n_clusters):
-        cnt = np.zeros(1, dtype=np.int64)
-        for i in range(n):
-            cnt = np.concatenate([cnt, cnt + (1 if clusters[i] == c else 0)])
-        values = values + beta * np.sqrt(cnt.astype(np.float64))
-    masked = np.where(sums <= budget, values, -np.inf)
-    best_val = masked.max()
-    best_mask = -1
-    for m in np.flatnonzero(masked == best_val):
-        m = int(m)
-        if best_mask < 0 or _lex_smaller(m, best_mask):
-            best_mask = m
-    return float(best_val), best_mask
 
 
 # ---------------------------------------------------------------------------

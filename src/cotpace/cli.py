@@ -180,7 +180,8 @@ def load_config(path) -> dict:
     """INI-style key = value lines, in a bare file or under one [pipeline]
     header. Any other section is refused: its keys would otherwise merge
     into the pipeline's without a word. Unknown keys are rejected (they are
-    almost always typos)."""
+    almost always typos), and so is a key written both with dashes and with
+    underscores."""
     text = Path(path).read_text(encoding="utf-8")
     lines = (line.strip() for line in text.splitlines())
     first = next((line for line in lines if line and not line.startswith(("#", ";"))), "")
@@ -200,11 +201,15 @@ def load_config(path) -> dict:
             f"config {path}: section [{other[0]}] is not allowed; use a bare file or one [pipeline] section"
         )
     out: dict = {}
+    spelled: dict = {}  # key -> the spelling the file gave it
     if parser.has_section("pipeline"):
-        for key, value in parser.items("pipeline"):
-            key = key.replace("-", "_")
+        for spelling, value in parser.items("pipeline"):
+            key = spelling.replace("-", "_")
             if key not in _KNOBS:
                 raise ValueError(f"config {path}: unknown key {key!r}")
+            if key in spelled:  # configparser refuses one spelling given twice, not two
+                raise ValueError(f"config {path}: key {key!r} is given as both {spelled[key]!r} and {spelling!r}")
+            spelled[key] = spelling
             try:
                 out[key] = _converter(_KNOBS[key])(value)
             except ValueError as exc:

@@ -12,7 +12,8 @@ One record per line:
 Strict parsing rejects unknown keys; lenient mode ignores them.
 
 Each check is made once, as the file is read: read_jsonl refuses a line that
-is not a JSON object with the required keys, _record_to_question checks each
+is not a JSON object with the required keys, or that repeats a key in any
+object, _record_to_question checks each
 field of a record, and parse_corpus unknown keys, repeated ids and embedding
 sizes. Refusals read "field '<f>' of '<id>' (<path>: line <n>): <reason>", or
 "<path>: line <n>: <reason>" for a whole line. Code-built Questions are unchecked.
@@ -127,9 +128,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.questions)
 
-    def __iter__(self):
-        return iter(self.questions)
-
     def check_ids(self, where, found, what: str) -> None:
         """found (keyed by question id, read from the file named in where) must
         hold exactly the corpus ids: a file written for another corpus, or cut
@@ -169,11 +167,30 @@ def json_object(value, keys, where: str) -> dict:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of pairs. A repeated key is refused: json.loads would
+    keep its last value without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# One decoder for every read: json.loads with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _decode(text: str, where: str):
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def read_jsonl(path, keys=()):
@@ -192,6 +209,43 @@ def read_json(path, keys=()) -> dict:
     errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         return json_object(_decode(fh.read(), str(path)), keys, str(path))
+
+
+def write_vectors(vectors: dict[str, np.ndarray], field: str, path) -> None:
+    """JSONL: one {"id", field: [numbers]} row per question."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for qid, v in vectors.items():
+            fh.write(json.dumps({"id": qid, field: [float(x) for x in v]}) + "\n")
+
+
+def read_vectors(
+    path, corpus: Corpus, field: str, what: str, unit: str, hi: float, outside: str
+) -> dict[str, np.ndarray]:
+    """A per-question vector file for corpus, written by write_vectors: {id:
+    vector}, one row per corpus question, each id once, one number per token
+    or step of the question (unit "tokens" or "steps"), and every number
+    finite and in [0, hi]. Refusals name the file and the question, call the
+    vectors what, and say '<number> <outside>' of a number outside [0, hi]."""
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, rec in read_jsonl(path, ("id", field)):
+        where = f"{path}: line {lineno}"
+        qid = expect_type(rec["id"], str, "id", where)
+        if qid in vectors:
+            raise ValidationError(f"{path}: {what} for {qid!r} appear twice")
+        v = float_array(rec[field], field, f"{qid!r} ({where})")
+        bad = v[~np.isfinite(v)]
+        if bad.size:
+            raise ValidationError(f"{path}: {what} for {qid!r}: {bad[0]} is not finite")
+        bad = v[(v < 0.0) | (v > hi)]
+        if bad.size:
+            raise ValidationError(f"{path}: {what} for {qid!r}: {bad[0]} {outside}")
+        vectors[qid] = v
+    corpus.check_ids(path, vectors, what)
+    for q in corpus.questions:
+        n, size = vectors[q.id].size, getattr(q, f"n_{unit}")
+        if n != size:
+            raise ValidationError(f"{path}: {n} {what} for {q.id!r}, which has {size} {unit}")
+    return vectors
 
 
 def _per_token(rec: dict, field: str, where: str, n: int, lo: float, hi: float, rule: str) -> np.ndarray | None:
@@ -271,13 +325,13 @@ def _record_to_question(rec: dict, path, lineno: int) -> Question:
     )
 
 
-def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: bool = True) -> Corpus:
+def parse_corpus(path, *, strict: bool = True) -> Corpus:
     """Read a JSONL corpus and fill derived fields, checking each record once.
 
     Missing step_spans are derived by segment_steps; missing embeddings by
-    embed_question (dim taken from the first supplied embedding, else
-    embedding_dim). Blank lines are skipped. Raises ParseError naming the
-    file and line for malformed lines, ValidationError for invariant breaks
+    embed_question (dim taken from the first supplied embedding, else 64).
+    Blank lines are skipped. Raises ParseError naming the file and line for
+    malformed lines (a repeated key among them), ValidationError for invariant breaks
     (a repeated id names both lines) and for a file without questions.
     """
     questions: list[Question] = []
@@ -304,10 +358,10 @@ def parse_corpus(path, *, embedding_dim: int = 64, embed_seed: int = 0, strict: 
         questions.append(q)
     if not questions:
         raise ValidationError(f"{path}: no questions")
-    dim = embedding_dim if dim is None else dim
+    dim = 64 if dim is None else dim
     for q in questions:
         if q.embedding is None:
-            q.embedding = embed_question(q.question_text, dim=dim, seed=embed_seed)
+            q.embedding = embed_question(q.question_text, dim=dim)
     return Corpus(questions=questions, embedding_dim=dim)
 
 

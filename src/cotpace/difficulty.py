@@ -9,12 +9,11 @@ computed from the step difficulties whenever needed, never stored.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, expect_type, float_array, read_jsonl
+from .corpus import Corpus, Question, read_vectors, write_vectors
 
 
 class DifficultyError(ValueError):
@@ -129,34 +128,14 @@ def synthetic_logprobs(corpus: Corpus, seed: int) -> dict[str, np.ndarray]:
 
 def write_table(table: DifficultyTable, path) -> None:
     """JSONL: one {"id", "step_difficulties"} row per question."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, d in table.steps.items():
-            fh.write(json.dumps({"id": qid, "step_difficulties": [float(v) for v in d]}) + "\n")
+    write_vectors(table.steps, "step_difficulties", path)
 
 
 def read_table(path, corpus: Corpus) -> DifficultyTable:
     """difficulty.jsonl for corpus: one row per corpus question, each id once,
     one step difficulty per step, and every one finite and >= 0; their total
     must be finite too (OverflowError otherwise)."""
-    steps: dict[str, np.ndarray] = {}
-    for lineno, rec in read_jsonl(path, ("id", "step_difficulties")):
-        where = f"{path}: line {lineno}"
-        qid = expect_type(rec["id"], str, "id", where)
-        if qid in steps:
-            raise DifficultyError(f"{path}: step difficulties for {qid!r} appear twice")
-        d = float_array(rec["step_difficulties"], "step_difficulties", f"{qid!r} ({where})")
-        bad = d[~np.isfinite(d)]
-        if bad.size:
-            raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is not finite")
-        bad = d[d < 0.0]
-        if bad.size:
-            raise DifficultyError(f"{path}: step difficulties for {qid!r}: {bad[0]} is below 0")
-        steps[qid] = d
-    corpus.check_ids(path, steps, "step difficulties")
-    for q in corpus.questions:
-        n = steps[q.id].size
-        if n != q.n_steps:
-            raise DifficultyError(f"{path}: {n} step difficulties for {q.id!r}, which has {q.n_steps} steps")
+    steps = read_vectors(path, corpus, "step_difficulties", "step difficulties", "steps", math.inf, "is below 0")
     table = DifficultyTable(steps=steps)
     try:
         table.corpus_total

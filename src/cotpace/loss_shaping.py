@@ -12,7 +12,6 @@ count, so neither copies a weight.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 
@@ -56,31 +55,6 @@ def shape_stage_loss(question: Question, input_steps: int, stage: int = 0) -> Lo
     spec = LossSpec(question_id=question.id, stage=stage, input_end=input_end, gen_end=n)
     spec.validate()
     return spec
-
-
-def evaluate_loss(spec: LossSpec, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Weighted NLL over the generation range. logprobs and weights index
-    the whole rationale (length gen_end); logprobs inside the range must be
-    <= 0, and weights (uniform when None) must lie in [0, 1]."""
-    lp = np.asarray(logprobs, dtype=np.float64)
-    if lp.shape != (spec.gen_end,):
-        raise LossShapingError(
-            f"spec for {spec.question_id!r}: {lp.size} logprobs do not cover"
-            f" [0, {spec.gen_end})"
-        )
-    window = lp[spec.input_end : spec.gen_end]
-    if window.size and (not np.all(np.isfinite(window)) or window.max() > 0.0):
-        raise LossShapingError(
-            f"spec for {spec.question_id!r}: generation-range logprobs must be finite and <= 0"
-        )
-    w = np.ones(spec.gen_end) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (spec.gen_end,):
-        raise LossShapingError(
-            f"spec for {spec.question_id!r}: {w.size} weights for {spec.gen_end} rationale tokens"
-        )
-    if w.size and (not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0):
-        raise LossShapingError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
-    return -float(np.dot(w[spec.input_end :], window))
 
 
 def write_loss_specs(specs: list[LossSpec], path) -> None:
@@ -224,8 +198,9 @@ def _run_student(
     config: StudentConfig,
 ) -> StudentTrace:
     """Full-batch gradient descent on weighted NLL. epoch_counts yields each
-    epoch's input-step counts in corpus order; simulate and plain training
-    share this engine so they differ only in the counts fed in.
+    epoch's input-step counts in corpus order; simulate_student and the
+    plain-training oracle (tests/oracles.py) share this engine so they
+    differ only in the counts fed in.
 
     The student's next-token distribution depends only on the previous
     token, so an epoch's loss and gradient follow from the summed weight
@@ -278,18 +253,10 @@ def simulate_student(
     return _run_student(corpus, weights, _stage_counts(corpus, stages), config)
 
 
-def train_plain(
-    corpus: Corpus, weights: dict[str, np.ndarray] | None, config: StudentConfig
-) -> StudentTrace:
-    """Same student, no curriculum: every epoch scores the whole rationale."""
-    zeros = np.zeros(len(corpus.questions), dtype=np.int64)
-    return _run_student(corpus, weights, itertools.repeat(zeros), config)
-
-
 def write_trace(trace: StudentTrace, path) -> None:
     """One JSON document, one question's final token probabilities per line.
-    The input-step counts are not repeated here: under simulate, epoch e's
-    are schedule.json stage e's "c"; under train_plain they are all 0."""
+    The input-step counts are not repeated here: epoch e's are
+    schedule.json stage e's "c"."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"epoch_losses": ' + json.dumps(trace.epoch_losses) + ',\n"final_token_probs": {')
         sep = "\n"

@@ -7,8 +7,7 @@ its base value). The objective over a chosen set S is
 
 which is monotone and submodular in S; feasibility is sum of deltas <=
 budget. select_ftgp runs a decaying-threshold density greedy and returns
-the better of the accumulated set and the best feasible singleton;
-select_bruteforce enumerates all subsets (oracle, small n only).
+the better of the accumulated set and the best feasible singleton.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from . import accel
 from .corpus import Corpus, expect_type, read_json
 from .difficulty import DifficultyTable, DifficultyError
 
-BRUTEFORCE_MAX = 22
 # Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
 # passes over 2000 candidates and eps = 0.01 about 1300; each pass can cost a
 # walk over every candidate, so an eps near 0 would never finish.
@@ -124,27 +122,6 @@ def value_of(problem: SelectionProblem, chosen: Iterable[str]) -> float:
     return value
 
 
-def marginal_gain(problem: SelectionProblem, chosen: Iterable[str], candidate: str) -> float:
-    """F(S + x) - F(S) for x not already in S."""
-    chosen = set(chosen)
-    if candidate in chosen:
-        raise ValueError(f"candidate {candidate!r} already chosen")
-    if candidate not in problem.increments:
-        raise ValueError(f"candidate {candidate!r} not in candidate set")
-    k = problem.clusters.assignment[candidate]
-    n_k = sum(1 for qid in chosen if problem.clusters.assignment[qid] == k)
-    return problem.increments[candidate] + problem.beta * (math.sqrt(n_k + 1) - math.sqrt(n_k))
-
-
-def is_feasible(problem: SelectionProblem, chosen: Iterable[str]) -> bool:
-    chosen = set(chosen)
-    total = 0.0
-    for qid in problem.ids:
-        if qid in chosen:
-            total += problem.increments[qid]
-    return total <= problem.budget
-
-
 def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
     """Decaying-threshold greedy. Thresholds start at the largest initial
     gain density, decay by (1 - eps) down to eps * theta_max / (2n); each
@@ -192,24 +169,6 @@ def _best_singleton(problem: SelectionProblem) -> tuple[str | None, float]:
     if not fits[best]:
         return None, -math.inf
     return problem.ids[best], float(values[best])
-
-
-def select_bruteforce(problem: SelectionProblem) -> list[str]:
-    """Exhaustive optimum; ties go to the lexicographically smallest set
-    of candidate indices. Guarded to <= BRUTEFORCE_MAX candidates."""
-    n = len(problem.ids)
-    if n > BRUTEFORCE_MAX:
-        raise ValueError(f"brute force limited to {BRUTEFORCE_MAX} candidates, got {n}")
-    if n == 0:
-        return []
-    _, mask = accel.bruteforce_best_subset(
-        problem.deltas,
-        problem.cluster_ids,
-        problem.clusters.n_clusters,
-        problem.budget,
-        problem.beta,
-    )
-    return [qid for i, qid in enumerate(problem.ids) if (mask >> i) & 1]
 
 
 def write_clusters(clusters: ClusterAssignment, path) -> None:

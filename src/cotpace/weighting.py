@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, expect_type, float_array, read_jsonl
+from .corpus import Corpus, Question, read_vectors, write_vectors
 
 CLAMP_LO = 1e-6
 CLAMP_HI = 1.0 - 1e-6
@@ -221,20 +221,6 @@ def _draw_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> Mas
     and the hard mask that keeps each token whose soft value is >= 0.5."""
     soft = _soft_mask(w, g1, g0, tau)
     return MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
-
-
-def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
-    """One relaxed-Bernoulli mask draw. P(hard_j = 1) equals weights[j]
-    exactly at any tau; tau only controls how soft the relaxation is."""
-    w = np.asarray(weights, dtype=np.float64)
-    if tau <= 0.0:
-        raise WeightingError(f"tau must be > 0, got {tau}")
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise WeightingError(
-            "weights must lie strictly inside (0, 1); clamp to [1e-6, 1 - 1e-6] before sampling"
-        )
-    g1, g0 = _sample_noise(w.size, np.random.default_rng(seed))
-    return _draw_mask(w, g1, g0, tau)
 
 
 def _pool_scores(e0, xr, pool_q, sd):
@@ -653,35 +639,14 @@ def gradient_check(
 
 
 def write_weights(weights: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, w in weights.items():
-            fh.write(json.dumps({"id": qid, "weights": [float(v) for v in w]}) + "\n")
+    write_vectors(weights, "weights", path)
 
 
 def read_weights(path, corpus: Corpus) -> dict[str, np.ndarray]:
     """weights.jsonl for corpus: {id: weights}, one record per corpus
     question, each id once, one weight per rationale token, and every weight
     finite and in [0, 1]."""
-    out: dict[str, np.ndarray] = {}
-    for lineno, rec in read_jsonl(path, ("id", "weights")):
-        where = f"{path}: line {lineno}"
-        qid = expect_type(rec["id"], str, "id", where)
-        if qid in out:
-            raise WeightingError(f"{path}: weights for {qid!r} appear twice")
-        w = float_array(rec["weights"], "weights", f"{qid!r} ({where})")
-        bad = w[~np.isfinite(w)]
-        if bad.size:
-            raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} is not finite")
-        bad = w[(w < 0.0) | (w > 1.0)]
-        if bad.size:
-            raise WeightingError(f"{path}: weights for {qid!r}: {bad[0]} lies outside [0, 1]")
-        out[qid] = w
-    corpus.check_ids(path, out, "weights")
-    for q in corpus.questions:
-        n = out[q.id].size
-        if n != q.n_tokens:
-            raise WeightingError(f"{path}: {n} weights for {q.id!r}, which has {q.n_tokens} tokens")
-    return out
+    return read_vectors(path, corpus, "weights", "weights", "tokens", 1.0, "lies outside [0, 1]")
 
 
 def save_model(model: TokenWeightModel, path) -> None:
@@ -698,25 +663,3 @@ def save_model(model: TokenWeightModel, path) -> None:
         json.dump(doc, fh)
         fh.write("\n")
 
-
-def load_model(path) -> TokenWeightModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise WeightingError(f"{path}: not a {MODEL_FORMAT} checkpoint")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise WeightingError(
-            f"{path}: format version {version} unsupported; this build reads version"
-            f" {MODEL_FORMAT_VERSION}"
-        )
-    config = WeightingConfig(**doc["config"])
-    config.validate()
-    params = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["params"].items()}
-    return TokenWeightModel(
-        vocab={k: int(v) for k, v in doc["vocab"].items()},
-        classes={k: int(v) for k, v in doc["classes"].items()},
-        params=params,
-        config=config,
-        question_dim=int(doc["question_dim"]),
-    )

@@ -1,0 +1,168 @@
+"""Reference implementations the tests compare the pipeline against.
+
+No cotpace command runs these: the exhaustive best-subset search and its
+set-function helpers check select_ftgp, gumbel_sample checks the
+relaxed-Bernoulli mask draw, and evaluate_loss and train_plain check the
+loss windows and the scheduled student.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Iterable
+
+import numpy as np
+
+from cotpace.corpus import Corpus
+from cotpace.loss_shaping import LossShapingError, LossSpec, StudentConfig, StudentTrace, _run_student
+from cotpace.selection import SelectionProblem
+from cotpace.weighting import MaskSample, WeightingError, _draw_mask, _sample_noise
+
+# ---------------------------------------------------------------------------
+# subset comparison: lexicographic order on the sorted member lists.
+# Lowest differing bit p decides: the mask containing p is smaller unless
+# the other mask still has members above p (a shorter prefix wins).
+
+
+def _lex_smaller(a: int, b: int) -> bool:
+    if a == b:
+        return False
+    x = a ^ b
+    p_bit = x & (-x)
+    above = ~((p_bit << 1) - 1)
+    if a & p_bit:
+        return (b & above) != 0
+    return (a & above) == 0
+
+
+# ---------------------------------------------------------------------------
+# exhaustive best feasible subset (oracle). Subset sums and per-cluster
+# counts are built by doubling over items in index order; value is
+# (sum - budget) + beta * sum_k sqrt(count_k), added cluster by cluster.
+
+
+def bruteforce_best_subset(deltas, clusters, n_clusters, budget, beta):
+    """Return (best value, best subset bitmask) over all feasible subsets."""
+    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
+    clusters = np.ascontiguousarray(clusters, dtype=np.int64)
+    budget, beta = float(budget), float(beta)
+    n = deltas.shape[0]
+    if n == 0:
+        return -budget, 0  # value of the empty set (all sqrt counts are 0)
+    sums = np.zeros(1, dtype=np.float64)
+    for i in range(n):
+        sums = np.concatenate([sums, sums + deltas[i]])
+    values = sums - budget
+    for c in range(n_clusters):
+        cnt = np.zeros(1, dtype=np.int64)
+        for i in range(n):
+            cnt = np.concatenate([cnt, cnt + (1 if clusters[i] == c else 0)])
+        values = values + beta * np.sqrt(cnt.astype(np.float64))
+    masked = np.where(sums <= budget, values, -np.inf)
+    best_val = masked.max()
+    best_mask = -1
+    for m in np.flatnonzero(masked == best_val):
+        m = int(m)
+        if best_mask < 0 or _lex_smaller(m, best_mask):
+            best_mask = m
+    return float(best_val), best_mask
+
+
+# ---------------------------------------------------------------------------
+# the set function and its exhaustive optimum
+
+BRUTEFORCE_MAX = 22
+
+
+def marginal_gain(problem: SelectionProblem, chosen: Iterable[str], candidate: str) -> float:
+    """F(S + x) - F(S) for x not already in S."""
+    chosen = set(chosen)
+    if candidate in chosen:
+        raise ValueError(f"candidate {candidate!r} already chosen")
+    if candidate not in problem.increments:
+        raise ValueError(f"candidate {candidate!r} not in candidate set")
+    k = problem.clusters.assignment[candidate]
+    n_k = sum(1 for qid in chosen if problem.clusters.assignment[qid] == k)
+    return problem.increments[candidate] + problem.beta * (math.sqrt(n_k + 1) - math.sqrt(n_k))
+
+
+def is_feasible(problem: SelectionProblem, chosen: Iterable[str]) -> bool:
+    chosen = set(chosen)
+    total = 0.0
+    for qid in problem.ids:
+        if qid in chosen:
+            total += problem.increments[qid]
+    return total <= problem.budget
+
+
+def select_bruteforce(problem: SelectionProblem) -> list[str]:
+    """Exhaustive optimum; ties go to the lexicographically smallest set
+    of candidate indices. Guarded to <= BRUTEFORCE_MAX candidates."""
+    n = len(problem.ids)
+    if n > BRUTEFORCE_MAX:
+        raise ValueError(f"brute force limited to {BRUTEFORCE_MAX} candidates, got {n}")
+    if n == 0:
+        return []
+    _, mask = bruteforce_best_subset(
+        problem.deltas,
+        problem.cluster_ids,
+        problem.clusters.n_clusters,
+        problem.budget,
+        problem.beta,
+    )
+    return [qid for i, qid in enumerate(problem.ids) if (mask >> i) & 1]
+
+
+# ---------------------------------------------------------------------------
+# one relaxed-Bernoulli mask draw
+
+
+def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
+    """One relaxed-Bernoulli mask draw. P(hard_j = 1) equals weights[j]
+    exactly at any tau; tau only controls how soft the relaxation is."""
+    w = np.asarray(weights, dtype=np.float64)
+    if tau <= 0.0:
+        raise WeightingError(f"tau must be > 0, got {tau}")
+    if np.any(w <= 0.0) or np.any(w >= 1.0):
+        raise WeightingError(
+            "weights must lie strictly inside (0, 1); clamp to [1e-6, 1 - 1e-6] before sampling"
+        )
+    g1, g0 = _sample_noise(w.size, np.random.default_rng(seed))
+    return _draw_mask(w, g1, g0, tau)
+
+
+# ---------------------------------------------------------------------------
+# the loss of one window, and the student without a curriculum
+
+
+def evaluate_loss(spec: LossSpec, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Weighted NLL over the generation range. logprobs and weights index
+    the whole rationale (length gen_end); logprobs inside the range must be
+    <= 0, and weights (uniform when None) must lie in [0, 1]."""
+    lp = np.asarray(logprobs, dtype=np.float64)
+    if lp.shape != (spec.gen_end,):
+        raise LossShapingError(
+            f"spec for {spec.question_id!r}: {lp.size} logprobs do not cover"
+            f" [0, {spec.gen_end})"
+        )
+    window = lp[spec.input_end : spec.gen_end]
+    if window.size and (not np.all(np.isfinite(window)) or window.max() > 0.0):
+        raise LossShapingError(
+            f"spec for {spec.question_id!r}: generation-range logprobs must be finite and <= 0"
+        )
+    w = np.ones(spec.gen_end) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (spec.gen_end,):
+        raise LossShapingError(
+            f"spec for {spec.question_id!r}: {w.size} weights for {spec.gen_end} rationale tokens"
+        )
+    if w.size and (not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0):
+        raise LossShapingError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
+    return -float(np.dot(w[spec.input_end :], window))
+
+
+def train_plain(
+    corpus: Corpus, weights: dict[str, np.ndarray] | None, config: StudentConfig
+) -> StudentTrace:
+    """Same student, no curriculum: every epoch scores the whole rationale."""
+    zeros = np.zeros(len(corpus.questions), dtype=np.int64)
+    return _run_student(corpus, weights, itertools.repeat(zeros), config)

@@ -18,6 +18,7 @@ from cotpace.cli import stage_seed
 from cotpace.corpus import write_corpus
 from cotpace.selection import kmeans_cluster
 from cotpace.synth import make_arith_corpus
+from oracles import bruteforce_best_subset
 
 
 def test_active_backend_is_a_known_name():
@@ -98,7 +99,7 @@ def test_kmeans_ties_go_to_lowest_index():
 
 
 def test_empty_inputs_short_circuit():
-    val, mask = accel.bruteforce_best_subset(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 2.0, 1.0)
+    val, mask = bruteforce_best_subset(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 2.0, 1.0)
     assert (val, mask) == (-2.0, 0)
     assert accel.greedy_admit(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 1.0, 0.0, 0.1).size == 0
 

@@ -22,19 +22,11 @@ from cotpace.difficulty import (
     question_generation_difficulty,
     step_difficulty,
 )
-from cotpace.loss_shaping import (
-    StudentConfig,
-    evaluate_loss,
-    shape_stage_loss,
-    simulate_student,
-    train_plain,
-)
+from cotpace.loss_shaping import StudentConfig, shape_stage_loss, simulate_student
 from cotpace.schedule import BudgetCurve, budget_at
 from cotpace.selection import (
     ClusterAssignment,
     SelectionProblem,
-    marginal_gain,
-    select_bruteforce,
     select_ftgp,
     value_of,
 )
@@ -43,9 +35,9 @@ from cotpace.weighting import (
     WeightingConfig,
     build_model,
     gradient_check,
-    gumbel_sample,
     train_weighting,
 )
+from oracles import evaluate_loss, gumbel_sample, marginal_gain, select_bruteforce, train_plain
 
 
 def _random_instance(rng: np.random.Generator) -> SelectionProblem:

@@ -342,6 +342,17 @@ def test_cluster_index_outside_the_clusters_exit_2(tmp_path, small_corpus_path, 
     assert not (out / "schedule.json").exists()
 
 
+def test_a_repeated_key_in_clusters_json_exit_2(tmp_path, small_corpus_path, capsys):
+    out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
+    path = out / "clusters.json"
+    # the last value won: schedule exited 0 and planned with q003 in cluster 4
+    path.write_text(path.read_text().replace('"q003": ', '"q003": 4, "q003": ', 1))
+    capsys.readouterr()
+    assert main(["schedule", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: repeated key 'q003'\n"
+    assert not (out / "schedule.json").exists()
+
+
 @pytest.mark.parametrize("command, artifact", [("shape-loss", "losses.jsonl"), ("simulate", "trace.json")])
 def test_stale_schedule_exit_2(tmp_path, stale_out, small_corpus_path, capsys, command, artifact):
     code, out = _with_stale(tmp_path, stale_out, small_corpus_path, [], command)
@@ -935,6 +946,15 @@ def test_config_rejects_unknown_key(tmp_path):
     bad.write_text("sedd = 5\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(bad)
+
+
+def test_a_config_key_in_both_spellings_exits_2_and_names_both(tmp_path, small_corpus_path, capsys):
+    # loaded as {'weight_lr': 0.2}: the later spelling won without a word
+    cfg = tmp_path / "both.ini"
+    cfg.write_text("seed = 1\nweight-lr = 0.01\nweight_lr = 0.2\n")
+    assert main(["validate", "--corpus", str(small_corpus_path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {cfg}: key 'weight_lr' is given as both 'weight-lr' and 'weight_lr'\n"
 
 
 def test_to_bool_parses_common_spellings():

@@ -278,7 +278,7 @@ def test_blank_question_text_names_file_line_and_id(tmp_path, embedding):
 
 def test_a_token_in_two_questions_is_one_object(bundled_corpus):
     # one str per distinct token, not one per occurrence
-    tokens = [t for q in bundled_corpus for t in q.rationale_tokens]
+    tokens = [t for q in bundled_corpus.questions for t in q.rationale_tokens]
     assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens) / 5
 
 
@@ -406,7 +406,7 @@ def test_synthetic_corpora_round_trip(tmp_path, make, n, seed, dim):
     write_corpus(corpus, path)
     back = parse_corpus(path)
     assert back.embedding_dim == corpus.embedding_dim == dim
-    assert [question_to_record(q) for q in back] == [question_to_record(q) for q in corpus]
+    assert [question_to_record(q) for q in back.questions] == [question_to_record(q) for q in corpus.questions]
 
 
 # --- every corpus refusal through the CLI -----------------------------------
@@ -493,6 +493,7 @@ LINE_REFUSALS = {
         "missing key(s) ['answer']",
     ),
     "unknown-key": (lambda line: line[:-1] + ', "extra": 1}', "unknown key(s) ['extra']; pass lenient mode to ignore"),
+    "repeated-key": (lambda line: line[:-1] + ', "answer": "7"}', "repeated key 'answer'"),
 }
 
 

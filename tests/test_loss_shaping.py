@@ -15,13 +15,12 @@ from cotpace.loss_shaping import (
     LossSpec,
     StudentConfig,
     build_stage_loss_specs,
-    evaluate_loss,
     shape_stage_loss,
     simulate_student,
-    train_plain,
     write_loss_specs,
     write_trace,
 )
+from oracles import evaluate_loss, train_plain
 
 
 def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:

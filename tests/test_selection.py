@@ -11,21 +11,18 @@ from hypothesis import strategies as st
 
 from cotpace.difficulty import DifficultyError, DifficultyTable
 from cotpace.selection import (
-    BRUTEFORCE_MAX,
     ClusterAssignment,
     SelectionProblem,
     _best_singleton,
     candidate_increments,
-    is_feasible,
     kmeans_cluster,
-    marginal_gain,
     read_clusters,
-    select_bruteforce,
     select_ftgp,
     value_of,
     write_clusters,
 )
 from cotpace.synth import make_arith_corpus
+from oracles import BRUTEFORCE_MAX, is_feasible, marginal_gain, select_bruteforce
 
 
 def _clusters(assignment: dict[str, int], k: int | None = None) -> ClusterAssignment:

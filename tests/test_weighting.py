@@ -1,6 +1,8 @@
 """Token significance scoring, Gumbel masks, and the joint training loop."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,13 +18,12 @@ from cotpace.weighting import (
     build_model,
     forward_weights,
     gradient_check,
-    gumbel_sample,
-    load_model,
     read_weights,
     save_model,
     train_weighting,
     write_weights,
 )
+from oracles import gumbel_sample
 
 
 @pytest.fixture(scope="module")
@@ -623,27 +624,17 @@ def test_weights_round_trip(tmp_path, keypoint_run):
     assert set(first) == {"id", "weights"}
 
 
-def test_model_round_trip(tmp_path, model_small, arith_small):
-    path = tmp_path / "model.json"
+def test_model_round_trip(tmp_path, model_small):
+    # No stage reads weight_model.json back, so no loader exists; the file
+    # must still hold the whole model.
+    path = tmp_path / "weight_model.json"
     save_model(model_small, path)
-    back = load_model(path)
-    assert back.vocab == model_small.vocab
-    assert back.classes == model_small.classes
-    assert back.config == model_small.config
+    doc = json.loads(path.read_text())
+    assert (doc["format"], doc["format_version"]) == (weighting.MODEL_FORMAT, weighting.MODEL_FORMAT_VERSION)
+    assert doc["vocab"] == model_small.vocab
+    assert doc["classes"] == model_small.classes
+    assert doc["config"] == dataclasses.asdict(model_small.config)
+    assert doc["question_dim"] == model_small.question_dim
+    assert doc["params"].keys() == model_small.params.keys()
     for name, arr in model_small.params.items():
-        assert np.array_equal(back.params[name], arr), name
-    q = arith_small.questions[0]
-    assert np.array_equal(
-        forward_weights(back, q.rationale_tokens), forward_weights(model_small, q.rationale_tokens)
-    )
-
-
-def test_load_model_rejects_foreign_files(tmp_path):
-    bad = tmp_path / "other.json"
-    bad.write_text('{"format": "something-else", "format_version": 1}\n')
-    with pytest.raises(WeightingError, match="checkpoint"):
-        load_model(bad)
-    stale = tmp_path / "stale.json"
-    stale.write_text('{"format": "cotpace-weight-model", "format_version": 99}\n')
-    with pytest.raises(WeightingError, match="version"):
-        load_model(stale)
+        assert np.array_equal(np.asarray(doc["params"][name], dtype=np.float64), arr), name
