@@ -20,15 +20,15 @@ import numpy as np
 
 from .corpus import Corpus, Question, read_vectors, write_vectors
 
-CLAMP_LO = 1e-6
-CLAMP_HI = 1.0 - 1e-6
 SOFT_LO = 1e-12
 SOFT_HI = 1.0 - 1e-12
 # The scorer's pre-sigmoid output is squashed to (-PRE_CAP, PRE_CAP).
 # Without the cap, tokens whose score drifts past |z| ~ 8 during the early
 # epochs see a vanishing sigmoid slope on every gradient path and freeze
 # permanently at weight 0 or 1; capping keeps the slope at or above
-# sigmoid'(PRE_CAP) so any token stays revisable for the whole run.
+# sigmoid'(PRE_CAP) so any token stays revisable for the whole run. It
+# also keeps every weight inside (0.017, 0.983), so the mask's log-odds
+# need no clamp.
 PRE_CAP = 4.0
 # Pooling scores get the same treatment with more headroom; see
 # _pool_scores for why they must stay bounded. The bound also serves as
@@ -94,22 +94,29 @@ class TokenWeightModel:
     params: dict[str, np.ndarray]
     config: WeightingConfig
     question_dim: int
-    # token sequence -> read-only id array; the vocabulary never changes
-    # after the model is built, and training looks up the same rationales
-    # every epoch
-    _ids: dict[tuple[str, ...], np.ndarray] = dataclasses.field(
+    # token sequence -> read-only (ids, distinct ids, inverse index); the
+    # vocabulary never changes after the model is built, and training looks
+    # up the same rationales every epoch
+    _ids: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def token_ids(self, tokens: list[str]) -> np.ndarray:
+    def token_rows(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(idx, uniq, inverse): the vocabulary row of each token, the
+        distinct rows in ascending order, and each token's position in uniq."""
         key = tuple(tokens)
-        idx = self._ids.get(key)
-        if idx is None:
+        rows = self._ids.get(key)
+        if rows is None:
             unk = self.vocab[UNK_TOKEN]
             idx = np.asarray([self.vocab.get(t, unk) for t in tokens], dtype=np.int64)
-            idx.flags.writeable = False
-            self._ids[key] = idx
-        return idx
+            rows = (idx, *np.unique(idx, return_inverse=True))
+            for arr in rows:
+                arr.flags.writeable = False
+            self._ids[key] = rows
+        return rows
+
+    def token_ids(self, tokens: list[str]) -> np.ndarray:
+        return self.token_rows(tokens)[0]
 
 
 def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generator | None = None) -> TokenWeightModel:
@@ -205,10 +212,12 @@ class MaskSample:
     soft: np.ndarray  # float in (0,1); carries the gradient
 
 
-def _sample_noise(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Gumbel noise (g1, g0) for n tokens from 2n uniforms: g1's n, then g0's."""
-    g = -np.log(-np.log(np.maximum(rng.random(2 * n), 1e-300)))
-    return g[:n], g[n:]
+def _sample_noise(n: int, rng: np.random.Generator, draws: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gumbel noise (g1, g0) for n tokens from 2n uniforms: g1's n, then
+    g0's. With draws, one such row per draw, so each is (draws, n)."""
+    shape = 2 * n if draws is None else (draws, 2 * n)
+    g = -np.log(-np.log(np.maximum(rng.random(shape), 1e-300)))
+    return g[..., :n], g[..., n:]
 
 
 def _soft_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> np.ndarray:
@@ -297,11 +306,14 @@ def weighting_loss_and_grads(
     g0: np.ndarray,
     prefixes: list[int],
     mask_mode: str = "hard",
-    with_grads: bool = True,
+    grads: dict[str, np.ndarray] | None = None,
     alpha: float | None = None,
 ):
-    """Combined loss (prediction + alpha * mask ratio) and, optionally,
-    gradients for every parameter.
+    """(loss, lp, lm, sample): the combined loss (lp + alpha * lm plus the
+    unmasked term below), its prediction and mask-ratio parts, and the
+    mask drawn. Given grads, the caller's per-parameter sums, the visit
+    adds its gradient into them (into embed and h_embed only on its own
+    tokens' rows); without grads it computes no gradient.
 
     mask_mode 'hard' is the training objective: binary masks in the
     forward pass, gradients routed through the soft values
@@ -326,14 +338,13 @@ def weighting_loss_and_grads(
     unmasked_weight = cfg.unmasked_weight
     p = model.params
     sd = math.sqrt(cfg.d_embed)
-    idx = model.token_ids(question.rationale_tokens)
+    idx, uniq, inverse = model.token_rows(question.rationale_tokens)
     n = idx.size
     he, xr, (s_tok, s_x, slope_tok, slope_x), cls_idx = _pooling_inputs(model, question, idx)
 
     w, scorer_cache = _scorer_forward(model, idx)
     e0, x, q, k_mat, v, attn, mixed, h, z = scorer_cache
-    wc = np.clip(w, CLAMP_LO, CLAMP_HI)
-    sample = _draw_mask(wc, g1, g0, cfg.tau)
+    sample = _draw_mask(w, g1, g0, cfg.tau)
     soft = sample.soft
     factors = soft if mask_mode == "soft" else sample.hard.astype(np.float64)
 
@@ -354,8 +365,8 @@ def weighting_loss_and_grads(
     losses, cache = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
     lp = float(losses[:n_cuts].sum())
     loss = lp + alpha * lm + unmasked_weight * float(losses[n_cuts:].sum())
-    if not with_grads:
-        return loss, lp, lm, None, sample
+    if grads is None:
+        return loss, lp, lm, sample
 
     cx, et, ct, z_norm, ax, at, pooled, probs = cache
     dlogits = probs
@@ -372,45 +383,48 @@ def weighting_loss_and_grads(
     d_stok = (dct * ct).sum(axis=0)
     # the mask factors only scale the first n_cuts rows
     d_factors = (dct[:n_cuts] * prefix).sum(axis=0) * et
-    grads = {"w_cls": pooled.T @ dlogits, "b_cls": dlogits.sum(axis=0)}
+    grads["w_cls"] += pooled.T @ dlogits
+    grads["b_cls"] += dlogits.sum(axis=0)
     # pooling scores, through the tanh caps
     d_sx_raw = d_sx * slope_x
     d_stok_raw = d_stok * slope_tok
     d_xr += d_sx_raw * p["pool_q"] / sd
     d_he += np.outer(d_stok_raw, p["pool_q"]) / sd
-    grads["pool_q"] = (d_sx_raw * xr + he.T @ d_stok_raw) / sd
-    grads["x_proj"] = np.outer(question.embedding, d_xr)
-    grads["h_embed"] = np.zeros_like(p["h_embed"])
-    np.add.at(grads["h_embed"], idx, d_he)
+    grads["pool_q"] += (d_sx_raw * xr + he.T @ d_stok_raw) / sd
+    grads["x_proj"] += np.outer(question.embedding, d_xr)
     # mask path: prediction gradient flows through the soft values in both
     # modes (straight-through for 'hard'); the ratio term is always soft.
     d_soft = d_factors + alpha * pref_count
     inner = (soft > SOFT_LO) & (soft < SOFT_HI)
     d_u = d_soft * soft * (1.0 - soft) * inner
-    d_wc = d_u * (1.0 / wc + 1.0 / (1.0 - wc)) / cfg.tau
-    d_w = d_wc * ((w > CLAMP_LO) & (w < CLAMP_HI))
+    d_w = d_u * (1.0 / w + 1.0 / (1.0 - w)) / cfg.tau
     d_z = d_w * w * (1.0 - w)
     d_z = d_z * (1.0 - (z / PRE_CAP) ** 2)
     # scorer
-    grads["w2"] = h.T @ d_z
-    grads["b2"] = np.asarray(d_z.sum())
+    grads["w2"] += h.T @ d_z
+    grads["b2"] += d_z.sum()
     d_h = np.outer(d_z, p["w2"])
     d_hpre = d_h * (1.0 - h * h)
-    grads["w1"] = mixed.T @ d_hpre
-    grads["b1"] = d_hpre.sum(axis=0)
+    grads["w1"] += mixed.T @ d_hpre
+    grads["b1"] += d_hpre.sum(axis=0)
     d_mixed = d_hpre @ p["w1"].T
     d_attn = d_mixed @ v.T
     d_v = attn.T @ d_mixed
     d_scores = (d_attn - (d_attn * attn).sum(axis=1, keepdims=True)) * attn
     d_q = d_scores @ k_mat / sd
     d_k = d_scores.T @ q / sd
-    grads["wq"] = x.T @ d_q
-    grads["wk"] = x.T @ d_k
-    grads["wv"] = x.T @ d_v
+    grads["wq"] += x.T @ d_q
+    grads["wk"] += x.T @ d_k
+    grads["wv"] += x.T @ d_v
     d_x = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
-    grads["embed"] = np.zeros_like(p["embed"])
-    np.add.at(grads["embed"], idx, d_x)
-    return loss, lp, lm, grads, sample
+    # token tables: each distinct token's rows are summed in token order
+    # from zero, then added once, so the sums get the same bits as adding a
+    # whole zero table scattered with np.add.at
+    for name, rows in (("h_embed", d_he), ("embed", d_x)):
+        acc = np.zeros((uniq.size, rows.shape[1]))
+        np.add.at(acc, inverse, rows)
+        grads[name][uniq] += acc
+    return loss, lp, lm, sample
 
 
 @dataclasses.dataclass
@@ -434,8 +448,9 @@ def _batch_loss_and_grads(
     model: TokenWeightModel, batch: list[Question], rng: np.random.Generator, alpha: float
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """One minibatch: the summed loss, the summed prediction loss and the
-    summed gradients of one hard-mask visit per question. Each question
-    draws its noise, then its prefix cuts, from rng in batch order."""
+    summed gradients of one hard-mask visit per question; each visit adds
+    into the same sums. Each question draws its noise, then its prefix
+    cuts, from rng in batch order."""
     prefix_samples = model.config.prefix_samples
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     batch_loss = 0.0
@@ -445,13 +460,11 @@ def _batch_loss_and_grads(
         # one full-visibility cut per draw, the rest random: every
         # token gets at least one prediction gradient each visit
         prefixes = [q.n_tokens] + rng.integers(0, q.n_tokens + 1, size=prefix_samples - 1).tolist()
-        loss, lp, _, g, _ = weighting_loss_and_grads(
-            model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", alpha=alpha
+        loss, lp, _, _ = weighting_loss_and_grads(
+            model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", grads=grads, alpha=alpha
         )
         batch_loss += loss
         batch_pred += lp
-        for name in grads:
-            grads[name] += g[name]
     return batch_loss, batch_pred, grads
 
 
@@ -481,6 +494,13 @@ def _train_once(
             batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
             batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
             if not math.isfinite(batch_loss):
+                if epoch == 0 and start == 0:
+                    # no update has run yet, so the learning rate is not the cause
+                    raise RuntimeError(
+                        "non-finite training loss on the first minibatch: the objective"
+                        " overflows at initialization; lower alpha or unmasked_weight,"
+                        " or check the corpus for extreme values"
+                    )
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}; lower the learning rate"
                 )
@@ -510,12 +530,9 @@ def _selection_score(
     for q in corpus.questions:
         w = forward_weights(model, q.rationale_tokens)
         total += alpha * float(np.sum(w))
-        wc = np.clip(w, CLAMP_LO, CLAMP_HI)
-        # one full-visibility row per draw; the noise is drawn draw by draw
-        hard = np.empty((draws, q.n_tokens))
-        for d in range(draws):
-            g1, g0 = _sample_noise(q.n_tokens, rng)
-            hard[d] = _draw_mask(wc, g1, g0, model.config.tau).hard
+        # one full-visibility row per draw
+        g1, g0 = _sample_noise(q.n_tokens, rng, draws)
+        hard = _draw_mask(w, g1, g0, model.config.tau).hard
         total += float(_cut_losses(model, q, hard).sum()) / draws
     return total
 
@@ -595,9 +612,8 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     g1, g0 = _sample_noise(question.n_tokens, rng)
     prefixes = rng.integers(0, question.n_tokens + 1, size=model.config.prefix_samples).tolist()
-    _, _, _, grads, _ = weighting_loss_and_grads(
-        model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft"
-    )
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    weighting_loss_and_grads(model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=grads)
     names = sorted(model.params)
     sizes = [model.params[name].size for name in names]
     total = int(np.sum(sizes))
@@ -609,8 +625,8 @@ def gradient_check(
         analytic[int(np.argmax(np.abs(analytic)))] = 0.0
 
     def loss_at() -> float:
-        loss, _, _, _, _ = weighting_loss_and_grads(
-            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", with_grads=False
+        loss, _, _, _ = weighting_loss_and_grads(
+            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft"
         )
         return loss
 

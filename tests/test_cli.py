@@ -587,17 +587,35 @@ def test_trace_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus
     args = ["--corpus", str(bundled_corpus_path), "--seed", "1"]
     for stage in ("assess", "cluster", "schedule"):
         assert main([stage, *args, "--out", str(base)]) == 0
-    src = str(Path(cotpace.__file__).resolve().parents[1])
     traces = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         shutil.copytree(base, out)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        argv = [sys.executable, "-m", "cotpace.cli", "simulate", *args, "--out", str(out)]
-        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        _cli_with_blas_threads(threads, "simulate", *args, "--out", str(out))
         traces.append((out / "trace.json").read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_weigh_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus_path):
+    # the trainer's matmuls are small; larger ones can take OpenBLAS's
+    # threaded paths, whose sums split by thread
+    args = ["--corpus", str(bundled_corpus_path), "--seed", "1", "--weight-epochs", "4", "--restarts", "2"]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        _cli_with_blas_threads(threads, "weigh", *args, "--out", str(out))
+        written.append([(out / name).read_bytes() for name in ("weights.jsonl", "weight_model.json")])
+    assert written[0] == written[1]
+
+
+def _cli_with_blas_threads(threads: str, *argv: str) -> None:
+    """Run a cotpace command from this checkout in a fresh interpreter
+    whose OpenBLAS uses the given number of threads."""
+    src = str(Path(cotpace.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "cotpace.cli", *argv]
+    subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=120)
 
 
 def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
@@ -721,6 +739,21 @@ def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     ])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flag", ["--alpha", "--unmasked-weight"])
+def test_an_objective_that_overflows_before_any_update_exits_3_and_names_it(tmp_path, small_corpus_path, capsys, flag):
+    # the first minibatch overflowed before any update, yet the message
+    # told the user to lower the learning rate
+    code = main([
+        "weigh", "--corpus", str(small_corpus_path), "--out", str(tmp_path / "out"),
+        "--seed", "1", flag, "1e308", "--weight-epochs", "1", "--restarts", "1",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "overflows at initialization" in err
+    assert "alpha" in err and "unmasked_weight" in err and "learning rate" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

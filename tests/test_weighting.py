@@ -122,6 +122,19 @@ def test_noise_is_g1_then_g0_from_one_stream():
     assert rng.random() == ref.random()
 
 
+def test_noise_for_several_draws_is_the_draws_one_after_another():
+    # the restart score draws its masks' noise in one call
+    n, draws = 11, 8
+    rng = np.random.default_rng(32)
+    g1, g0 = weighting._sample_noise(n, rng, draws)
+    assert g1.shape == g0.shape == (draws, n)
+    ref = np.random.default_rng(32)
+    for d in range(draws):
+        r1, r0 = weighting._sample_noise(n, ref)
+        assert np.array_equal(g1[d], r1) and np.array_equal(g0[d], r0)
+    assert rng.random() == ref.random()
+
+
 def test_keep_rate_matches_weight_monte_carlo():
     n = 10_000
     s = gumbel_sample(np.full(n, 0.5), 1.0, seed=123)
@@ -162,8 +175,8 @@ def test_mask_ratio_loss_is_expected_kept_count():
 # --- prediction loss of a visit ----------------------------------------------------
 #
 # The trainer's visit is the one place the masked prediction loss is computed;
-# these read its prediction part lp (no gradients) under noise that forces the
-# hard mask, as _noise_cases does.
+# these read its prediction part lp (no grads= sums, so no gradients) under
+# noise that forces the hard mask, as _noise_cases does.
 
 
 def _forced_noise(hard) -> tuple[np.ndarray, np.ndarray]:
@@ -174,10 +187,8 @@ def _forced_noise(hard) -> tuple[np.ndarray, np.ndarray]:
 
 def _prediction_loss(model, q, hard, prefixes) -> float:
     g1, g0 = _forced_noise(hard)
-    _, lp, _, grads, sample = weighting.weighting_loss_and_grads(
-        model, q, g1=g1, g0=g0, prefixes=prefixes, with_grads=False
-    )
-    assert grads is None and np.array_equal(sample.hard, hard)
+    _, lp, _, sample = weighting.weighting_loss_and_grads(model, q, g1=g1, g0=g0, prefixes=prefixes)
+    assert np.array_equal(sample.hard, hard)
     return lp
 
 
@@ -197,9 +208,7 @@ def test_uniform_classifier_gives_log_num_classes(arith_small):
     q = arith_small.questions[0]
     prefixes = [0, 1, q.n_tokens, 2]
     for label, g1, g0 in _noise_cases(q.n_tokens):
-        _, lp, _, _, _ = weighting.weighting_loss_and_grads(
-            model, q, g1=g1, g0=g0, prefixes=prefixes, with_grads=False
-        )
+        _, lp, _, _ = weighting.weighting_loss_and_grads(model, q, g1=g1, g0=g0, prefixes=prefixes)
         assert abs(lp - len(prefixes) * math.log(nc)) < 1e-12, label
 
 
@@ -275,7 +284,7 @@ def _oracle_loss_and_grads(model, question, g1, g0, prefixes, mask_mode, alpha, 
     idx = model.token_ids(question.rationale_tokens)
     n = idx.size
     w, (e0, x, q, k_mat, v, attn, mixed, h, z) = weighting._scorer_forward(model, idx)
-    wc = np.clip(w, weighting.CLAMP_LO, weighting.CLAMP_HI)
+    wc = np.clip(w, 1e-6, 1.0 - 1e-6)
     soft = weighting._soft_mask(wc, g1, g0, tau)
     hard = (soft >= 0.5).astype(np.int8)
     factors = soft if mask_mode == "soft" else hard.astype(np.float64)
@@ -334,7 +343,7 @@ def _oracle_loss_and_grads(model, question, g1, g0, prefixes, mask_mode, alpha, 
     inner = (soft > weighting.SOFT_LO) & (soft < weighting.SOFT_HI)
     d_u = d_soft * soft * (1.0 - soft) * inner
     d_wc = d_u * (1.0 / wc + 1.0 / (1.0 - wc)) / tau
-    d_w = d_wc * ((w > weighting.CLAMP_LO) & (w < weighting.CLAMP_HI))
+    d_w = d_wc * ((w > 1e-6) & (w < 1.0 - 1e-6))
     d_z = d_w * w * (1.0 - w) * (1.0 - (z / weighting.PRE_CAP) ** 2)
     grads["w2"] += h.T @ d_z
     grads["b2"] += d_z.sum()
@@ -366,6 +375,10 @@ def _assert_close(actual, expected, what, scale=None):
     assert err <= 1e-12 * scale or err == 0.0, f"{what}: error {err:.3e} against scale {scale:.3e}"
 
 
+def _zero_grads(model) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(arr) for name, arr in model.params.items()}
+
+
 def _noise_cases(n: int):
     rng = np.random.default_rng(4)
     yield "random", *weighting._sample_noise(n, rng)
@@ -384,7 +397,8 @@ def test_pooled_cuts_match_per_cut_reference(arith_small, mask_mode, unmasked_we
         for label, g1, g0 in _noise_cases(n):
             prefixes = [0, n, 2, 2, n - 1, n]
             kwargs = dict(g1=g1, g0=g0, prefixes=prefixes, mask_mode=mask_mode, alpha=0.7)
-            loss, lp, lm, grads, sample = weighting.weighting_loss_and_grads(model, q, **kwargs)
+            grads = _zero_grads(model)
+            loss, lp, lm, sample = weighting.weighting_loss_and_grads(model, q, grads=grads, **kwargs)
             ref = _oracle_loss_and_grads(
                 model, q, g1, g0, prefixes, mask_mode, alpha=0.7, unmasked_weight=unmasked_weight
             )
@@ -403,11 +417,35 @@ def test_pooled_cuts_match_per_cut_reference(arith_small, mask_mode, unmasked_we
             g_scale = max(float(np.max(np.abs(g))) for g in r_grads.values())
             for name, g in r_grads.items():
                 _assert_close(grads[name], g, f"d{name} {where}", g_scale)
-            no_grads = weighting.weighting_loss_and_grads(model, q, with_grads=False, **kwargs)
-            assert no_grads[:3] == (loss, lp, lm) and no_grads[3] is None
+            no_grads = weighting.weighting_loss_and_grads(model, q, **kwargs)
+            assert no_grads[:3] == (loss, lp, lm)
+            assert np.array_equal(no_grads[3].soft, sample.soft)
             checked.add(int(sample.hard.sum()))
     # the fixed noise really produced an all-masked and an all-kept draw
     assert 0 in checked and max(checked) == max(q.n_tokens for q in arith_small.questions[:3])
+
+
+def test_a_visit_adds_into_the_given_sums_and_only_on_its_own_token_rows(arith_small):
+    model = build_model(arith_small, WeightingConfig(seed=14))
+    # a question with a repeated token, so one table row takes several rows
+    q = next(q for q in arith_small.questions if len(set(q.rationale_tokens)) < q.n_tokens)
+    g1, g0 = weighting._sample_noise(q.n_tokens, np.random.default_rng(5))
+    kwargs = dict(g1=g1, g0=g0, prefixes=[q.n_tokens, 2, 0], alpha=0.4)
+    fresh = _zero_grads(model)
+    weighting.weighting_loss_and_grads(model, q, grads=fresh, **kwargs)
+    rng = np.random.default_rng(6)
+    sentinel = {name: np.asarray(rng.normal(size=arr.shape)) for name, arr in model.params.items()}
+    sums = {name: arr.copy() for name, arr in sentinel.items()}
+    weighting.weighting_loss_and_grads(model, q, grads=sums, **kwargs)
+    own = np.zeros(len(model.vocab), dtype=bool)
+    own[model.token_ids(q.rationale_tokens)] = True
+    for name, start in sentinel.items():
+        if name in ("embed", "h_embed"):
+            assert np.array_equal(sums[name][~own], start[~own]), name
+            assert np.array_equal(sums[name][own], start[own] + fresh[name][own]), name
+            assert np.all(fresh[name][own].any(axis=1)), name
+        else:
+            assert np.array_equal(sums[name], start + fresh[name]), name
 
 
 def test_cut_losses_match_per_cut_reference(arith_small):
@@ -471,14 +509,17 @@ def test_batch_step_sums_the_visits_in_batch_order(arith_small, monkeypatch):
     alpha = 0.35
     # the documented order: per question in batch order, its noise, then
     # its prefix cuts (the full cut first, then prefix_samples - 1 draws)
+    # Each visit here gets its own zeroed sums, added into the total
+    # afterwards; the batch step's shared sums must give the same bits.
     rng = np.random.default_rng(8)
     loss = pred = 0.0
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    grads = _zero_grads(model)
     for q in batch:
         g1, g0 = weighting._sample_noise(q.n_tokens, rng)
         prefixes = [q.n_tokens] + rng.integers(0, q.n_tokens + 1, size=2).tolist()
-        q_loss, lp, _, g, _ = weighting.weighting_loss_and_grads(
-            model, q, g1=g1, g0=g0, prefixes=prefixes, alpha=alpha
+        g = _zero_grads(model)
+        q_loss, lp, _, _ = weighting.weighting_loss_and_grads(
+            model, q, g1=g1, g0=g0, prefixes=prefixes, grads=g, alpha=alpha
         )
         loss += q_loss
         pred += lp
