@@ -53,8 +53,6 @@ def segment_steps(rationale_tokens: list[str]) -> list[tuple[int, int]]:
     sides in that joined text (so "3.5" stays inside a step while "ends."
     or a lone "." terminates one). Any trailing tokens close the last step.
     """
-    if not rationale_tokens:
-        raise ValidationError("rationale_tokens is empty; need at least one token")
     spans: list[tuple[int, int]] = []
     start = 0
     for i, tok in enumerate(rationale_tokens):
@@ -75,21 +73,20 @@ def segment_steps(rationale_tokens: list[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def embed_question(text: str, dim: int = 64, seed: int = 0) -> np.ndarray:
+# blake2b key of embed_question's word hashes, fixed so every run embeds alike
+_EMBED_KEY = struct.pack("<q", 0)
+
+
+def embed_question(text: str, dim: int = 64) -> np.ndarray:
     """Deterministic hashed bag-of-words embedding, L2-normalized.
 
-    Each lowercased whitespace word hashes (blake2b keyed by the seed) to
-    a bucket and a sign; the signed counts are averaged and normalized.
+    Each lowercased whitespace word hashes (blake2b under a fixed key) to a
+    bucket and a sign; the signed counts are averaged and normalized.
     """
-    if dim <= 0:
-        raise ValueError(f"embedding dim must be positive, got {dim}")
     words = text.lower().split()
-    if not words:
-        raise ValidationError("cannot embed empty question text")
-    key = struct.pack("<q", seed)
     vec = np.zeros(dim, dtype=np.float64)
     for word in words:
-        digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8, key=key).digest()
+        digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8, key=_EMBED_KEY).digest()
         h = int.from_bytes(digest, "little")
         sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
         vec[h % dim] += sign

@@ -24,8 +24,6 @@ def normalize_step_weights(weights: np.ndarray, span: tuple[int, int]) -> np.nda
     """Softmax of the raw weights inside one step span (max-subtracted)."""
     s, e = span
     w = np.asarray(weights, dtype=np.float64)[s:e]
-    if w.size == 0:
-        raise DifficultyError(f"empty span {span}")
     z = np.exp(w - w.max())
     return z / z.sum()
 
@@ -35,10 +33,6 @@ def step_difficulty(logprobs: np.ndarray, normalized_weights: np.ndarray, span: 
     s, e = span
     lp = np.asarray(logprobs, dtype=np.float64)[s:e]
     w = np.asarray(normalized_weights, dtype=np.float64)
-    if lp.shape != w.shape:
-        raise DifficultyError(f"span {span}: {lp.size} logprobs vs {w.size} weights")
-    if np.any(lp > 0.0) or not np.all(np.isfinite(lp)):
-        raise DifficultyError(f"span {span}: logprobs must be finite and <= 0")
     return -math.fsum(w * lp)
 
 
@@ -88,14 +82,10 @@ def compute_table(
     steps: dict[str, np.ndarray] = {}
     for q in corpus.questions:
         lp = _question_logprobs(q, logprobs)
-        if lp.size != q.n_tokens:
-            raise DifficultyError(f"question {q.id!r}: {lp.size} logprobs vs {q.n_tokens} tokens")
         if weights is not None and q.id in weights:
             w = np.asarray(weights[q.id], dtype=np.float64)
         else:
             w = np.zeros(q.n_tokens, dtype=np.float64)
-        if w.size != q.n_tokens:
-            raise DifficultyError(f"question {q.id!r}: {w.size} weights vs {q.n_tokens} tokens")
         d = np.empty(q.n_steps, dtype=np.float64)
         for k, span in enumerate(q.step_spans):
             d[k] = step_difficulty(lp, normalize_step_weights(w, span), span)
@@ -106,13 +96,7 @@ def compute_table(
 def question_generation_difficulty(table: DifficultyTable, qid: str, input_steps: int) -> float:
     """Difficulty the student must generate when the first input_steps
     steps of the rationale are given as input: sum of the tail steps."""
-    if qid not in table.steps:
-        raise KeyError(qid)
-    d = table.steps[qid]
-    c = int(input_steps)
-    if c < 0 or c > d.size:
-        raise DifficultyError(f"question {qid!r}: input_steps {c} outside [0, {d.size}]")
-    return math.fsum(d[c:])
+    return math.fsum(table.steps[qid][input_steps:])
 
 
 def beta_logprobs(rng: np.random.Generator, n: int) -> np.ndarray:

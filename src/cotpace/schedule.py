@@ -20,12 +20,6 @@ from .selection import ClusterAssignment, SelectionProblem, candidate_increments
 
 def solve_growth_rate(b_total: float, c0: float, p: float, t_max: int) -> float:
     """Growth rate u making the curve hit b_total at stage t_max."""
-    if t_max < 1:
-        raise ValueError(f"horizon must be >= 1, got {t_max}")
-    if p <= 0.0:
-        raise ValueError(f"exponent p must be > 0, got {p}")
-    if c0 < 0.0 or b_total < c0:
-        raise ValueError(f"need 0 <= warm start <= total, got C0={c0}, B={b_total}")
     return (b_total - c0) * (p + 1.0) / t_max ** (p + 1.0)
 
 
@@ -39,14 +33,24 @@ class BudgetCurve:
 
     @classmethod
     def solve(cls, b_total: float, c0: float, p: float, t_max: int) -> "BudgetCurve":
-        u = solve_growth_rate(b_total, c0, p, t_max)
-        return cls(u=u, p=p, c0=c0, t_max=t_max, b_total=b_total)
+        """The curve from the corpus difficulty total b_total, the warm start
+        c0 (c0_frac of the total) and the exponent p. Refuses with ValueError
+        a growth rate or a horizon budget that overflows a float (an infinite
+        rate gives an infinite horizon budget); D(t) grows with t, so every
+        budget up to the horizon is then finite."""
+        curve = cls(u=solve_growth_rate(b_total, c0, p, t_max), p=p, c0=c0, t_max=t_max, b_total=b_total)
+        top = budget_at(curve, t_max)
+        if not math.isfinite(top):
+            raise ValueError(
+                f"the budget curve overflows a float: p = {p} and c0_frac (warm start {c0})"
+                f" with the difficulty total {b_total} of difficulty.jsonl give the growth"
+                f" rate {curve.u} and the horizon budget {top}; lower p or raise c0_frac"
+            )
+        return curve
 
 
 def budget_at(curve: BudgetCurve, t: float) -> float:
-    """Cumulative difficulty budget at stage t; saturates at b_total."""
-    if t < 0:
-        raise ValueError(f"stage must be >= 0, got {t}")
+    """Cumulative difficulty budget at stage t >= 0; saturates at b_total."""
     if t > curve.t_max:
         return curve.b_total
     return curve.u * t ** (curve.p + 1.0) / (curve.p + 1.0) + curve.c0
@@ -63,10 +67,6 @@ def _apply_selection(
 ) -> dict[str, int]:
     out = dict(input_steps)
     for qid in selected:
-        if qid not in out:
-            raise KeyError(qid)
-        if out[qid] == 0:
-            raise ValueError(f"question {qid!r} has no input steps left to reduce")
         out[qid] = max(0, out[qid] - step_reduction)
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accel
 from .corpus import Corpus, expect_type, read_json
-from .difficulty import DifficultyTable, DifficultyError
+from .difficulty import DifficultyTable
 
 # Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
 # passes over 2000 candidates and eps = 0.01 about 1300; each pass can cost a
@@ -36,18 +36,17 @@ class ClusterAssignment:
 
 def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int) -> ClusterAssignment:
     """Seeded k-means (greedy ++-style init, Lloyd iterations to a fixed
-    point). With fewer distinct points than clusters, duplicate centroids
-    are allowed and the surplus clusters stay empty. Embeddings so large
-    that a squared distance overflows a float are refused with ValueError."""
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    point) over min(n_clusters, n) centroids for n points: at most n
+    clusters can be non-empty, and the ++ init picks every distinct point
+    before any duplicate, so a centroid past the point count would only
+    repeat a point. With fewer distinct points than centroids, duplicate
+    centroids are allowed. Embeddings so large that a squared distance
+    overflows a float are refused with ValueError."""
     ids = list(embeddings)
-    if not ids:
-        raise ValueError("no embeddings to cluster")
     points = np.stack([np.asarray(embeddings[i], dtype=np.float64) for i in ids])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            labels = _lloyd(points, n_clusters, np.random.default_rng(seed))
+            labels = _lloyd(points, min(n_clusters, len(ids)), np.random.default_rng(seed))
     except FloatingPointError:
         raise ValueError("field 'embedding': a squared distance between question embeddings overflows a float") from None
     return ClusterAssignment(n_clusters=n_clusters, assignment={qid: int(lab) for qid, lab in zip(ids, labels)})
@@ -87,15 +86,6 @@ class SelectionProblem:
     beta: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.budget) or self.budget < 0.0:
-            raise ValueError(f"budget must be finite and >= 0, got {self.budget}")
-        if not math.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        for qid, d in self.increments.items():
-            if not math.isfinite(d) or d < 0.0:
-                raise ValueError(f"candidate {qid!r}: increment must be finite and >= 0, got {d}")
-            if qid not in self.clusters.assignment:
-                raise ValueError(f"candidate {qid!r} has no cluster assignment")
         self.ids = list(self.increments)
         self.deltas = np.asarray([self.increments[i] for i in self.ids], dtype=np.float64)
         self.cluster_ids = np.asarray(
@@ -131,8 +121,6 @@ def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
     Returns the better of the accumulated set and the best feasible
     singleton, preferring the accumulated set on ties. Raises ValueError
     when eps needs more than MAX_PASSES threshold passes."""
-    if not (0.0 < eps < 0.5):
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     if not problem.ids:
         return []
     n = len(problem.ids)
@@ -201,18 +189,8 @@ def candidate_increments(
     of the next step_reduction step difficulties counted from the back
     (steps c, c-1, ... in one-based terms are spans [c - r, c) zero-based).
     Questions with no input steps left are not candidates."""
-    if step_reduction < 1:
-        raise ValueError(f"step_reduction must be >= 1, got {step_reduction}")
     out: dict[str, float] = {}
     for qid, c in input_steps.items():
-        if qid not in table.steps:
-            raise KeyError(qid)
-        d = table.steps[qid]
-        c = int(c)
-        if c < 0 or c > d.size:
-            raise DifficultyError(f"question {qid!r}: input_steps {c} outside [0, {d.size}]")
-        if c == 0:
-            continue
-        lo = max(0, c - step_reduction)
-        out[qid] = math.fsum(d[lo:c])
+        if c > 0:
+            out[qid] = math.fsum(table.steps[qid][max(0, c - step_reduction) : c])
     return out

@@ -77,6 +77,11 @@ class WeightingConfig:
             raise WeightingError("learning rates must be > 0")
         if self.head_decay < 0.0:
             raise WeightingError(f"head_decay must be >= 0, got {self.head_decay}")
+        if self.lr * self.head_decay >= 1.0:  # each update scales the head by 1 - lr * head_decay
+            raise WeightingError(
+                f"weight_lr * head_decay must be < 1, got {self.lr} * {self.head_decay}:"
+                " the answer-head decay would zero or flip the head on every update"
+            )
         if self.epochs < 1 or self.batch_size < 1 or self.prefix_samples < 1:
             raise WeightingError("epochs, batch_size and prefix_samples must be >= 1")
         if self.restarts < 1:
@@ -120,7 +125,6 @@ class TokenWeightModel:
 
 
 def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generator | None = None) -> TokenWeightModel:
-    config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
     vocab = {UNK_TOKEN: 0}
@@ -131,8 +135,6 @@ def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generato
                 vocab[tok] = len(vocab)
         if q.answer_text not in classes:
             classes[q.answer_text] = len(classes)
-    if not classes:
-        raise WeightingError("corpus has no questions, cannot build answer classes")
     de, dh = config.d_embed, config.d_hidden
     dx = corpus.embedding_dim
     nc = len(classes)
@@ -200,8 +202,6 @@ def _scorer_forward(model: TokenWeightModel, idx: np.ndarray):
 
 def forward_weights(model: TokenWeightModel, tokens: list[str]) -> np.ndarray:
     """Significance w_j in (0,1) for each token."""
-    if not tokens:
-        raise WeightingError("no tokens to weigh")
     w, _ = _scorer_forward(model, model.token_ids(tokens))
     return w
 
@@ -278,10 +278,6 @@ def _pooling_inputs(model: TokenWeightModel, question: Question, idx: np.ndarray
     """The answer head's view of a question with token ids idx: the head's
     token rows, the projected question, _pool_scores' four values and the
     answer's class index."""
-    if question.answer_text not in model.classes:
-        raise WeightingError(f"answer {question.answer_text!r} has no class; retrain the model")
-    if question.embedding is None:
-        raise WeightingError(f"question {question.id!r} has no embedding")
     p = model.params
     he = p["h_embed"][idx]
     xr = question.embedding @ p["x_proj"]
@@ -328,13 +324,9 @@ def weighting_loss_and_grads(
     token masked early is invisible to the head, the head stops valuing
     it, and the token can never earn its way back.
     """
-    if mask_mode not in ("hard", "soft"):
-        raise WeightingError(f"unknown mask_mode {mask_mode!r}")
     cfg = model.config
     if alpha is None:
         alpha = cfg.alpha
-    if alpha < 0.0:
-        raise WeightingError(f"alpha must be >= 0, got {alpha}")
     unmasked_weight = cfg.unmasked_weight
     p = model.params
     sd = math.sqrt(cfg.d_embed)
@@ -485,33 +477,38 @@ def _train_once(
     decay_factor = 1.0 - config.lr * config.head_decay
     epoch_losses: list[float] = []
     epoch_pred_losses: list[float] = []
-    for epoch in range(config.epochs):
-        alpha = _ramped_alpha(config, epoch)
-        order = rng.permutation(nq)
-        epoch_sum = 0.0
-        epoch_pred = 0.0
-        for start in range(0, nq, config.batch_size):
-            batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
-            batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
-            if not math.isfinite(batch_loss):
-                if epoch == 0 and start == 0:
-                    # no update has run yet, so the learning rate is not the cause
-                    raise RuntimeError(
-                        "non-finite training loss on the first minibatch: the objective"
-                        " overflows at initialization; lower alpha or unmasked_weight,"
-                        " or check the corpus for extreme values"
-                    )
-                raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}; lower the learning rate"
-                )
-            for name in model.params:
-                model.params[name] -= (lr_by_name[name] / len(batch)) * grads[name]
-            for name in HEAD_DECAY_PARAMS:
-                model.params[name] *= decay_factor
-            epoch_sum += batch_loss
-            epoch_pred += batch_pred
-        epoch_losses.append(epoch_sum / nq)
-        epoch_pred_losses.append(epoch_pred / nq)
+    updated = False  # whether an update has started
+    try:  # the first overflow or invalid value stops training, before it spreads
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                alpha = _ramped_alpha(config, epoch)
+                order = rng.permutation(nq)
+                epoch_sum = 0.0
+                epoch_pred = 0.0
+                for start in range(0, nq, config.batch_size):
+                    batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
+                    batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
+                    if not math.isfinite(batch_loss):  # a Python float overflows without a word
+                        raise FloatingPointError("non-finite training loss")
+                    updated = True
+                    for name in model.params:
+                        model.params[name] -= (lr_by_name[name] / len(batch)) * grads[name]
+                    for name in HEAD_DECAY_PARAMS:
+                        model.params[name] *= decay_factor
+                    epoch_sum += batch_loss
+                    epoch_pred += batch_pred
+                epoch_losses.append(epoch_sum / nq)
+                epoch_pred_losses.append(epoch_pred / nq)
+    except FloatingPointError as exc:
+        if not updated:  # so the learning rate is not the cause
+            raise RuntimeError(
+                f"{exc} on the first minibatch: the objective overflows at initialization;"
+                " lower alpha or unmasked_weight, or check the corpus for extreme values"
+            ) from None
+        raise RuntimeError(
+            f"{exc} at epoch {epoch}: lower the learning rate (weight_lr, scorer_lr),"
+            " or alpha or unmasked_weight, which scale the gradient"
+        ) from None
     return model, epoch_losses, epoch_pred_losses
 
 
@@ -560,7 +557,6 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
     given seed. Aborts on a non-finite loss, parameter, restart score or
     token weight (a learning rate too high, or extreme corpus values).
     """
-    config.validate()
     streams = np.random.SeedSequence(config.seed).spawn(3 * config.restarts)
     best: tuple[float, int, TokenWeightModel, list[float], list[float]] | None = None
     scores: list[float] = []

@@ -692,6 +692,30 @@ def test_bad_config_key_exits_2(tmp_path, small_corpus_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, knob",
+    [
+        ("cluster", "--clusters", "0", "n_clusters"),
+        ("schedule", "--delta-s", "0", "delta_s"),
+        ("schedule", "--beta", "-1", "beta"),
+        ("schedule", "--t-max", "0", "t_max"),
+        ("schedule", "--p", "0", "p"),
+        ("schedule", "--c0-frac", "1.5", "c0_frac"),
+        ("schedule", "--eps", "0.7", "eps"),
+    ],
+)
+def test_a_knob_out_of_range_exits_2_and_names_it(tmp_path, planned_out, small_corpus_path, capsys, command, flag, value, knob):
+    # the config check is the one place these are refused: the stage code
+    # that reads them does not check them again
+    out = tmp_path / "out"
+    shutil.copytree(planned_out, out)
+    before = _read_artifacts(out, ["clusters.json", "schedule.json"])
+    argv = [command, "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    assert main(argv + [flag, value]) == 2
+    assert knob in capsys.readouterr().err
+    assert _read_artifacts(out, ["clusters.json", "schedule.json"]) == before
+
+
 def test_invalid_parameter_exits_2(small_corpus_path, capsys):
     code = main(["validate", "--corpus", str(small_corpus_path), "--seed", "1", "--eps", "0.7"])
     assert code == 2
@@ -730,18 +754,16 @@ def test_p_that_overflows_the_budget_curve_exits_2(tmp_path, small_corpus_path, 
     assert main(["validate", "--corpus", str(small_corpus_path), "--seed", "1", "--p", "500", "--t-max", "1"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     code = main([
         "weigh", "--corpus", str(small_corpus_path), "--out", str(tmp_path / "out"),
-        "--seed", "1", "--weight-lr", "1e12", "--scorer-lr", "1e12",
+        "--seed", "1", "--weight-lr", "1e12", "--scorer-lr", "1e12", "--head-decay", "0",
         "--weight-epochs", "10", "--restarts", "1",
     ])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flag", ["--alpha", "--unmasked-weight"])
 def test_an_objective_that_overflows_before_any_update_exits_3_and_names_it(tmp_path, small_corpus_path, capsys, flag):
     # the first minibatch overflowed before any update, yet the message
@@ -756,7 +778,38 @@ def test_an_objective_that_overflows_before_any_update_exits_3_and_names_it(tmp_
     assert "alpha" in err and "unmasked_weight" in err and "learning rate" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flag", ["--alpha", "--unmasked-weight"])
+def test_an_overflow_after_the_first_update_exits_3_without_a_warning(tmp_path, small_corpus_path, capsys, flag):
+    # the first minibatch stayed finite, the update it made overflowed the
+    # next one: numpy printed 4 or 5 RuntimeWarnings, then the message
+    # blamed the learning rate alone
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1",
+            flag, "1e200", "--weight-epochs", "20", "--restarts", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "overflow" in err and "at epoch 0" in err
+    assert "alpha" in err and "unmasked_weight" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("decay", ["20", "40", "100"])
+def test_a_head_decay_that_zeroes_or_flips_the_head_exits_2(tmp_path, small_corpus_path, capsys, decay):
+    # each update scales the head by 1 - weight_lr * head_decay: 0, -1 and -4
+    # here. All three exited 0; at 100 max |w_cls| reached 5.9e23
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1",
+            "--head-decay", decay, "--weight-epochs", "20", "--restarts", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "weight_lr" in err and "head_decay" in err
+    assert not out.exists()
+
+
 def test_weigh_that_ends_non_finite_exits_3_and_writes_nothing(tmp_path, capsys):
     # the batch losses stayed finite while the last update turned every
     # parameter into NaN: weigh exited 0 and wrote NaN weights
@@ -854,6 +907,28 @@ def test_schedule_whose_total_overflows_exits_3_and_names_the_file(tmp_path, pla
     assert capsys.readouterr().err == (
         f"numeric failure: {out / 'difficulty.jsonl'}: total difficulty overflows a float at question 'q001'\n"
     )
+
+
+def test_schedule_whose_budget_curve_overflows_exits_2_and_names_p_c0_frac_and_the_file(
+    tmp_path, planned_out, small_corpus_path, capsys
+):
+    # a total of 1.5e308 is finite, but (total - warm start) * (p + 1)
+    # is not: schedule exited 2 with "budget must be finite and >= 0, got
+    # inf", naming neither the knobs nor the file
+    def huge(lines):
+        for k, line in enumerate(lines):
+            rec = json.loads(line)
+            rec["step_difficulties"] = [1.5e308 if k == 0 else 0.0] + [0.0] * (len(rec["step_difficulties"]) - 1)
+            lines[k] = json.dumps(rec)
+
+    out = tmp_path / "out"
+    shutil.copytree(planned_out, out)
+    _edit_lines("difficulty.jsonl", huge)(out)
+    argv = ["schedule", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+    assert main(argv + ["--p", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "p = 1.0" in err and "c0_frac" in err and "difficulty.jsonl" in err
+    assert (out / "schedule.json").read_bytes() == (planned_out / "schedule.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -69,13 +69,6 @@ def test_weights_are_sliced_to_generated_range():
     assert abs(evaluate_loss(shape_stage_loss(_question(), 1), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
 
 
-def test_input_steps_out_of_range_rejected():
-    with pytest.raises(LossShapingError, match="outside"):
-        shape_stage_loss(_question(), 3)
-    with pytest.raises(LossShapingError, match="outside"):
-        shape_stage_loss(_question(), -1)
-
-
 def test_weight_vector_must_cover_rationale():
     with pytest.raises(LossShapingError, match="3 weights for 5 rationale tokens"):
         evaluate_loss(shape_stage_loss(_question(), 1), np.full(5, -1.0), np.ones(3))
@@ -86,9 +79,6 @@ def test_spec_validation_rejects_bad_weights():
     for bad in ([0.5, 1.5], [0.5, -0.1], [np.nan, 0.5]):
         with pytest.raises(LossShapingError, match="lie in"):
             evaluate_loss(spec, np.full(2, -1.0), np.array(bad))
-    spec = LossSpec(question_id="q", stage=0, input_end=3, gen_end=2)
-    with pytest.raises(LossShapingError, match="inconsistent"):
-        spec.validate()
 
 
 # --- evaluate_loss --------------------------------------------------------------
@@ -159,13 +149,6 @@ def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
     specs = build_stage_loss_specs(bundled_corpus, sched, 3)
     assert [s.question_id for s in specs] == [q.id for q in bundled_corpus.questions]
     assert all(s.stage == 1 and s.input_end == 0 for s in specs)
-
-
-def test_build_specs_requires_every_question():
-    corpus_q = _question("only")
-    corpus = Corpus(questions=[corpus_q], embedding_dim=None)
-    with pytest.raises(LossShapingError, match="stage 1 is missing question 'only'"):
-        build_stage_loss_specs(corpus, [{"other": 0}, {"other": 0}], 1)
 
 
 def test_build_specs_requires_a_stage_per_epoch(bundled_corpus):

@@ -86,17 +86,6 @@ def test_growth_rate_sublinear_hand_case():
     assert abs(u - 0.033204) < 5e-7
 
 
-def test_growth_rate_validation():
-    with pytest.raises(ValueError):
-        solve_growth_rate(2.0, 0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        solve_growth_rate(2.0, 0.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        solve_growth_rate(2.0, -0.1, 1.0, 5)
-    with pytest.raises(ValueError):
-        solve_growth_rate(1.0, 2.0, 1.0, 5)
-
-
 # --- budget_at ------------------------------------------------------------------
 
 
@@ -116,10 +105,13 @@ def test_budget_saturates_past_horizon():
     assert budget_at(curve, 9.0) == 5.0
 
 
-def test_budget_rejects_negative_time():
-    curve = BudgetCurve.solve(b_total=5.0, c0=1.0, p=2.0, t_max=4)
-    with pytest.raises(ValueError):
-        budget_at(curve, -0.5)
+def test_solve_refuses_a_budget_that_overflows():
+    # (total - warm start) * (p + 1) = 2.1e308 overflows, so every budget
+    # after stage 0 was infinite and stage 0's was NaN
+    with pytest.raises(ValueError, match=r"p = 1.0 and c0_frac .* difficulty total 1.5e\+308 of difficulty.jsonl"):
+        BudgetCurve.solve(b_total=1.5e308, c0=0.3 * 1.5e308, p=1.0, t_max=2)
+    curve = BudgetCurve.solve(b_total=1.5e308, c0=0.3 * 1.5e308, p=0.5, t_max=2)  # 1.6e308 fits
+    assert budget_at(curve, 2.0) <= 1.5e308 * (1 + 1e-12)
 
 
 def test_budget_monotone_on_grid():
@@ -132,20 +124,8 @@ def test_budget_monotone_on_grid():
 # --- stage updates --------------------------------------------------------------
 
 
-def test_plan_rejects_step_reduction_below_one():
-    with pytest.raises(ValueError, match="step_reduction"):
-        _plan(_unit_table(), c0=1.0, step_reduction=0)
-
-
 def test_apply_selection_clamps_at_zero():
     assert _apply_selection({"q0": 1, "q1": 3}, ["q0"], 2) == {"q0": 0, "q1": 3}
-
-
-def test_apply_selection_rejects_exhausted_and_unknown():
-    with pytest.raises(ValueError, match="no input steps left"):
-        _apply_selection({"q0": 0}, ["q0"], 1)
-    with pytest.raises(KeyError):
-        _apply_selection({"q0": 1}, ["nope"], 1)
 
 
 # --- plan_full_schedule ---------------------------------------------------------
