@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 import sys
@@ -137,6 +138,27 @@ class Corpus:
             known = {q.id for q in self.questions}
             extra = next(qid for qid in found if qid not in known)
             raise ValidationError(f"{where}: {what} for {extra!r}, which is not a corpus question")
+
+
+def check_ints(where, found: dict, what: str, hi: dict[str, int], *, closed: bool) -> None:
+    """Each value of found (keyed by question id, read from the file named in
+    where) must be a JSON integer in [0, hi[id]], or in [0, hi[id]) unless
+    closed. type() keeps out a bool and a float, which int() would take:
+    true for 1, a hand-edited 0.9 for 0."""
+    for qid, v in found.items():
+        top = hi[qid]
+        if type(v) is not int or not (0 <= v <= top if closed else 0 <= v < top):
+            raise ValidationError(
+                f"{where}: {what} {v!r} of {qid!r} is not an integer in [0, {top}{']' if closed else ')'}"
+            )
+
+
+def token_numbering(corpus: Corpus, reserved: str) -> dict[str, int]:
+    """Row 0 for the reserved token, then one row per distinct rationale
+    token in order of first appearance; a rationale token spelled like the
+    reserved one shares its row."""
+    tokens = itertools.chain([reserved], *(q.rationale_tokens for q in corpus.questions))
+    return {tok: row for row, tok in enumerate(dict.fromkeys(tokens))}
 
 
 def expect_type(value, types, field: str, where: str):

@@ -22,18 +22,14 @@ class DifficultyError(ValueError):
 
 def normalize_step_weights(weights: np.ndarray, span: tuple[int, int]) -> np.ndarray:
     """Softmax of the raw weights inside one step span (max-subtracted)."""
-    s, e = span
-    w = np.asarray(weights, dtype=np.float64)[s:e]
+    w = weights[slice(*span)]
     z = np.exp(w - w.max())
     return z / z.sum()
 
 
 def step_difficulty(logprobs: np.ndarray, normalized_weights: np.ndarray, span: tuple[int, int]) -> float:
     """Weighted NLL of one step: -sum(w_hat * logprob) over the span."""
-    s, e = span
-    lp = np.asarray(logprobs, dtype=np.float64)[s:e]
-    w = np.asarray(normalized_weights, dtype=np.float64)
-    return -math.fsum(w * lp)
+    return -math.fsum(normalized_weights * logprobs[slice(*span)])
 
 
 @dataclasses.dataclass
@@ -59,9 +55,9 @@ class DifficultyTable:
 
 def _question_logprobs(q: Question, logprobs: dict[str, np.ndarray] | None) -> np.ndarray:
     if logprobs is not None and q.id in logprobs:
-        return np.asarray(logprobs[q.id], dtype=np.float64)
+        return logprobs[q.id]
     if q.token_logprobs is not None:
-        return np.asarray(q.token_logprobs, dtype=np.float64)
+        return q.token_logprobs
     raise DifficultyError(
         f"question {q.id!r} has no token_logprobs; supply them in the corpus, pass a logprobs"
         " map, or generate synthetic ones (synthetic_logprobs)"
@@ -83,7 +79,7 @@ def compute_table(
     for q in corpus.questions:
         lp = _question_logprobs(q, logprobs)
         if weights is not None and q.id in weights:
-            w = np.asarray(weights[q.id], dtype=np.float64)
+            w = weights[q.id]
         else:
             w = np.zeros(q.n_tokens, dtype=np.float64)
         d = np.empty(q.n_steps, dtype=np.float64)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question
+from .corpus import Corpus, Question, token_numbering
 
 BOS_ID = 0
 BOS_TOKEN = "<bos>"
@@ -116,11 +116,7 @@ class StudentTrace:
 
 
 def _build_vocab(corpus: Corpus) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    vocab = {BOS_TOKEN: BOS_ID}
-    for q in corpus.questions:
-        for tok in q.rationale_tokens:
-            if tok not in vocab:
-                vocab[tok] = len(vocab)
+    vocab = token_numbering(corpus, BOS_TOKEN)  # BOS_ID is row 0
     enc = {
         q.id: np.asarray([vocab[t] for t in q.rationale_tokens], dtype=np.int64)
         for q in corpus.questions
@@ -159,7 +155,7 @@ def _token_weights(corpus: Corpus, weights: dict[str, np.ndarray] | None) -> np.
     parts = []
     for q in corpus.questions:
         w = weights.get(q.id) if weights else None
-        parts.append(np.ones(q.n_tokens) if w is None else np.asarray(w, dtype=np.float64))
+        parts.append(np.ones(q.n_tokens) if w is None else w)
     return np.concatenate(parts)
 
 

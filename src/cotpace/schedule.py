@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 
-from .corpus import Corpus, expect_type, json_object, read_json
+from .corpus import Corpus, check_ints, expect_type, json_object, read_json
 from .difficulty import DifficultyTable, question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
 
@@ -76,7 +76,6 @@ class StageRecord:
     t: int
     budget: float  # D(t)
     delta_budget: float  # budget available to this stage (clamped)
-    selected: list[str]
     delta_h: float  # admitted difficulty increments (fsum)
     input_steps: dict[str, int]  # c_i snapshot after the stage
     h_after: float
@@ -106,7 +105,9 @@ def plan_full_schedule(
     admitted; stages before the horizon run one round each; at the horizon
     and beyond the budget covers the whole corpus and every input-step
     count drops to zero. With total_stages below the horizon the plan is
-    the first total_stages + 1 stages of the horizon's plan.
+    the first total_stages + 1 stages of the horizon's plan. A stage's
+    admitted ids are those whose input-step count it lowered, so the
+    records do not list them.
     """
     if total_stages is None:
         total_stages = curve.t_max
@@ -128,30 +129,26 @@ def plan_full_schedule(
         if t >= curve.t_max:
             # A single round could not retire questions with several input
             # steps left, so the full rationale is forced here.
-            selected = [qid for qid, c in steps.items() if c > 0]
             steps = dict.fromkeys(steps, 0)
             new_h = _recompute_h(steps, table)
             delta_h, h = max(0.0, new_h - h), new_h
         else:
-            admitted: dict[str, None] = {}
             increments: list[float] = []
             while True:
                 sel, incs = select_round(steps, max(0.0, d_t - h))
                 if not sel:
                     break
-                admitted.update(dict.fromkeys(sel))
                 increments += incs
                 steps = _apply_selection(steps, sel, step_reduction)
                 h = _recompute_h(steps, table)
                 if t > 0:
                     break
-            selected, delta_h = list(admitted), math.fsum(increments)
+            delta_h = math.fsum(increments)
         records.append(
             StageRecord(
                 t=t,
                 budget=d_t,
                 delta_budget=delta_budget,
-                selected=selected,
                 delta_h=delta_h,
                 input_steps=dict(steps),
                 h_after=h,
@@ -182,7 +179,6 @@ def write_schedule(schedule: Schedule, path) -> None:
                 "t": rec.t,
                 "D_t": rec.budget,
                 "delta_D": rec.delta_budget,
-                "selected": rec.selected,
                 "delta_H": rec.delta_h,
                 "H": rec.h_after,
                 "c": rec.input_steps,
@@ -195,8 +191,8 @@ def write_schedule(schedule: Schedule, path) -> None:
 def read_schedule(path, corpus: Corpus) -> list[dict[str, int]]:
     """The input-step counts of schedule.json, indexed by stage: stage k's
     "t" must be the JSON integer k, and its "c" must count each corpus
-    question's input steps with a JSON integer in [0, n_steps] (int() would
-    take a hand-edited 0.9 for 0 and true for 1). No other field is read."""
+    question's input steps with a JSON integer in [0, n_steps]. No other
+    field is read."""
     doc = read_json(path, ("stages",))
     n_steps = {q.id: q.n_steps for q in corpus.questions}
     stages = []
@@ -207,10 +203,6 @@ def read_schedule(path, corpus: Corpus) -> list[dict[str, int]]:
             raise ValueError(f"{where}: t must be the integer {k}, got {rec['t']!r}")
         counts = expect_type(rec["c"], dict, "c", where)
         corpus.check_ids(where, counts, "input-step count")
-        for qid, c in counts.items():
-            if type(c) is not int or not 0 <= c <= n_steps[qid]:  # rejects bool too
-                raise ValueError(
-                    f"{where}: input-step count {c!r} of {qid!r} is not an integer in [0, {n_steps[qid]}]"
-                )
+        check_ints(where, counts, "input-step count", n_steps, closed=True)
         stages.append(counts)
     return stages

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from . import accel
-from .corpus import Corpus, expect_type, read_json
+from .corpus import Corpus, check_ints, expect_type, read_json
 from .difficulty import DifficultyTable
 
 # Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
@@ -43,7 +43,7 @@ def kmeans_cluster(embeddings: dict[str, np.ndarray], n_clusters: int, seed: int
     centroids are allowed. Embeddings so large that a squared distance
     overflows a float are refused with ValueError."""
     ids = list(embeddings)
-    points = np.stack([np.asarray(embeddings[i], dtype=np.float64) for i in ids])
+    points = np.stack([embeddings[i] for i in ids])
     try:
         with np.errstate(over="raise", invalid="raise"):
             labels = _lloyd(points, min(n_clusters, len(ids)), np.random.default_rng(seed))
@@ -70,7 +70,10 @@ def _lloyd(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.
         for c in range(n_clusters):
             members = points[labels == c]
             if members.shape[0] > 0:
-                centroids[c] = members.mean(axis=0)
+                # the mean of identical points can round away from them, and a
+                # duplicate centroid still on the point would then take them
+                same = (members == members[0]).all()
+                centroids[c] = members[0] if same else members.mean(axis=0)
         new_labels = accel.kmeans_labels(points, centroids)
         if np.array_equal(new_labels, labels):
             break
@@ -125,11 +128,12 @@ def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
         return []
     n = len(problem.ids)
     # The sweep visits theta_max * (1 - eps)**k for every k >= 0 with
-    # (1 - eps)**k >= eps / (2n).
-    passes = math.floor(math.log(eps / (2 * n)) / math.log1p(-eps)) + 1
+    # (1 - eps)**k >= eps / (2n). Counted in floats: a subnormal eps gives
+    # an infinite count, and eps / (2n) could round to 0.
+    passes = float(np.floor((math.log(eps) - math.log(2 * n)) / math.log1p(-eps))) + 1
     if passes > MAX_PASSES:
         raise ValueError(
-            f"eps = {eps} needs {passes} threshold passes over {n} candidates;"
+            f"eps = {eps} needs {passes:.15g} threshold passes over {n} candidates;"
             f" at most {MAX_PASSES} are allowed, so raise eps"
         )
     mask = accel.greedy_admit(
@@ -166,18 +170,13 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
 
 def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
     """clusters.json for corpus: n_clusters a JSON integer >= 1, and one
-    cluster index per corpus question, a JSON integer in [0, n_clusters)
-    (int() would take a hand-edited 2.7 for 2 and true for 1)."""
+    cluster index per corpus question, a JSON integer in [0, n_clusters)."""
     doc = read_json(path, ("n_clusters", "assignment"))
     n_clusters = doc["n_clusters"]
     if type(n_clusters) is not int or n_clusters < 1:  # rejects bool too
         raise ValueError(f"{path}: n_clusters must be an integer >= 1, got {n_clusters!r}")
     assignment = expect_type(doc["assignment"], dict, "assignment", str(path))
-    for qid, k in assignment.items():
-        if type(k) is not int or not 0 <= k < n_clusters:
-            raise ValueError(
-                f"{path}: cluster index {k!r} of {qid!r} is not an integer in [0, {n_clusters})"
-            )
+    check_ints(path, assignment, "cluster index", dict.fromkeys(assignment, n_clusters), closed=False)
     corpus.check_ids(path, assignment, "cluster")
     return ClusterAssignment(n_clusters=n_clusters, assignment=assignment)
 

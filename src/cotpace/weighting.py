@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, read_vectors, write_vectors
+from .corpus import Corpus, Question, read_vectors, token_numbering, write_vectors
 
 SOFT_LO = 1e-12
 SOFT_HI = 1.0 - 1e-12
@@ -127,14 +127,8 @@ class TokenWeightModel:
 def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generator | None = None) -> TokenWeightModel:
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    vocab = {UNK_TOKEN: 0}
-    classes: dict[str, int] = {}
-    for q in corpus.questions:
-        for tok in q.rationale_tokens:
-            if tok not in vocab:
-                vocab[tok] = len(vocab)
-        if q.answer_text not in classes:
-            classes[q.answer_text] = len(classes)
+    vocab = token_numbering(corpus, UNK_TOKEN)
+    classes = {a: k for k, a in enumerate(dict.fromkeys(q.answer_text for q in corpus.questions))}
     de, dh = config.d_embed, config.d_hidden
     dx = corpus.embedding_dim
     nc = len(classes)
@@ -560,29 +554,28 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
     streams = np.random.SeedSequence(config.seed).spawn(3 * config.restarts)
     best: tuple[float, int, TokenWeightModel, list[float], list[float]] | None = None
     scores: list[float] = []
-    for r in range(config.restarts):
-        init_seq, train_seq, eval_seq = streams[3 * r : 3 * r + 3]
-        model, epoch_losses, epoch_pred_losses = _train_once(corpus, config, init_seq, train_seq)
-        score = _selection_score(model, corpus, config.alpha, eval_seq)
-        # the last update can leave non-finite parameters behind a finite
-        # batch loss, and a first NaN score would win every comparison after it
-        if not (math.isfinite(score) and all(np.isfinite(a).all() for a in model.params.values())):
-            raise RuntimeError(
-                f"restart {r} ended with non-finite parameters or selection score;"
-                " lower the learning rate or check the corpus for extreme values"
-            )
-        scores.append(score)
-        if best is None or score < best[0]:
-            best = (score, r, model, epoch_losses, epoch_pred_losses)
-    assert best is not None
-    _, _, model, epoch_losses, epoch_pred_losses = best
-    weights = {q.id: forward_weights(model, q.rationale_tokens) for q in corpus.questions}
-    bad = next((qid for qid, w in weights.items() if not np.isfinite(w).all()), None)
-    if bad is not None:
-        raise RuntimeError(
-            f"non-finite token weights for {bad!r};"
-            " lower the learning rate or check the corpus for extreme values"
-        )
+    # as in training, the first overflow or invalid value ends the run
+    with np.errstate(over="raise", invalid="raise"):
+        for r in range(config.restarts):
+            init_seq, train_seq, eval_seq = streams[3 * r : 3 * r + 3]
+            model, epoch_losses, epoch_pred_losses = _train_once(corpus, config, init_seq, train_seq)
+            try:
+                score = _selection_score(model, corpus, config.alpha, eval_seq)
+            except FloatingPointError:
+                score = math.nan
+            # the last update can leave non-finite parameters behind a finite
+            # batch loss, and a first NaN score would win every comparison after it
+            if not (math.isfinite(score) and all(np.isfinite(a).all() for a in model.params.values())):
+                raise RuntimeError(
+                    f"restart {r} ended with non-finite parameters or selection score;"
+                    " lower the learning rate or check the corpus for extreme values"
+                )
+            scores.append(score)
+            if best is None or score < best[0]:
+                best = (score, r, model, epoch_losses, epoch_pred_losses)
+        _, _, model, epoch_losses, epoch_pred_losses = best
+        # the score computed these same weights, finite, without an error
+        weights = {q.id: forward_weights(model, q.rationale_tokens) for q in corpus.questions}
     return TrainResult(
         weights=weights,
         model=model,

@@ -50,13 +50,12 @@ def _load(path) -> dict:
 
 def test_schedule_loads_equal_to_the_indented_document(tmp_path, planned):
     plan, _, _ = planned
-    doc = {
+    doc = {  # as before, less "selected": a stage admitted the ids whose "c" fell
         "stages": [
             {
                 "t": rec.t,
                 "D_t": rec.budget,
                 "delta_D": rec.delta_budget,
-                "selected": rec.selected,
                 "delta_H": rec.delta_h,
                 "H": rec.h_after,
                 "c": rec.input_steps,
@@ -115,7 +114,7 @@ def test_write_schedule_encodes_one_stage_at_a_time(tmp_path):
     # one stage, a 60th of this document.
     rng = np.random.default_rng(0)
     stages = [
-        StageRecord(t=t, budget=1.5 * t, delta_budget=0.3, selected=IDS[:100], delta_h=0.2,
+        StageRecord(t=t, budget=1.5 * t, delta_budget=0.3, delta_h=0.2,
                     input_steps={qid: int(rng.integers(0, 5)) for qid in IDS}, h_after=1 / 3)
         for t in range(61)
     ]

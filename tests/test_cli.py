@@ -8,6 +8,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from cotpace.cli import (
     stage_seed,
 )
 from cotpace.corpus import parse_corpus, write_corpus
-from cotpace.synth import make_arith_corpus
+from cotpace.synth import make_arith_corpus, make_keypoint_corpus
 from cotpace.weighting import WeightingConfig, write_weights
 
 ARTIFACTS = [
@@ -797,6 +798,62 @@ def test_an_overflow_after_the_first_update_exits_3_without_a_warning(tmp_path, 
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def one_batch_path(tmp_path_factory) -> Path:
+    """Six questions, fewer than a batch: one epoch makes a single update,
+    so an update that overflows the model shows only after training."""
+    path = tmp_path_factory.mktemp("cli") / "six.jsonl"
+    write_corpus(make_arith_corpus(6, seed=3), path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [["--scorer-lr", "1e300"], ["--weight-lr", "1e300", "--head-decay", "0"]],
+                         ids=["scorer-lr", "weight-lr"])
+def test_a_restart_that_overflows_after_training_exits_3_without_a_warning(tmp_path, one_batch_path, capsys, flags):
+    # the restart score and the final weights ran outside training's
+    # errstate: numpy printed four or five RuntimeWarnings before exit 3
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(one_batch_path), "--out", str(out), "--seed", "1",
+            "--weight-epochs", "1", "--restarts", "1", *flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert "restart 0 ended with non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1e-320", "5e-324", "1e-300"])
+def test_a_tiny_eps_exits_2_and_names_it(tmp_path, small_corpus_path, capsys, eps):
+    # 1e-320 exited 3 with "cannot convert float infinity to integer", 5e-324
+    # exited 2 with "math domain error", and 1e-300 printed a 300-digit count
+    argv = ["run", "--corpus", str(small_corpus_path), "--out", str(tmp_path / "out"), "--seed", "1",
+            "--weight-epochs", "1", "--restarts", "1", "--epochs", "4", "--eps", eps]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"eps = {eps} needs" in err and "threshold passes" in err
+    assert not re.search(r"\d{20}", err)
+
+
+@pytest.mark.parametrize("name", ["bundled", "keypoint", "arith"])
+def test_run_simulate_records_no_runtime_warning(tmp_path, bundled_corpus_path, capsys, name):
+    path, extra = bundled_corpus_path, []
+    if name != "bundled":
+        path = tmp_path / "corpus.jsonl"
+        if name == "keypoint":  # no teacher logprobs
+            write_corpus(make_keypoint_corpus(12, seed=1), path)
+            extra = ["--synthetic-logprobs", "1"]
+        else:
+            write_corpus(make_arith_corpus(12, seed=1), path)
+    argv = ["run", "--simulate", "--corpus", str(path), "--out", str(tmp_path / "out"), "--seed", "1",
+            "--weight-epochs", "2", "--restarts", "1", *extra]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 @pytest.mark.parametrize("decay", ["20", "40", "100"])
 def test_a_head_decay_that_zeroes_or_flips_the_head_exits_2(tmp_path, small_corpus_path, capsys, decay):
     # each update scales the head by 1 - weight_lr * head_decay: 0, -1 and -4
@@ -841,21 +898,30 @@ def test_an_empty_embedding_exits_2_and_names_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
-def test_embeddings_whose_distances_overflow_exit_2_and_name_them(tmp_path, capsys, shared):
-    # distinct: numpy warned of an overflow in square and an invalid divide,
-    # then cluster exited 2 with "Probabilities contain NaN"; shared: a
-    # centroid mean one rounding away from the point overflowed in the label
-    # kernel, with a warning, and cluster exited 0
-    rng = np.random.default_rng(0)
+def _huge_embeddings(tmp_path, rng, shared: int) -> Path:
+    """make_arith_corpus(6, seed=5) with embeddings of entries +-1e200, the
+    first `shared` questions' all one vector."""
     path = tmp_path / "large.jsonl"
     write_corpus(make_arith_corpus(6, seed=5), path)
     vector = lambda: [float(v) for v in np.where(rng.random(64) < 0.5, -1e200, 1e200)]
     common = vector()
     records = [json.loads(line) for line in path.read_text().splitlines()]
     path.write_text("".join(
-        json.dumps({**rec, "embedding": common if shared else vector()}) + "\n" for rec in records
+        json.dumps({**rec, "embedding": common if k < shared else vector()}) + "\n" for k, rec in enumerate(records)
     ))
+    return path
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+def test_embeddings_whose_distances_overflow_exit_2_and_name_them(tmp_path, capsys, shared):
+    # distinct: numpy warned of an overflow in square and an invalid divide,
+    # then cluster exited 2 with "Probabilities contain NaN"; shared: a
+    # centroid mean one rounding away from the point overflowed in the label
+    # kernel, with a warning, and cluster exited 0. Six identical embeddings
+    # have no distance to overflow now that a centroid stays on its point
+    # (see the next test), so here five share one and the sixth differs
+    rng = np.random.default_rng(0)
+    path = _huge_embeddings(tmp_path, rng, shared=5 if shared else 0)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -866,6 +932,18 @@ def test_embeddings_whose_distances_overflow_exit_2_and_name_them(tmp_path, caps
     )
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
+
+
+def test_identical_huge_embeddings_cluster_without_a_warning(tmp_path, capsys):
+    # every squared distance between them is 0; they exited 2, blamed on an
+    # overflow that only the centroid mean's rounding made
+    path = _huge_embeddings(tmp_path, np.random.default_rng(0), shared=6)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["cluster", "--corpus", str(path), "--out", str(out), "--seed", "1"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert len(set(json.loads((out / "clusters.json").read_text())["assignment"].values())) == 1
 
 
 def test_clusters_json_does_not_grow_with_the_cluster_count(tmp_path, capsys):

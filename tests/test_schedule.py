@@ -190,6 +190,7 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     names in schedule; a planner that bypassed them, or ran another number
     of rounds, would change its selection.* counts without a word."""
     counts = {"increments": 0, "ftgp": 0, "candidates": 0, "admitted": 0}
+    rounds = []  # the ids each select_ftgp call returned
     candidate_increments, select_ftgp = schedule.candidate_increments, schedule.select_ftgp
 
     def counted_increments(*args, **kwargs):
@@ -201,6 +202,7 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
         counts["ftgp"] += 1
         counts["candidates"] += len(problem.ids)
         counts["admitted"] += len(sel)
+        rounds.append(sel)
         return sel
 
     monkeypatch.setattr(schedule, "candidate_increments", counted_increments)
@@ -217,7 +219,19 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     # Stage 0 admits 50 and then 29 in two rounds before a round admits
     # none; stages 1-5 run one round each; the horizon stages run none.
     assert counts == {"increments": 8, "ftgp": 8, "candidates": 297, "admitted": 128}
-    assert [len(r.selected) for r in plan.stages] == [50, 5, 10, 11, 11, 12, 9, 0, 0]
+    # a stage admitted the ids whose input-step count fell since the stage
+    # before it (since n_steps at stage 0)
+    before = {q.id: q.n_steps for q in bundled_corpus.questions}
+    admitted = []
+    for r in plan.stages:
+        admitted.append({qid for qid, c in r.input_steps.items() if c < before[qid]})
+        before = r.input_steps
+    assert [len(ids) for ids in admitted] == [50, 5, 10, 11, 11, 12, 9, 0, 0]
+    # stage 0's rounds run until one admits nothing, then one round per
+    # stage before the horizon (6)
+    assert [len(sel) for sel in rounds[:3]] == [50, 29, 0]
+    assert admitted[0] == set(rounds[0]) | set(rounds[1])
+    assert admitted[1:6] == [set(sel) for sel in rounds[3:]]
 
 
 def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotpace.cli import stage_seed
 from cotpace.difficulty import DifficultyTable
 from cotpace.selection import (
     ClusterAssignment,
@@ -22,7 +23,7 @@ from cotpace.selection import (
     value_of,
     write_clusters,
 )
-from cotpace.synth import make_arith_corpus
+from cotpace.synth import make_arith_corpus, make_keypoint_corpus
 from oracles import BRUTEFORCE_MAX, is_feasible, marginal_gain, select_bruteforce
 
 
@@ -147,10 +148,7 @@ def test_kmeans_runs_over_at_most_one_centroid_per_point(monkeypatch):
 
 def test_kmeans_cap_leaves_the_labels_of_few_points_unchanged():
     # the capped run labels every point as _lloyd over all the requested
-    # centroids does, duplicate points included. Not past 100 centroids:
-    # where the mean of identical points rounds away from them, the labels
-    # walk one duplicate centroid per Lloyd pass, and the 100-pass cap then
-    # stops the uncapped walk at cluster 100
+    # centroids does, duplicate points included
     rng = np.random.default_rng(23)
     for trial in range(40):
         n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 5))
@@ -161,6 +159,28 @@ def test_kmeans_cap_leaves_the_labels_of_few_points_unchanged():
         for k in (n, n + 1, n + 7, 3 * n + 20):
             full = _lloyd(points, k, np.random.default_rng(trial))
             assert list(kmeans_cluster(emb, k, seed=trial).assignment.values()) == full.tolist(), (trial, k)
+
+
+@pytest.mark.parametrize("k", [5, 100])
+def test_kmeans_on_identical_points_settles_in_one_pass(monkeypatch, k):
+    # the mean of identical points rounded away from them (by 1.1e-15 on the
+    # keypoint corpus's shared embedding), so a duplicate centroid still on
+    # the point won the next labelling, and the labels walked one cluster per
+    # Lloyd pass: 7 label passes at 5 clusters, the 101 of the pass cap at 100
+    from cotpace import accel
+
+    passes = []
+    labels = accel.kmeans_labels
+
+    def counted(points, centroids):
+        passes.append(centroids.shape[0])
+        return labels(points, centroids)
+
+    monkeypatch.setattr(accel, "kmeans_labels", counted)
+    point = make_keypoint_corpus(1, seed=1).questions[0].embedding
+    out = kmeans_cluster({f"kp{i:03d}": point.copy() for i in range(100)}, k, seed=stage_seed(1, "cluster"))
+    assert len(passes) <= 2
+    assert len(set(out.assignment.values())) == 1
 
 
 # --- candidate_increments -----------------------------------------------------
@@ -342,6 +362,21 @@ def test_best_singleton_matches_the_per_candidate_scan(deltas, budget, beta, k, 
     labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
     problem = _problem(dict(zip(ids, deltas)), budget, beta, dict(zip(ids, labels)), k)
     assert _best_singleton(problem) == _best_singleton_by_scan(problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(min_value=5e-324, max_value=0.5, exclude_max=True), n=st.integers(1, 40))
+def test_every_eps_plans_or_is_refused_by_name(eps, n):
+    # a subnormal eps raised OverflowError (1e-320) or "math domain error"
+    # (5e-324), neither naming eps
+    problem = _problem({f"q{i}": 1.0 + i % 3 for i in range(n)}, budget=n / 2, beta=1.0,
+                       assignment={f"q{i}": i % 2 for i in range(n)}, k=2)
+    try:
+        chosen = select_ftgp(problem, eps)
+    except ValueError as exc:
+        assert str(exc).startswith(f"eps = {eps} needs ")
+    else:
+        assert is_feasible(problem, chosen)
 
 
 def test_bruteforce_hand_case_and_tie_break():

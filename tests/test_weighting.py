@@ -577,7 +577,6 @@ def test_strong_ratio_penalty_shrinks_weights():
     assert mean_of(heavy) < mean_of(light)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_aborts_with_diagnostic():
     corpus = make_arith_corpus(4, seed=6)
     config = WeightingConfig(lr=1e12, scorer_lr=1e12, epochs=30, restarts=1, seed=0)
