@@ -29,8 +29,9 @@ def active_backend() -> str:
 MONOTONE_COUNTS = 1 << 21
 
 
-def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):
-    """Boolean mask of candidates admitted by the decaying threshold sweep.
+def greedy_admit(deltas, clusters, budget, beta, eps):
+    """Boolean mask of candidates admitted by the decaying threshold sweep,
+    where clusters holds each candidate's cluster index.
 
     Each pass walks the open candidates in index order and admits one when
     it fits the budget and its gain over its delta reaches the threshold (a
@@ -61,7 +62,9 @@ def greedy_admit(deltas, clusters, n_clusters, budget, beta, eps):
     selected = np.zeros(n, dtype=np.bool_)
     if n == 0:
         return selected
-    counts = np.zeros(n_clusters, dtype=np.int64)
+    # count only the clusters that hold a candidate: the others stay empty
+    used, clusters = np.unique(clusters, return_inverse=True)
+    counts = np.zeros(used.size, dtype=np.int64)
     total = 0.0
 
     def sweep(theta):

@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import hashlib
 import math
+import operator
 import os
 import struct
 import sys
@@ -34,56 +35,74 @@ from .selection import kmeans_cluster, read_clusters, write_clusters
 from .weighting import WeightingConfig, read_weights, save_model, train_weighting, write_weights
 
 
-def _knob(default, help, *, flag=None, metavar=None, stage=None, stage_field=None):
+def _knob(default, help, *, flag=None, metavar=None, stage=None, stage_field=None,
+          ge=None, gt=None, le=None, lt=None):
     """A PipelineConfig field. Its metadata holds the flag where it is not
-    the name with dashes, the --help text, and the stage config class the
-    value is copied into, under stage_field."""
-    meta = {"help": help, "flag": flag, "metavar": metavar, "stage": stage, "stage_field": stage_field}
+    the name with dashes, the --help text, the stage config class the value
+    is copied into, under stage_field, and the value's range: its bounds as
+    (operator, bound) pairs, lower before upper."""
+    bounds = tuple((op, b) for op, b in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if b is not None)
+    meta = {"help": help, "flag": flag, "metavar": metavar, "stage": stage, "stage_field": stage_field,
+            "bounds": bounds}
     return dataclasses.field(default=default, metadata=meta)
 
 
-def _stage_knob(stage, stage_field, help):
+def _stage_knob(stage, stage_field, help, **bounds):
     """A knob copied into stage's config field stage_field, whose default it takes."""
-    return _knob(getattr(stage, stage_field), help, stage=stage, stage_field=stage_field)
+    return _knob(getattr(stage, stage_field), help, stage=stage, stage_field=stage_field, **bounds)
+
+
+_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def _range(bounds) -> str:
+    """What a value in bounds must do: "be >= 1", or "lie in (0, 0.5)" for two."""
+    if len(bounds) == 1:
+        return "be {} {}".format(*bounds[0])
+    (lo_op, lo), (hi_op, hi) = bounds
+    return f"lie in {'[' if lo_op == '>=' else '('}{lo}, {hi}{']' if hi_op == '<=' else ')'}"
 
 
 @dataclasses.dataclass
 class PipelineConfig:
     """Every pipeline knob, defined once: each field is a config key and a
-    flag, and the converters, flags and stage configs derive from it. A
-    knob copied into a stage config takes that config's default."""
+    flag, and the converters, flags, ranges and stage configs derive from
+    it. A knob copied into a stage config takes that config's default."""
 
     corpus: str = _knob("", "corpus JSONL path")
     out: str = _knob("out", "output directory (default: out)")
-    seed: int | None = _knob(None, "master seed (required here or in the config)")
+    # stage_seed packs the seed as a signed 64-bit key
+    seed: int | None = _knob(None, "master seed (required here or in the config)", ge=-(2**63), le=2**63 - 1)
     lenient: bool = _knob(False, "ignore unknown corpus keys")
     synthetic_logprobs: int | None = _knob(
-        None, "generate seeded logprobs instead of requiring token_logprobs", metavar="SEED"
+        None, "generate seeded logprobs instead of requiring token_logprobs", metavar="SEED", ge=0
     )
     # significance model
-    alpha: float = _stage_knob(WeightingConfig, "alpha", "mask-ratio penalty")
-    tau: float = _stage_knob(WeightingConfig, "tau", "relaxation temperature")
-    weight_lr: float = _stage_knob(WeightingConfig, "lr", "answer-head learning rate")
-    scorer_lr: float = _stage_knob(WeightingConfig, "scorer_lr", "scorer learning rate")
-    head_decay: float = _stage_knob(WeightingConfig, "head_decay", "L2 shrink per update on answer-head weights")
-    weight_epochs: int = _stage_knob(WeightingConfig, "epochs", "significance model epochs")
-    batch_size: int = _stage_knob(WeightingConfig, "batch_size", "questions per significance model update")
-    prefix_samples: int = _stage_knob(WeightingConfig, "prefix_samples", "prefix cuts sampled per question visit")
-    restarts: int = _stage_knob(WeightingConfig, "restarts", "independent weighting runs, best kept")
-    unmasked_weight: float = _stage_knob(WeightingConfig, "unmasked_weight", "weight of the always-visible predictor pass")
-    d_embed: int = _stage_knob(WeightingConfig, "d_embed", "token embedding width")
-    d_hidden: int = _stage_knob(WeightingConfig, "d_hidden", "scorer hidden width")
+    alpha: float = _stage_knob(WeightingConfig, "alpha", "mask-ratio penalty", ge=0)
+    tau: float = _stage_knob(WeightingConfig, "tau", "relaxation temperature", gt=0)
+    weight_lr: float = _stage_knob(WeightingConfig, "lr", "answer-head learning rate", gt=0)
+    scorer_lr: float = _stage_knob(WeightingConfig, "scorer_lr", "scorer learning rate", gt=0)
+    head_decay: float = _stage_knob(WeightingConfig, "head_decay", "L2 shrink per update on answer-head weights", ge=0)
+    weight_epochs: int = _stage_knob(WeightingConfig, "epochs", "significance model epochs", ge=1)
+    batch_size: int = _stage_knob(WeightingConfig, "batch_size", "questions per significance model update", ge=1)
+    prefix_samples: int = _stage_knob(WeightingConfig, "prefix_samples", "prefix cuts sampled per question visit", ge=1)
+    restarts: int = _stage_knob(WeightingConfig, "restarts", "independent weighting runs, best kept", ge=1)
+    unmasked_weight: float = _stage_knob(
+        WeightingConfig, "unmasked_weight", "weight of the always-visible predictor pass", ge=0
+    )
+    d_embed: int = _stage_knob(WeightingConfig, "d_embed", "token embedding width", ge=1)
+    d_hidden: int = _stage_knob(WeightingConfig, "d_hidden", "scorer hidden width", ge=1)
     # schedule and selection
-    epochs: int = _stage_knob(StudentConfig, "epochs", "student epochs / schedule stages")
-    t_max: int | None = _knob(None, "budget horizon (default epochs/2)")
-    p: float = _knob(0.5, "budget curve exponent")
-    c0_frac: float = _knob(0.3, "warm start as a fraction of total difficulty")
-    delta_s: int = _knob(1, "steps removed per selection")
-    n_clusters: int = _knob(5, "k-means clusters", flag="--clusters")
-    beta: float = _knob(12.0, "diversity bonus")
-    eps: float = _knob(0.1, "threshold decay")
+    epochs: int = _stage_knob(StudentConfig, "epochs", "student epochs / schedule stages", ge=1)
+    t_max: int | None = _knob(None, "budget horizon (default epochs/2)", ge=1)
+    p: float = _knob(0.5, "budget curve exponent", gt=0)
+    c0_frac: float = _knob(0.3, "warm start as a fraction of total difficulty", ge=0, le=1)
+    delta_s: int = _knob(1, "steps removed per selection", ge=1)
+    n_clusters: int = _knob(5, "k-means clusters", flag="--clusters", ge=1)
+    beta: float = _knob(12.0, "diversity bonus", ge=0)
+    eps: float = _knob(0.1, "threshold decay", gt=0, lt=0.5)
     # student simulation
-    student_lr: float = _stage_knob(StudentConfig, "lr", "student learning rate")
+    student_lr: float = _stage_knob(StudentConfig, "lr", "student learning rate", gt=0)
     simulate: bool = _knob(False, "run the student after the pipeline")
 
     @property
@@ -100,27 +119,24 @@ class PipelineConfig:
         return cls(**values, **extra)
 
     def validate(self) -> None:
-        """The pipeline's own checks; the weighting and student ranges are
-        checked by building those configs, so every stage fails up front."""
+        """Every check on the knobs, run before any stage: each value against
+        its field's range, then the rules that tie two knobs together."""
         if not self.corpus:
             raise ValueError("no corpus given (config key 'corpus' or --corpus)")
         if self.seed is None:
             raise ValueError("a seed is required (config key 'seed' or --seed)")
-        if not -(2**63) <= self.seed < 2**63:  # stage_seed packs it as a signed 64-bit key
-            raise ValueError(f"seed must lie in [-2**63, 2**63 - 1], got {self.seed}")
-        if self.synthetic_logprobs is not None and self.synthetic_logprobs < 0:
-            raise ValueError(f"synthetic_logprobs must be >= 0, got {self.synthetic_logprobs}")
         for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not (0.0 < self.eps < 0.5):
-            raise ValueError(f"eps must lie in (0, 0.5), got {self.eps}")
-        if self.p <= 0.0:
-            raise ValueError(f"p must be > 0, got {self.p}")
-        if not (0.0 <= self.c0_frac <= 1.0):
-            raise ValueError(f"c0_frac must lie in [0, 1], got {self.c0_frac}")
-        if self.t_max is not None and self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} ({_flag(f)}) must be finite, got {value}")
+            bounds = f.metadata["bounds"]
+            if value is not None and not all(_HOLDS[op](value, b) for op, b in bounds):
+                raise ValueError(f"{f.name} ({_flag(f)}) must {_range(bounds)}, got {value}")
+        if self.weight_lr * self.head_decay >= 1.0:  # each update scales the head by 1 - lr * head_decay
+            raise ValueError(
+                f"weight_lr * head_decay must be < 1, got {self.weight_lr} * {self.head_decay}:"
+                " the answer-head decay would zero or flip the head on every update"
+            )
         try:  # the budget curve divides by horizon ** (p + 1)
             float(self.horizon) ** (self.p + 1.0)
         except OverflowError:
@@ -128,15 +144,6 @@ class PipelineConfig:
                 f"p = {self.p} is too large for the horizon {self.horizon}:"
                 " horizon ** (p + 1) overflows a float"
             ) from None
-        if self.delta_s < 1 or self.n_clusters < 1:
-            raise ValueError("delta_s and n_clusters must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        for cls in (WeightingConfig, StudentConfig):
-            try:
-                self.stage_config(cls).validate()
-            except ValueError as exc:  # say which stage's lr or epochs
-                raise ValueError(f"{cls.__name__}: {exc}") from None
 
 
 def _to_bool(text: str) -> bool:

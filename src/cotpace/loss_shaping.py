@@ -91,19 +91,17 @@ def build_stage_loss_specs(corpus: Corpus, stages: list[dict[str, int]], epochs:
 
 # --- tabular student -------------------------------------------------------
 
+# standard deviation of the student's initial logits
+INIT_SCALE = 0.01
+
 
 @dataclasses.dataclass
 class StudentConfig:
+    """The student's settings; cli.PipelineConfig holds and checks their ranges."""
+
     epochs: int = 20
     lr: float = 0.5
-    init_scale: float = 0.01
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise LossShapingError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0.0:
-            raise LossShapingError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclasses.dataclass
@@ -187,8 +185,8 @@ def _run_student(
     step = np.concatenate([np.repeat(np.arange(q.n_steps), [e - s for s, e in q.step_spans]) for q in questions])
     n_tokens = np.array([q.n_tokens for q in questions])
     rng = np.random.default_rng(config.seed)
-    unigram = rng.normal(0.0, config.init_scale, size=nv)
-    bigram = rng.normal(0.0, config.init_scale, size=(nv, nv))
+    unigram = rng.normal(0.0, INIT_SCALE, size=nv)
+    bigram = rng.normal(0.0, INIT_SCALE, size=(nv, nv))
     epoch_losses: list[float] = []
     for epoch, counts in zip(range(1, config.epochs + 1), epoch_counts):
         scored = np.where(step >= np.repeat(counts, n_tokens), w, 0.0)

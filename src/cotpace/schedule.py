@@ -93,9 +93,9 @@ def plan_full_schedule(
     curve: BudgetCurve,
     clusters: ClusterAssignment,
     *,
-    beta: float = 12.0,
-    eps: float = 0.1,
-    step_reduction: int = 1,
+    beta: float,
+    eps: float,
+    step_reduction: int,
     total_stages: int | None = None,
 ) -> Schedule:
     """Plan every stage 0..total_stages (default: the curve horizon).

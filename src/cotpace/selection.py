@@ -11,6 +11,7 @@ the better of the accumulated set and the best feasible singleton.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -98,24 +99,24 @@ class SelectionProblem:
 
 def value_of(problem: SelectionProblem, chosen: Iterable[str]) -> float:
     """F(S); same operation order as the kernels (sum - budget, then the
-    per-cluster sqrt bonuses in ascending cluster index)."""
+    sqrt bonuses of the clusters S touches, in ascending cluster index)."""
     chosen = set(chosen)
     unknown = chosen - set(problem.ids)
     if unknown:
         raise ValueError(f"ids not in candidate set: {sorted(unknown)}")
     total = 0.0
-    counts = [0] * problem.clusters.n_clusters
+    counts: collections.Counter = collections.Counter()
     for qid in problem.ids:
         if qid in chosen:
             total += problem.increments[qid]
             counts[problem.clusters.assignment[qid]] += 1
     value = total - problem.budget
-    for c in range(problem.clusters.n_clusters):
+    for c in sorted(counts):  # an empty cluster adds beta * sqrt(0), exactly +0.0
         value = value + problem.beta * math.sqrt(counts[c])
     return value
 
 
-def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
+def select_ftgp(problem: SelectionProblem, eps: float) -> list[str]:
     """Decaying-threshold greedy. Thresholds start at the largest initial
     gain density, decay by (1 - eps) down to eps * theta_max / (2n); each
     pass admits, in input order, any unpicked candidate whose gain density
@@ -136,14 +137,7 @@ def select_ftgp(problem: SelectionProblem, eps: float = 0.1) -> list[str]:
             f"eps = {eps} needs {passes:.15g} threshold passes over {n} candidates;"
             f" at most {MAX_PASSES} are allowed, so raise eps"
         )
-    mask = accel.greedy_admit(
-        problem.deltas,
-        problem.cluster_ids,
-        problem.clusters.n_clusters,
-        problem.budget,
-        problem.beta,
-        eps,
-    )
+    mask = accel.greedy_admit(problem.deltas, problem.cluster_ids, problem.budget, problem.beta, eps)
     accumulated = [qid for qid, m in zip(problem.ids, mask) if m]
     best, best_value = _best_singleton(problem)
     if best is not None and best_value > value_of(problem, accumulated):
@@ -182,7 +176,7 @@ def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
 
 
 def candidate_increments(
-    input_steps: Mapping[str, int], table: DifficultyTable, step_reduction: int = 1
+    input_steps: Mapping[str, int], table: DifficultyTable, step_reduction: int
 ) -> dict[str, float]:
     """Difficulty increment each question would add if selected: the sum
     of the next step_reduction step difficulties counted from the back

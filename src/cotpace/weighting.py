@@ -48,12 +48,10 @@ MODEL_FORMAT = "cotpace-weight-model"
 MODEL_FORMAT_VERSION = 1
 
 
-class WeightingError(ValueError):
-    pass
-
-
 @dataclasses.dataclass
 class WeightingConfig:
+    """The significance model's settings; cli.PipelineConfig holds and checks their ranges."""
+
     alpha: float = 0.5  # mask-ratio penalty
     tau: float = 1.0  # relaxation temperature
     lr: float = 0.05  # answer-head learning rate
@@ -67,29 +65,6 @@ class WeightingConfig:
     d_embed: int = 32
     d_hidden: int = 32
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.alpha < 0.0:
-            raise WeightingError(f"alpha must be >= 0, got {self.alpha}")
-        if self.tau <= 0.0:
-            raise WeightingError(f"tau must be > 0, got {self.tau}")
-        if self.lr <= 0.0 or self.scorer_lr <= 0.0:
-            raise WeightingError("learning rates must be > 0")
-        if self.head_decay < 0.0:
-            raise WeightingError(f"head_decay must be >= 0, got {self.head_decay}")
-        if self.lr * self.head_decay >= 1.0:  # each update scales the head by 1 - lr * head_decay
-            raise WeightingError(
-                f"weight_lr * head_decay must be < 1, got {self.lr} * {self.head_decay}:"
-                " the answer-head decay would zero or flip the head on every update"
-            )
-        if self.epochs < 1 or self.batch_size < 1 or self.prefix_samples < 1:
-            raise WeightingError("epochs, batch_size and prefix_samples must be >= 1")
-        if self.restarts < 1:
-            raise WeightingError(f"restarts must be >= 1, got {self.restarts}")
-        if self.unmasked_weight < 0.0:
-            raise WeightingError(f"unmasked_weight must be >= 0, got {self.unmasked_weight}")
-        if self.d_embed < 1 or self.d_hidden < 1:
-            raise WeightingError("model widths must be >= 1")
 
 
 @dataclasses.dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from cotpace.corpus import Corpus
 from cotpace.loss_shaping import LossShapingError, LossSpec, StudentConfig, StudentTrace, _run_student
 from cotpace.selection import SelectionProblem
-from cotpace.weighting import MaskSample, WeightingError, _draw_mask, _sample_noise
+from cotpace.weighting import MaskSample, _draw_mask, _sample_noise
 
 # ---------------------------------------------------------------------------
 # subset comparison: lexicographic order on the sorted member lists.
@@ -122,9 +122,9 @@ def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
     exactly at any tau; tau only controls how soft the relaxation is."""
     w = np.asarray(weights, dtype=np.float64)
     if tau <= 0.0:
-        raise WeightingError(f"tau must be > 0, got {tau}")
+        raise ValueError(f"tau must be > 0, got {tau}")
     if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise WeightingError(
+        raise ValueError(
             "weights must lie strictly inside (0, 1); clamp to [1e-6, 1 - 1e-6] before sampling"
         )
     g1, g0 = _sample_noise(w.size, np.random.default_rng(seed))

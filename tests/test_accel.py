@@ -101,7 +101,7 @@ def test_kmeans_ties_go_to_lowest_index():
 def test_empty_inputs_short_circuit():
     val, mask = bruteforce_best_subset(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 2.0, 1.0)
     assert (val, mask) == (-2.0, 0)
-    assert accel.greedy_admit(np.zeros(0), np.zeros(0, dtype=np.int64), 1, 1.0, 0.0, 0.1).size == 0
+    assert accel.greedy_admit(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 0.0, 0.1).size == 0
 
 
 # --- the pruned greedy sweep ------------------------------------------------------
@@ -109,10 +109,10 @@ def test_empty_inputs_short_circuit():
 
 # The plain sequential loop: every pass tests every open candidate in index
 # order with the live counts and total. accel.greedy_admit must give its mask.
-def _greedy_admit_seq(deltas, clusters, n_clusters, budget, beta, eps):
+def _greedy_admit_seq(deltas, clusters, budget, beta, eps):
     n = deltas.shape[0]
     selected = np.zeros(n, dtype=np.bool_)
-    counts = np.zeros(n_clusters, dtype=np.int64)
+    counts = dict.fromkeys(clusters.tolist(), 0)
     total = 0.0
     theta_max = 0.0
     for i in range(n):
@@ -178,8 +178,8 @@ def test_pruned_sweep_matches_the_sequential_loop(deltas, budget, beta, eps, k, 
     d = np.asarray(deltas, dtype=np.float64)
     c = np.asarray(labels, dtype=np.int64)
     with np.errstate(over="ignore"):
-        expected = _greedy_admit_seq(d, c, k, budget, beta, eps)
-    assert np.array_equal(accel.greedy_admit(d, c, k, budget, beta, eps), expected)
+        expected = _greedy_admit_seq(d, c, budget, beta, eps)
+    assert np.array_equal(accel.greedy_admit(d, c, budget, beta, eps), expected)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ def test_greedy_refuses_what_its_pruning_does_not_cover(monkeypatch, n, budget, 
 
     monkeypatch.setattr(accel.np, "zeros", no_work)
     with pytest.raises(ValueError, match=match):
-        accel.greedy_admit(deltas, clusters, 1, budget, beta, 0.1)
+        accel.greedy_admit(deltas, clusters, budget, beta, 0.1)
 
 
 def test_sqrt_step_is_non_increasing_below_the_pruning_limit():
@@ -228,12 +228,12 @@ from cotpace.selection import ClusterAssignment, SelectionProblem, select_ftgp
 """ + inspect.getsource(_greedy_admit_seq) + """
 d, c = np.array([1e-308, 1.0]), np.array([0, 1])
 for name, admit in (("greedy_admit", accel.greedy_admit), ("_greedy_admit_seq", _greedy_admit_seq)):
-    mask = admit(d, c, 2, 2.0, 12.0, 0.1)
+    mask = admit(d, c, 2.0, 12.0, 0.1)
     assert d[mask].sum() <= 2.0, mask
     print(name, mask.tolist())
 clusters = ClusterAssignment(n_clusters=2, assignment={"a": 0, "b": 1})
 problem = SelectionProblem(increments={"a": 1e-308, "b": 1.0}, budget=2.0, clusters=clusters, beta=12.0)
-print("select_ftgp", select_ftgp(problem))
+print("select_ftgp", select_ftgp(problem, eps=0.1))
 """
 
 

@@ -28,7 +28,9 @@ def planned():
     table = compute_table(corpus)
     clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 3, seed=2)
     curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=5)
-    plan = plan_full_schedule(corpus, table, curve, clusters, total_stages=10)
+    plan = plan_full_schedule(
+        corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=10
+    )
     stages = [rec.input_steps for rec in plan.stages]
     trace = simulate_student(corpus, stages, None, StudentConfig(epochs=10, seed=4))
     return plan, clusters, trace

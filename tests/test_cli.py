@@ -20,6 +20,7 @@ import pytest
 
 import cotpace
 from cotpace.cli import (
+    _KNOBS,
     PipelineConfig,
     _flag,
     _to_bool,
@@ -1047,14 +1048,74 @@ def test_non_finite_float_knob_exits_2_and_names_it(
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, stage, field",
-    [("--batch-size", "WeightingConfig", "batch_size"), ("--student-lr", "StudentConfig", "lr")],
-)
-def test_stage_ranges_fail_every_command_up_front(small_corpus_path, capsys, flag, stage, field):
-    assert main(["validate", "--corpus", str(small_corpus_path), "--seed", "1", flag, "0"]) == 2
-    err = capsys.readouterr().err
-    assert stage in err and field in err
+def test_every_number_knob_declares_its_range():
+    numbers = [f for f in KNOBS if f.type.removesuffix(" | None") in ("int", "float")]
+    assert [f.name for f in numbers if not f.metadata["bounds"]] == []
+
+
+def _past(field, op, bound):
+    """The first value outside bound: the bound itself where it is open,
+    else the next int or float beyond it."""
+    if op in (">", "<"):
+        return bound
+    lower = op == ">="
+    if field.type.startswith("int"):
+        return bound - 1 if lower else bound + 1
+    return math.nextafter(bound, -math.inf if lower else math.inf)
+
+
+# One case per bound of every ranged knob, plus the values the stage
+# configs' own validators were tested with where those differ.
+_EDGES = [(f, op, b, _past(f, op, b)) for f in KNOBS for op, b in f.metadata["bounds"]]
+_EARLIER = {"alpha": -1.0, "scorer_lr": -0.1, "head_decay": -1e-3, "unmasked_weight": -0.5}
+_RANGE_CASES = [(f, bad) for f, _, _, bad in _EDGES] + [(_KNOBS[k], v) for k, v in _EARLIER.items()]
+
+
+def _knob_argv(tmp_path, route: str, values: dict) -> list[str]:
+    """A run command that sets values by flags (--flag=value, so that -1e-3
+    is not taken for a flag), or by a config file."""
+    if route == "flag":
+        return ["run", *(f"{_flag(_KNOBS[k])}={v}" for k, v in values.items())]
+    cfg = tmp_path / "knobs.ini"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return ["run", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("field, value", _RANGE_CASES, ids=[f"{f.name}={v}" for f, v in _RANGE_CASES])
+def test_a_value_past_a_knob_range_exits_2_and_names_key_and_flag(tmp_path, small_corpus_path, capsys, route, field, value):
+    # the stage configs' validators named the stage field: --weight-epochs 0
+    # exited 2 with "WeightingConfig: epochs, batch_size and prefix_samples
+    # must be >= 1", and --clusters 0 with "delta_s and n_clusters must be >= 1"
+    out = tmp_path / "out"
+    values = {"corpus": small_corpus_path, "out": out, "seed": 1, field.name: value}
+    assert main(_knob_argv(tmp_path, route, values)) == 2
+    assert f"error: {field.name} ({_flag(field)}) must " in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CLOSED = [(f, b) for f, op, b, _ in _EDGES if op in (">=", "<=")]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("field, bound", _CLOSED, ids=[f"{f.name}={b}" for f, b in _CLOSED])
+def test_a_knob_at_its_closed_bound_is_accepted(tmp_path, route, field, bound):
+    values = {"corpus": "c.jsonl", "seed": 1, field.name: bound}
+    cfg = make_config(_args(_knob_argv(tmp_path, route, values)))
+    assert getattr(cfg, field.name) == bound
+
+
+def test_the_planner_does_not_grow_with_the_cluster_count(tmp_path, small_corpus_path):
+    # value_of and greedy_admit sized their counts by --clusters: at 2**62,
+    # schedule exited 2 with numpy's "array is too big"
+    fast = ["--corpus", str(small_corpus_path), "--seed", "1", "--weight-epochs", "1", "--restarts", "1",
+            "--epochs", "4"]
+    stages = []
+    for clusters in (len(parse_corpus(small_corpus_path).questions), 2**62):
+        out = tmp_path / str(clusters)
+        assert main(["run", *fast, "--out", str(out), "--clusters", str(clusters)]) == 0
+        stages.append([stage["c"] for stage in json.loads((out / "schedule.json").read_text())["stages"]])
+    assert stages[0] == stages[1]
 
 
 # --- config layering ---------------------------------------------------------------
@@ -1162,10 +1223,9 @@ def _other_value(field):
 
 
 def _as_flags(values: dict) -> list[str]:
-    by_name = {f.name: f for f in KNOBS}
     argv = []
     for name, value in values.items():
-        argv.append(_flag(by_name[name]))
+        argv.append(_flag(_KNOBS[name]))
         if value is not True:
             argv.append(str(value))
     return argv
