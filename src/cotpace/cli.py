@@ -3,7 +3,8 @@
 Each subcommand is one pipeline stage and re-runs from the artifacts
 persisted in the output directory; `run` runs them all in order.
 
-Exit codes: 0 ok, 1 usage, 2 validation/input error, 3 numeric failure.
+Exit codes: 0 ok, 1 usage, 2 validation/input error, 3 numeric or
+allocation failure.
 Config is INI-style `key = value` lines; every key is also a flag, and a
 flag overrides its key.
 """
@@ -448,7 +449,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError, OverflowError) as exc:
+    except (RuntimeError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -16,10 +16,6 @@ import numpy as np
 from .corpus import Corpus, Question, read_vectors, write_vectors
 
 
-class DifficultyError(ValueError):
-    """Raised when difficulty inputs are missing or malformed."""
-
-
 def normalize_step_weights(weights: np.ndarray, span: tuple[int, int]) -> np.ndarray:
     """Softmax of the raw weights inside one step span (max-subtracted)."""
     w = weights[slice(*span)]
@@ -58,7 +54,7 @@ def _question_logprobs(q: Question, logprobs: dict[str, np.ndarray] | None) -> n
         return logprobs[q.id]
     if q.token_logprobs is not None:
         return q.token_logprobs
-    raise DifficultyError(
+    raise ValueError(
         f"question {q.id!r} has no token_logprobs; supply them in the corpus, pass a logprobs"
         " map, or generate synthetic ones (synthetic_logprobs)"
     )

@@ -23,42 +23,37 @@ BOS_ID = 0
 BOS_TOKEN = "<bos>"
 
 
-class LossShapingError(ValueError):
-    pass
-
-
 @dataclasses.dataclass
 class LossSpec:
     question_id: str
     stage: int
-    input_end: int  # first generated token index; input range is [0, input_end)
-    gen_end: int  # exclusive; generation range is [input_end, gen_end)
+    # first generated token index: the input range is [0, input_end), and
+    # the generation range [input_end, n_tokens)
+    input_end: int
 
 
-def shape_stage_loss(question: Question, input_steps: int, stage: int = 0) -> LossSpec:
+def shape_stage_loss(question: Question, input_steps: int, stage: int) -> LossSpec:
     """Build the loss ranges for one question at one stage; input_steps lies
     in [0, n_steps]."""
     n = question.n_tokens
     input_end = n if input_steps == question.n_steps else question.step_spans[input_steps][0]
-    return LossSpec(question_id=question.id, stage=stage, input_end=input_end, gen_end=n)
+    return LossSpec(question_id=question.id, stage=stage, input_end=input_end)
 
 
 def write_loss_specs(specs: list[LossSpec], path) -> None:
     """One line of loss ranges per spec: the window of question id from
     stage t until that question's next line. The weights are left out: a
-    spec scores the run's token weights over [input_end, gen_end)."""
+    spec scores the run's token weights over [input_end, n_tokens)."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in specs:  # the line json.dumps gives for the record's dict, at a fifth of the cost
             qid = json.dumps(s.question_id)
-            fh.write(
-                f'{{"t": {s.stage}, "id": {qid}, "input_end": {s.input_end}, "gen_end": {s.gen_end}}}\n'
-            )
+            fh.write(f'{{"t": {s.stage}, "id": {qid}, "input_end": {s.input_end}}}\n')
 
 
 def _check_epochs(stages: list[dict[str, int]], epochs: int) -> None:
     """Epoch e trains on stage e, so the schedule needs stages 1..epochs."""
     if len(stages) <= epochs:
-        raise LossShapingError(
+        raise ValueError(
             f"schedule has no stage {max(len(stages), 1)} but the student trains for"
             f" {epochs} epochs"
         )
@@ -110,7 +105,6 @@ class StudentTrace:
     final_token_probs: dict[str, np.ndarray]
     unigram: np.ndarray
     bigram: np.ndarray
-    vocab: dict[str, int]
 
 
 def _build_vocab(corpus: Corpus) -> tuple[dict[str, int], dict[str, np.ndarray]]:
@@ -197,13 +191,13 @@ def _run_student(
         epoch_losses.append(total / nq)
     logp = _log_softmax_table(unigram, bigram)[0].ravel()
     final = {qid: np.exp(logp[p]) for qid, p in pairs.items()}
-    return StudentTrace(
-        epoch_losses=epoch_losses,
-        final_token_probs=final,
-        unigram=unigram,
-        bigram=bigram,
-        vocab=vocab,
-    )
+    for qid, probs in final.items():
+        if not probs.all():  # trace.json's probabilities lie in (0, 1]
+            raise RuntimeError(
+                f"question {qid!r}: a final token probability underflows to 0;"
+                " the student diverged, lower the learning rate (student_lr)"
+            )
+    return StudentTrace(epoch_losses=epoch_losses, final_token_probs=final, unigram=unigram, bigram=bigram)
 
 
 def simulate_student(

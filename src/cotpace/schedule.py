@@ -96,9 +96,9 @@ def plan_full_schedule(
     beta: float,
     eps: float,
     step_reduction: int,
-    total_stages: int | None = None,
+    total_stages: int,
 ) -> Schedule:
-    """Plan every stage 0..total_stages (default: the curve horizon).
+    """Plan every stage 0..total_stages.
 
     Each stage's budget is D(t) minus the difficulty already generated.
     Stage 0 repeats selection rounds against it until no candidate is
@@ -109,8 +109,6 @@ def plan_full_schedule(
     admitted ids are those whose input-step count it lowered, so the
     records do not list them.
     """
-    if total_stages is None:
-        total_stages = curve.t_max
 
     def select_round(steps: dict[str, int], budget: float) -> tuple[list[str], list[float]]:
         """The ids one selection round admits, and their increments."""

@@ -6,8 +6,8 @@ w in (0,1). Binary masks are drawn with the Gumbel reparameterization
 minimizes answer-prediction loss of a pooled classifier that only sees
 unmasked prefix tokens plus the question, plus alpha times the expected
 mask ratio, so the scorer learns to keep exactly the tokens the answer
-depends on. All gradients are hand-derived numpy; gradient_check
-validates them against central differences on the relaxed objective.
+depends on. All gradients are hand-derived numpy; the tests check them
+against central differences on the relaxed objective.
 """
 from __future__ import annotations
 
@@ -43,6 +43,8 @@ SCORER_PARAMS = frozenset({"embed", "wq", "wk", "wv", "w1", "b1", "w2", "b2"})
 # because they carry the (legitimate) class priors.
 HEAD_DECAY_PARAMS = ("h_embed", "x_proj", "pool_q", "w_cls")
 UNK_TOKEN = "<unk>"
+# Hard-mask draws per question in a restart's selection score.
+SCORE_DRAWS = 8
 
 MODEL_FORMAT = "cotpace-weight-model"
 MODEL_FORMAT_VERSION = 1
@@ -73,7 +75,6 @@ class TokenWeightModel:
     classes: dict[str, int]
     params: dict[str, np.ndarray]
     config: WeightingConfig
-    question_dim: int
     # token sequence -> read-only (ids, distinct ids, inverse index); the
     # vocabulary never changes after the model is built, and training looks
     # up the same rationales every epoch
@@ -94,9 +95,6 @@ class TokenWeightModel:
                 arr.flags.writeable = False
             self._ids[key] = rows
         return rows
-
-    def token_ids(self, tokens: list[str]) -> np.ndarray:
-        return self.token_rows(tokens)[0]
 
 
 def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generator | None = None) -> TokenWeightModel:
@@ -128,7 +126,7 @@ def build_model(corpus: Corpus, config: WeightingConfig, rng: np.random.Generato
         "w_cls": rng.normal(0.0, 1.0 / math.sqrt(de), size=(de, nc)),
         "b_cls": np.zeros(nc),
     }
-    return TokenWeightModel(vocab=vocab, classes=classes, params=params, config=config, question_dim=dx)
+    return TokenWeightModel(vocab=vocab, classes=classes, params=params, config=config)
 
 
 @functools.lru_cache(maxsize=256)
@@ -171,7 +169,7 @@ def _scorer_forward(model: TokenWeightModel, idx: np.ndarray):
 
 def forward_weights(model: TokenWeightModel, tokens: list[str]) -> np.ndarray:
     """Significance w_j in (0,1) for each token."""
-    w, _ = _scorer_forward(model, model.token_ids(tokens))
+    w, _ = _scorer_forward(model, model.token_rows(tokens)[0])
     return w
 
 
@@ -189,15 +187,10 @@ def _sample_noise(n: int, rng: np.random.Generator, draws: int | None = None) ->
     return g[..., :n], g[..., n:]
 
 
-def _soft_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> np.ndarray:
-    u = (np.log(w) - np.log1p(-w) + g1 - g0) / tau
-    return np.clip(_sigmoid(u), SOFT_LO, SOFT_HI)
-
-
 def _draw_mask(w: np.ndarray, g1: np.ndarray, g0: np.ndarray, tau: float) -> MaskSample:
     """The mask that noise (g1, g0) draws from weights w: soft values,
     and the hard mask that keeps each token whose soft value is >= 0.5."""
-    soft = _soft_mask(w, g1, g0, tau)
+    soft = np.clip(_sigmoid((np.log(w) - np.log1p(-w) + g1 - g0) / tau), SOFT_LO, SOFT_HI)
     return MaskSample(hard=(soft >= 0.5).astype(np.int8), soft=soft)
 
 
@@ -257,7 +250,7 @@ def _pooling_inputs(model: TokenWeightModel, question: Question, idx: np.ndarray
 def _cut_losses(model: TokenWeightModel, question: Question, rows: np.ndarray) -> np.ndarray:
     """Answer NLL of each row of rows (R, n_tokens), see _pool_cuts."""
     p = model.params
-    idx = model.token_ids(question.rationale_tokens)
+    idx = model.token_rows(question.rationale_tokens)[0]
     he, xr, (s_tok, s_x, _, _), cls_idx = _pooling_inputs(model, question, idx)
     losses, _ = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
     return losses
@@ -271,21 +264,21 @@ def weighting_loss_and_grads(
     g0: np.ndarray,
     prefixes: list[int],
     mask_mode: str = "hard",
-    grads: dict[str, np.ndarray] | None = None,
+    grads: dict[str, np.ndarray],
     alpha: float | None = None,
 ):
     """(loss, lp, lm, sample): the combined loss (lp + alpha * lm plus the
     unmasked term below), its prediction and mask-ratio parts, and the
-    mask drawn. Given grads, the caller's per-parameter sums, the visit
-    adds its gradient into them (into embed and h_embed only on its own
-    tokens' rows); without grads it computes no gradient.
+    mask drawn. The visit adds its gradient into grads, the caller's
+    per-parameter sums (into embed and h_embed only on its own tokens'
+    rows).
 
     mask_mode 'hard' is the training objective: binary masks in the
     forward pass, gradients routed through the soft values
     (straight-through). mask_mode 'soft' uses the soft values in the
-    forward pass too, which makes the objective smooth; gradient_check
-    runs against that relaxed form. alpha overrides the config value
-    (training ramps it up).
+    forward pass too, which makes the objective smooth, so central
+    differences can check the gradient against it. alpha overrides the
+    config value (training ramps it up).
 
     The config's unmasked_weight adds that multiple of the prediction
     loss computed with every token visible. The extra term does not
@@ -326,9 +319,6 @@ def weighting_loss_and_grads(
     losses, cache = _pool_cuts(he, xr, s_tok, s_x, rows, p["w_cls"], p["b_cls"], cls_idx)
     lp = float(losses[:n_cuts].sum())
     loss = lp + alpha * lm + unmasked_weight * float(losses[n_cuts:].sum())
-    if grads is None:
-        return loss, lp, lm, sample
-
     cx, et, ct, z_norm, ax, at, pooled, probs = cache
     dlogits = probs
     dlogits[:, cls_idx] -= 1.0
@@ -447,27 +437,26 @@ def _train_once(
     epoch_losses: list[float] = []
     epoch_pred_losses: list[float] = []
     updated = False  # whether an update has started
-    try:  # the first overflow or invalid value stops training, before it spreads
-        with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(config.epochs):
-                alpha = _ramped_alpha(config, epoch)
-                order = rng.permutation(nq)
-                epoch_sum = 0.0
-                epoch_pred = 0.0
-                for start in range(0, nq, config.batch_size):
-                    batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
-                    batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
-                    if not math.isfinite(batch_loss):  # a Python float overflows without a word
-                        raise FloatingPointError("non-finite training loss")
-                    updated = True
-                    for name in model.params:
-                        model.params[name] -= (lr_by_name[name] / len(batch)) * grads[name]
-                    for name in HEAD_DECAY_PARAMS:
-                        model.params[name] *= decay_factor
-                    epoch_sum += batch_loss
-                    epoch_pred += batch_pred
-                epoch_losses.append(epoch_sum / nq)
-                epoch_pred_losses.append(epoch_pred / nq)
+    try:  # train_weighting's errstate raises on the first overflow or invalid value
+        for epoch in range(config.epochs):
+            alpha = _ramped_alpha(config, epoch)
+            order = rng.permutation(nq)
+            epoch_sum = 0.0
+            epoch_pred = 0.0
+            for start in range(0, nq, config.batch_size):
+                batch = [questions[int(qi)] for qi in order[start : start + config.batch_size]]
+                batch_loss, batch_pred, grads = _batch_loss_and_grads(model, batch, rng, alpha)
+                if not math.isfinite(batch_loss):  # a Python float overflows without a word
+                    raise FloatingPointError("non-finite training loss")
+                updated = True
+                for name in model.params:
+                    model.params[name] -= (lr_by_name[name] / len(batch)) * grads[name]
+                for name in HEAD_DECAY_PARAMS:
+                    model.params[name] *= decay_factor
+                epoch_sum += batch_loss
+                epoch_pred += batch_pred
+            epoch_losses.append(epoch_sum / nq)
+            epoch_pred_losses.append(epoch_pred / nq)
     except FloatingPointError as exc:
         if not updated:  # so the learning rate is not the cause
             raise RuntimeError(
@@ -486,20 +475,19 @@ def _selection_score(
     corpus: Corpus,
     alpha: float,
     eval_seq: np.random.SeedSequence,
-    draws: int = 8,
 ) -> float:
     """Deterministic estimate of the final objective: expected answer NLL
-    over fresh hard masks at full visibility, plus alpha times the
-    expected kept-token count (which is exactly the sum of weights)."""
+    over SCORE_DRAWS fresh hard masks at full visibility, plus alpha times
+    the expected kept-token count (which is exactly the sum of weights)."""
     rng = np.random.default_rng(eval_seq)
     total = 0.0
     for q in corpus.questions:
         w = forward_weights(model, q.rationale_tokens)
         total += alpha * float(np.sum(w))
         # one full-visibility row per draw
-        g1, g0 = _sample_noise(q.n_tokens, rng, draws)
+        g1, g0 = _sample_noise(q.n_tokens, rng, SCORE_DRAWS)
         hard = _draw_mask(w, g1, g0, model.config.tau).hard
-        total += float(_cut_losses(model, q, hard).sum()) / draws
+        total += float(_cut_losses(model, q, hard).sum()) / SCORE_DRAWS
     return total
 
 
@@ -529,7 +517,7 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
     streams = np.random.SeedSequence(config.seed).spawn(3 * config.restarts)
     best: tuple[float, int, TokenWeightModel, list[float], list[float]] | None = None
     scores: list[float] = []
-    # as in training, the first overflow or invalid value ends the run
+    # the first overflow or invalid value, in training or in a score, ends the run
     with np.errstate(over="raise", invalid="raise"):
         for r in range(config.restarts):
             init_seq, train_seq, eval_seq = streams[3 * r : 3 * r + 3]
@@ -560,61 +548,6 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
     )
 
 
-def gradient_check(
-    model: TokenWeightModel,
-    question: Question,
-    seed: int = 0,
-    num_params: int = 100,
-    step: float = 1e-5,
-    corrupt: bool = False,
-) -> float:
-    """Max relative error between analytic gradients and central
-    differences on the relaxed objective, over num_params randomly chosen
-    parameters (noise and prefix cuts frozen for the whole check). With
-    corrupt=True the largest analytic entry is zeroed first, so the
-    returned error measures the check's own sensitivity."""
-    rng = np.random.default_rng(seed)
-    g1, g0 = _sample_noise(question.n_tokens, rng)
-    prefixes = rng.integers(0, question.n_tokens + 1, size=model.config.prefix_samples).tolist()
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    weighting_loss_and_grads(model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=grads)
-    names = sorted(model.params)
-    sizes = [model.params[name].size for name in names]
-    total = int(np.sum(sizes))
-    chosen = rng.choice(total, size=min(num_params, total), replace=False)
-    flat_analytic = np.concatenate([grads[name].ravel() for name in names])
-    analytic = flat_analytic[chosen]
-    if corrupt:
-        analytic = analytic.copy()
-        analytic[int(np.argmax(np.abs(analytic)))] = 0.0
-
-    def loss_at() -> float:
-        loss, _, _, _ = weighting_loss_and_grads(
-            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft"
-        )
-        return loss
-
-    offsets = np.cumsum([0] + sizes)
-    max_err = 0.0
-    for pos, a in zip(chosen, analytic):
-        which = int(np.searchsorted(offsets, pos, side="right") - 1)
-        name = names[which]
-        arr = model.params[name]
-        flat_index = int(pos - offsets[which])
-        orig = arr.flat[flat_index]
-        h = step * max(1.0, abs(orig))
-        arr.flat[flat_index] = orig + h
-        lp_hi = loss_at()
-        arr.flat[flat_index] = orig - h
-        lp_lo = loss_at()
-        arr.flat[flat_index] = orig
-        fd = (lp_hi - lp_lo) / (2.0 * h)
-        err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-        if err > max_err:
-            max_err = err
-    return max_err
-
-
 # --- persistence ----------------------------------------------------------
 
 
@@ -634,7 +567,7 @@ def save_model(model: TokenWeightModel, path) -> None:
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "config": dataclasses.asdict(model.config),
-        "question_dim": model.question_dim,
+        "question_dim": model.params["x_proj"].shape[0],
         "vocab": model.vocab,
         "classes": model.classes,
         "params": {name: arr.tolist() for name, arr in model.params.items()},

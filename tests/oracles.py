@@ -2,8 +2,9 @@
 
 No cotpace command runs these: the exhaustive best-subset search and its
 set-function helpers check select_ftgp, gumbel_sample checks the
-relaxed-Bernoulli mask draw, and evaluate_loss and train_plain check the
-loss windows and the scheduled student.
+relaxed-Bernoulli mask draw, gradient_check checks the trainer's analytic
+gradients, and evaluate_loss and train_plain check the loss windows and
+the scheduled student.
 """
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from cotpace.corpus import Corpus
-from cotpace.loss_shaping import LossShapingError, LossSpec, StudentConfig, StudentTrace, _run_student
+from cotpace.corpus import Corpus, Question
+from cotpace.loss_shaping import LossSpec, StudentConfig, StudentTrace, _run_student
 from cotpace.selection import SelectionProblem
-from cotpace.weighting import MaskSample, _draw_mask, _sample_noise
+from cotpace.weighting import MaskSample, TokenWeightModel, _draw_mask, _sample_noise, weighting_loss_and_grads
 
 # ---------------------------------------------------------------------------
 # subset comparison: lexicographic order on the sorted member lists.
@@ -132,31 +133,91 @@ def gumbel_sample(weights: np.ndarray, tau: float, seed: int) -> MaskSample:
 
 
 # ---------------------------------------------------------------------------
+# the trainer's gradients against central differences
+
+
+def gradient_check(
+    model: TokenWeightModel,
+    question: Question,
+    seed: int = 0,
+    num_params: int = 100,
+    step: float = 1e-5,
+    corrupt: bool = False,
+) -> float:
+    """Max relative error between analytic gradients and central
+    differences on the relaxed objective, over num_params randomly chosen
+    parameters (noise and prefix cuts frozen for the whole check). With
+    corrupt=True the largest analytic entry is zeroed first, so the
+    returned error measures the check's own sensitivity."""
+    rng = np.random.default_rng(seed)
+    g1, g0 = _sample_noise(question.n_tokens, rng)
+    prefixes = rng.integers(0, question.n_tokens + 1, size=model.config.prefix_samples).tolist()
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    weighting_loss_and_grads(model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=grads)
+    names = sorted(model.params)
+    sizes = [model.params[name].size for name in names]
+    total = int(np.sum(sizes))
+    chosen = rng.choice(total, size=min(num_params, total), replace=False)
+    flat_analytic = np.concatenate([grads[name].ravel() for name in names])
+    analytic = flat_analytic[chosen]
+    if corrupt:
+        analytic = analytic.copy()
+        analytic[int(np.argmax(np.abs(analytic)))] = 0.0
+
+    scratch = {name: np.zeros_like(arr) for name, arr in model.params.items()}  # gradients not read
+
+    def loss_at() -> float:
+        loss, _, _, _ = weighting_loss_and_grads(
+            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=scratch
+        )
+        return loss
+
+    offsets = np.cumsum([0] + sizes)
+    max_err = 0.0
+    for pos, a in zip(chosen, analytic):
+        which = int(np.searchsorted(offsets, pos, side="right") - 1)
+        name = names[which]
+        arr = model.params[name]
+        flat_index = int(pos - offsets[which])
+        orig = arr.flat[flat_index]
+        h = step * max(1.0, abs(orig))
+        arr.flat[flat_index] = orig + h
+        lp_hi = loss_at()
+        arr.flat[flat_index] = orig - h
+        lp_lo = loss_at()
+        arr.flat[flat_index] = orig
+        fd = (lp_hi - lp_lo) / (2.0 * h)
+        err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
+        if err > max_err:
+            max_err = err
+    return max_err
+
+
+# ---------------------------------------------------------------------------
 # the loss of one window, and the student without a curriculum
 
 
 def evaluate_loss(spec: LossSpec, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Weighted NLL over the generation range. logprobs and weights index
-    the whole rationale (length gen_end); logprobs inside the range must be
-    <= 0, and weights (uniform when None) must lie in [0, 1]."""
+    """Weighted NLL over the generation range [input_end, n), where n, the
+    rationale's length, is that of logprobs. weights index the same tokens;
+    logprobs inside the range must be <= 0, and weights (uniform when None)
+    must lie in [0, 1]."""
     lp = np.asarray(logprobs, dtype=np.float64)
-    if lp.shape != (spec.gen_end,):
-        raise LossShapingError(
-            f"spec for {spec.question_id!r}: {lp.size} logprobs do not cover"
-            f" [0, {spec.gen_end})"
+    n = lp.size
+    if lp.shape != (n,) or spec.input_end > n:
+        raise ValueError(
+            f"spec for {spec.question_id!r}: {n} logprobs do not cover [0, {spec.input_end})"
         )
-    window = lp[spec.input_end : spec.gen_end]
+    window = lp[spec.input_end :]
     if window.size and (not np.all(np.isfinite(window)) or window.max() > 0.0):
-        raise LossShapingError(
+        raise ValueError(
             f"spec for {spec.question_id!r}: generation-range logprobs must be finite and <= 0"
         )
-    w = np.ones(spec.gen_end) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (spec.gen_end,):
-        raise LossShapingError(
-            f"spec for {spec.question_id!r}: {w.size} weights for {spec.gen_end} rationale tokens"
-        )
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"spec for {spec.question_id!r}: {w.size} weights for {n} rationale tokens")
     if w.size and (not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0):
-        raise LossShapingError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
+        raise ValueError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
     return -float(np.dot(w[spec.input_end :], window))
 
 

@@ -31,13 +31,8 @@ from cotpace.selection import (
     value_of,
 )
 from cotpace.synth import KEY_TOKENS, make_keypoint_corpus
-from cotpace.weighting import (
-    WeightingConfig,
-    build_model,
-    gradient_check,
-    train_weighting,
-)
-from oracles import evaluate_loss, gumbel_sample, marginal_gain, select_bruteforce, train_plain
+from cotpace.weighting import WeightingConfig, build_model, train_weighting
+from oracles import evaluate_loss, gradient_check, gumbel_sample, marginal_gain, select_bruteforce, train_plain
 
 
 def _random_instance(rng: np.random.Generator) -> SelectionProblem:
@@ -270,7 +265,7 @@ def test_criterion_8_loss_shaping_equivalence(criterion_report, bundled_corpus):
     rng = np.random.default_rng(8)
     for i in range(100):
         q = _random_question(rng, f"q{i}")
-        spec = shape_stage_loss(q, 0)
+        spec = shape_stage_loss(q, 0, stage=0)
         lp = np.asarray(q.token_logprobs)
         plain_nll = -float(np.sum(lp))
         assert abs(evaluate_loss(spec, lp) - plain_nll) <= 1e-9

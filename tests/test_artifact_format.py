@@ -93,7 +93,7 @@ def test_clusters_load_equal_to_the_indented_document(tmp_path, planned):
 
 
 def test_an_empty_trace_is_one_document(tmp_path):
-    trace = StudentTrace(epoch_losses=[], final_token_probs={}, unigram=None, bigram=None, vocab={})
+    trace = StudentTrace(epoch_losses=[], final_token_probs={}, unigram=None, bigram=None)
     write_trace(trace, tmp_path / "trace.json")
     assert _load(tmp_path / "trace.json") == {"epoch_losses": [], "final_token_probs": {}}
 
@@ -129,7 +129,7 @@ def test_write_trace_encodes_one_question_at_a_time(tmp_path):
     rng = np.random.default_rng(1)
     probs = {qid: rng.random(int(rng.integers(15, 40))) for qid in IDS}
     trace = StudentTrace(epoch_losses=list(rng.random(20)), final_token_probs=probs,
-                         unigram=None, bigram=None, vocab={})
+                         unigram=None, bigram=None)
     path = tmp_path / "trace.json"
     peak = _peak_bytes(lambda: write_trace(trace, path))
     assert peak < path.stat().st_size / 2

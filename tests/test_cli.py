@@ -884,6 +884,32 @@ def test_weigh_that_ends_non_finite_exits_3_and_writes_nothing(tmp_path, capsys)
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_student_whose_probabilities_underflow_exits_3_and_writes_no_trace(tmp_path, capsys):
+    # the epoch loss went from 20.7 to 9269 and the run exited 0 with a
+    # trace.json holding final token probabilities of exactly 0.0
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(make_arith_corpus(12, seed=3), path)
+    out = tmp_path / "out"
+    argv = ["run", "--simulate", "--corpus", str(path), "--out", str(out), "--seed", "1",
+            "--student-lr", "1000", "--weight-epochs", "1", "--restarts", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "student_lr" in err and "question 'q0" in err
+    assert (out / "losses.jsonl").exists() and not (out / "trace.json").exists()
+
+
+def test_an_allocation_failure_exits_3_without_a_traceback(tmp_path, small_corpus_path, capsys):
+    # numpy's MemoryError escaped main with a traceback and exit 1, the usage
+    # code; a 2.6e17-byte request is refused at once and touches no memory
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1",
+            "--d-hidden", str(10**15), "--weight-epochs", "1", "--restarts", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "cluster", "weigh", "run"])
 def test_an_empty_embedding_exits_2_and_names_it(tmp_path, capsys, command):
     # validate said "embedding dim 0" and cluster exited 0, while weigh and

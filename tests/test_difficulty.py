@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cotpace.corpus import Corpus, Question
 from cotpace.difficulty import (
-    DifficultyError,
     DifficultyTable,
     compute_table,
     normalize_step_weights,
@@ -148,7 +147,7 @@ def test_compute_table_weight_precedence():
 def test_compute_table_missing_logprobs_instructs():
     q = _question("q", [-1.0])
     q.token_logprobs = None
-    with pytest.raises(DifficultyError, match="synthetic_logprobs"):
+    with pytest.raises(ValueError, match="synthetic_logprobs"):
         compute_table(Corpus([q], 4))
 
 

@@ -11,7 +11,6 @@ from cotpace import loss_shaping
 from cotpace.corpus import Corpus, Question
 from cotpace.loss_shaping import (
     BOS_ID,
-    LossShapingError,
     LossSpec,
     StudentConfig,
     build_stage_loss_specs,
@@ -46,38 +45,35 @@ def _zero_schedule(corpus, n_stages: int) -> list[dict[str, int]]:
 
 
 def test_zero_input_steps_covers_whole_rationale():
-    spec = shape_stage_loss(_question(), 0)
+    spec = shape_stage_loss(_question(), 0, stage=0)
     assert spec.input_end == 0
-    assert spec.gen_end == 5
 
 
 def test_all_input_steps_leaves_nothing_generated():
-    spec = shape_stage_loss(_question(), 2)
+    spec = shape_stage_loss(_question(), 2, stage=0)
     assert spec.input_end == 5
-    assert spec.gen_end == 5
 
 
 def test_partial_input_starts_at_step_boundary():
-    spec = shape_stage_loss(_question(), 1)
+    spec = shape_stage_loss(_question(), 1, stage=0)
     assert spec.input_end == 3
-    assert spec.gen_end == 5
 
 
 def test_weights_are_sliced_to_generated_range():
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     lp = np.array([-1.0, -2.0, -3.0, -4.0, -5.0])
-    assert abs(evaluate_loss(shape_stage_loss(_question(), 1), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
+    assert abs(evaluate_loss(shape_stage_loss(_question(), 1, stage=0), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
 
 
 def test_weight_vector_must_cover_rationale():
-    with pytest.raises(LossShapingError, match="3 weights for 5 rationale tokens"):
-        evaluate_loss(shape_stage_loss(_question(), 1), np.full(5, -1.0), np.ones(3))
+    with pytest.raises(ValueError, match="3 weights for 5 rationale tokens"):
+        evaluate_loss(shape_stage_loss(_question(), 1, stage=0), np.full(5, -1.0), np.ones(3))
 
 
 def test_spec_validation_rejects_bad_weights():
-    spec = LossSpec(question_id="q", stage=0, input_end=0, gen_end=2)
+    spec = LossSpec(question_id="q", stage=0, input_end=0)
     for bad in ([0.5, 1.5], [0.5, -0.1], [np.nan, 0.5]):
-        with pytest.raises(LossShapingError, match="lie in"):
+        with pytest.raises(ValueError, match="lie in"):
             evaluate_loss(spec, np.full(2, -1.0), np.array(bad))
 
 
@@ -85,19 +81,19 @@ def test_spec_validation_rejects_bad_weights():
 
 
 def test_evaluate_empty_generation_range_is_zero():
-    spec = shape_stage_loss(_question(), 2)
+    spec = shape_stage_loss(_question(), 2, stage=0)
     assert evaluate_loss(spec, np.full(5, -1.0)) == 0.0
 
 
 def test_evaluate_hand_value():
-    spec = shape_stage_loss(_question(), 1)
+    spec = shape_stage_loss(_question(), 1, stage=0)
     lp = np.array([0.0, 0.0, 0.0, math.log(0.5), math.log(0.5)])
     assert abs(evaluate_loss(spec, lp) - 2.0 * math.log(2.0)) < 1e-12
     assert abs(evaluate_loss(spec, lp) - 1.3863) < 1e-4
 
 
 def test_evaluate_zero_weights_ignore_tokens():
-    spec = shape_stage_loss(_question(), 0)
+    spec = shape_stage_loss(_question(), 0, stage=0)
     assert evaluate_loss(spec, np.full(5, -9.0), np.zeros(5)) == 0.0
 
 
@@ -108,7 +104,7 @@ def test_evaluate_is_linear_in_weights():
     w1 = rng.uniform(0, 1, size=5)
     w2 = rng.uniform(0, 1, size=5)
     mid = 0.5 * (w1 + w2)
-    spec = shape_stage_loss(q, 0)
+    spec = shape_stage_loss(q, 0, stage=0)
     a = evaluate_loss(spec, lp, w1)
     b = evaluate_loss(spec, lp, w2)
     c = evaluate_loss(spec, lp, mid)
@@ -116,17 +112,17 @@ def test_evaluate_is_linear_in_weights():
 
 
 def test_evaluate_input_validation():
-    spec = shape_stage_loss(_question(), 1)
-    with pytest.raises(LossShapingError, match="cover"):
-        evaluate_loss(spec, np.zeros(3))
-    with pytest.raises(LossShapingError, match="finite"):
+    spec = shape_stage_loss(_question(), 1, stage=0)
+    with pytest.raises(ValueError, match="cover"):
+        evaluate_loss(spec, np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
         evaluate_loss(spec, np.array([0.0, 0.0, 0.0, 0.1, -1.0]))
-    with pytest.raises(LossShapingError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         evaluate_loss(spec, np.array([0.0, 0.0, 0.0, np.nan, -1.0]))
 
 
 def test_evaluate_ignores_logprobs_in_input_range():
-    spec = shape_stage_loss(_question(), 1)
+    spec = shape_stage_loss(_question(), 1, stage=0)
     lp_a = np.array([np.inf, 99.0, -5.0, -1.0, -1.0])
     lp_b = np.array([0.0, 0.0, 0.0, -1.0, -1.0])
     assert evaluate_loss(spec, lp_a) == evaluate_loss(spec, lp_b)
@@ -136,7 +132,7 @@ def test_loss_shrinks_as_input_steps_grow():
     rng = np.random.default_rng(1)
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     lp = -rng.exponential(1.0, size=9)
-    losses = [evaluate_loss(shape_stage_loss(q, c), lp) for c in range(4)]
+    losses = [evaluate_loss(shape_stage_loss(q, c, stage=0), lp) for c in range(4)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] == 0.0
 
@@ -153,7 +149,7 @@ def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
 
 def test_build_specs_requires_a_stage_per_epoch(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 2)
-    with pytest.raises(LossShapingError, match="no stage 3 but the student trains for 10 epochs"):
+    with pytest.raises(ValueError, match="no stage 3 but the student trains for 10 epochs"):
         build_stage_loss_specs(bundled_corpus, sched, 10)
 
 
@@ -218,15 +214,15 @@ def test_a_held_count_is_listed_once(monkeypatch):
     assert calls[0] == 0  # the student scores from the counts and builds no spec
 
 
-def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, tuple[int, int]]]:
-    """losses.jsonl carried forward: at each stage, every id's window from
-    its last line at or before that stage."""
+def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, int]]:
+    """losses.jsonl carried forward: at each stage, every id's window start
+    from its last line at or before that stage."""
     records = [json.loads(line) for line in lines]
     assert [r["t"] for r in records] == sorted(r["t"] for r in records)
-    held: dict[str, tuple[int, int]] = {}
+    held: dict[str, int] = {}
     out = {}
     for t in stages:
-        held.update((r["id"], (r["input_end"], r["gen_end"])) for r in records if r["t"] == t)
+        held.update((r["id"], r["input_end"]) for r in records if r["t"] == t)
         out[t] = dict(held)
     return out
 
@@ -243,9 +239,9 @@ def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
     expanded = _expand(lines, range(1, len(sched)))
     for t in range(1, len(sched)):
         want = {}
-        for q in bundled_corpus.questions:  # the window of stage t's count
+        for q in bundled_corpus.questions:  # the window start of stage t's count
             c = sched[t][q.id]
-            want[q.id] = (q.n_tokens if c == q.n_steps else q.step_spans[c][0], q.n_tokens)
+            want[q.id] = q.n_tokens if c == q.n_steps else q.step_spans[c][0]
         assert expanded[t] == want
 
 
@@ -258,8 +254,8 @@ def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
     assert len(lines) == len(specs)
     for line, s in zip(lines, specs):
         rec = json.loads(line)
-        assert list(rec) == ["t", "id", "input_end", "gen_end"]
-        assert rec == {"t": s.stage, "id": s.question_id, "input_end": s.input_end, "gen_end": s.gen_end}
+        assert list(rec) == ["t", "id", "input_end"]
+        assert rec == {"t": s.stage, "id": s.question_id, "input_end": s.input_end}
 
 
 # --- the tabular student ---------------------------------------------------------
@@ -301,7 +297,7 @@ def test_student_is_deterministic(bundled_corpus):
 
 def test_simulate_requires_stage_per_epoch(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 2)
-    with pytest.raises(LossShapingError, match="no stage 3 but the student trains for 10 epochs"):
+    with pytest.raises(ValueError, match="no stage 3 but the student trains for 10 epochs"):
         simulate_student(bundled_corpus, sched, None, StudentConfig(epochs=10))
 
 
@@ -341,7 +337,7 @@ def _reference_student(corpus, epoch_specs, weights, cfg):
         g_uni, g_bi, total = np.zeros(nv), np.zeros((nv, nv)), 0.0
         for q in corpus.questions:
             spec = specs[q.id]
-            m = spec.gen_end - spec.input_end
+            m = q.n_tokens - spec.input_end
             if m == 0:
                 continue
             w = weights[q.id][spec.input_end :] if weights else np.ones(m)
@@ -413,7 +409,9 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     elif curriculum == "stepped":  # counts that drop and then hold
         sched = _stepped_schedule(corpus, cfg.epochs, seed=3)
         assert any(sched[t - 1][q] > sched[t][q] == sched[t + 1][q] for t in range(2, 6) for q in sched[t])
-    epoch_specs = [{q.id: shape_stage_loss(q, counts[q.id]) for q in corpus.questions} for counts in sched[1:]]
+    epoch_specs = [
+        {q.id: shape_stage_loss(q, counts[q.id], stage=0) for q in corpus.questions} for counts in sched[1:]
+    ]
     assert (curriculum != "none") == any(s.input_end > 0 for specs in epoch_specs for s in specs.values())
     losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, weights, cfg)
     trace = simulate_student(corpus, sched, weights, cfg)

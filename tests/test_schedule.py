@@ -65,7 +65,7 @@ def _plan(
         beta=beta,
         eps=eps,
         step_reduction=step_reduction,
-        total_stages=total_stages,
+        total_stages=t_max if total_stages is None else total_stages,
     )
 
 

@@ -24,7 +24,6 @@ UNREACHED = {
     "corpus.write_corpus": "writes the corpora the tests and pipebench generate",
     "corpus.question_to_record": "write_corpus's record layout",
     "synth": "the corpus generators for the tests and pipebench",
-    "weighting.gradient_check": "criterion 5's check; it moves to the tests with the minibatch trainer",
     "cli.console_main": "the installed entry point; the trace calls main",
 }
 
