@@ -41,27 +41,19 @@ def greedy_admit(deltas, clusters, budget, beta, eps):
     gets harder. A candidate that fails at the start of a pass therefore
     fails at its turn: each pass tests every open candidate at once, then
     walks only those that passed, re-testing each with the live counts and
-    total. Raises ValueError, before any work, where that argument fails:
-    a budget or beta below 0, a negative delta, or MONOTONE_COUNTS
-    candidates or more."""
+    total. Callers pass no negative budget (the planner clamps it), beta (the
+    config check) or delta (the difficulty reader). Raises ValueError, before
+    any work, for MONOTONE_COUNTS candidates or more."""
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
     clusters = np.ascontiguousarray(clusters, dtype=np.int64)
     budget, beta, eps = float(budget), float(beta), float(eps)
     n = deltas.shape[0]
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if np.any(deltas < 0.0):
-        raise ValueError(f"deltas must be >= 0, got {deltas.min()}")
     if n >= MONOTONE_COUNTS:
         raise ValueError(
             f"{n} candidates: the sweep takes fewer than {MONOTONE_COUNTS} (2**21),"
             " below which its pruning holds"
         )
     selected = np.zeros(n, dtype=np.bool_)
-    if n == 0:
-        return selected
     # count only the clusters that hold a candidate: the others stay empty
     used, clusters = np.unique(clusters, return_inverse=True)
     counts = np.zeros(used.size, dtype=np.int64)

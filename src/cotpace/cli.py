@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .corpus import parse_corpus
+from .corpus import parse_corpus, read_text
 from .difficulty import compute_table, read_table, synthetic_logprobs, write_table
 from .loss_shaping import (
     StudentConfig,
@@ -190,7 +190,7 @@ def load_config(path) -> dict:
     into the pipeline's without a word. Unknown keys are rejected (they are
     almost always typos), and so is a key written both with dashes and with
     underscores."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = (line.strip() for line in text.splitlines())
     first = next((line for line in lines if line and not line.startswith(("#", ";"))), "")
     bare = not first.startswith("[")  # comment lines may come before a header
@@ -358,8 +358,9 @@ STAGES = {
 
 def run_stage(name: str, cfg: PipelineConfig) -> int:
     """Parse the corpus, read the stage's inputs, compute, word the note; then
-    create --out and write each file to a .tmp sibling that os.replace moves
-    into place, so a stage that fails leaves neither a file nor an --out behind."""
+    create --out, write every file to a .tmp sibling, and os.replace each into
+    place. A stage that fails leaves no .tmp, and no --out unless it failed
+    writing; a failed move can leave the stage's earlier files replaced."""
     stage = STAGES[name]
     path = Path(cfg.corpus)
     if not path.exists():
@@ -371,10 +372,15 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     note = stage.note(cfg, result)  # before any write: assess's total can overflow
     if stage.writes:
         out.mkdir(parents=True, exist_ok=True)
-    for file, write in stage.writes:
-        tmp = out / (file + ".tmp")
-        write(result, tmp)
-        os.replace(tmp, out / file)
+    tmps = [out / (file + ".tmp") for file, _ in stage.writes]
+    try:
+        for (_, write), tmp in zip(stage.writes, tmps):
+            write(result, tmp)
+        for (file, _), tmp in zip(stage.writes, tmps):
+            os.replace(tmp, out / file)
+    finally:  # a moved .tmp is gone already
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
     print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0
 
@@ -446,7 +452,7 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args)
         return COMMANDS[args.command](cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, OverflowError, MemoryError) as exc:

@@ -12,10 +12,10 @@ One record per line:
 Strict parsing rejects unknown keys; lenient mode ignores them.
 
 Each check is made once, as the file is read: read_jsonl refuses a line that
-is not a JSON object with the required keys, or that repeats a key in any
-object, _record_to_question checks each
-field of a record, and parse_corpus unknown keys, repeated ids and embedding
-sizes. Refusals read "field '<f>' of '<id>' (<path>: line <n>): <reason>", or
+is not UTF-8, not a JSON object with the required keys, or that repeats a key
+in any object, _record_to_question checks each field of a record, and
+parse_corpus unknown keys, repeated ids and embedding sizes. Each refusal is a
+ValueError reading "field '<f>' of '<id>' (<path>: line <n>): <reason>", or
 "<path>: line <n>: <reason>" for a whole line. Code-built Questions are unchecked.
 """
 from __future__ import annotations
@@ -26,20 +26,9 @@ import itertools
 import json
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
-
-
-class CorpusError(ValueError):
-    """Base class for corpus problems."""
-
-
-class ParseError(CorpusError):
-    """Malformed line: bad JSON, wrong container type, unknown key."""
-
-
-class ValidationError(CorpusError):
-    """Well-formed record violating an invariant; names field and id."""
 
 
 REQUIRED_KEYS = ("id", "question", "answer", "rationale_tokens")
@@ -133,11 +122,11 @@ class Corpus:
         missing corpus id, else the first extra one."""
         missing = next((q.id for q in self.questions if q.id not in found), None)
         if missing is not None:
-            raise ValidationError(f"{where}: no {what} for corpus question {missing!r}")
+            raise ValueError(f"{where}: no {what} for corpus question {missing!r}")
         if len(found) != len(self.questions):
             known = {q.id for q in self.questions}
             extra = next(qid for qid in found if qid not in known)
-            raise ValidationError(f"{where}: {what} for {extra!r}, which is not a corpus question")
+            raise ValueError(f"{where}: {what} for {extra!r}, which is not a corpus question")
 
 
 def check_ints(where, found: dict, what: str, hi: dict[str, int], *, closed: bool) -> None:
@@ -148,7 +137,7 @@ def check_ints(where, found: dict, what: str, hi: dict[str, int], *, closed: boo
     for qid, v in found.items():
         top = hi[qid]
         if type(v) is not int or not (0 <= v <= top if closed else 0 <= v < top):
-            raise ValidationError(
+            raise ValueError(
                 f"{where}: {what} {v!r} of {qid!r} is not an integer in [0, {top}{']' if closed else ')'}"
             )
 
@@ -164,7 +153,7 @@ def token_numbering(corpus: Corpus, reserved: str) -> dict[str, int]:
 def expect_type(value, types, field: str, where: str):
     if not isinstance(value, types):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ValidationError(f"field {field!r} of {where}: expected {names}, got {type(value).__name__}")
+        raise ValueError(f"field {field!r} of {where}: expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -172,17 +161,17 @@ def float_array(value, field: str, where: str) -> np.ndarray:
     """The JSON list of numbers as a float64 array. type() keeps bool out,
     which isinstance(v, int) would let in."""
     if not set(map(type, expect_type(value, list, field, where))) <= {int, float}:
-        raise ValidationError(f"field {field!r} of {where}: entries must be numbers")
+        raise ValueError(f"field {field!r} of {where}: entries must be numbers")
     return np.asarray(value, dtype=np.float64)
 
 
 def json_object(value, keys, where: str) -> dict:
     """value, which must be a JSON object holding every key in keys."""
     if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {type(value).__name__}")
+        raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
     missing = [k for k in keys if k not in value]
     if missing:
-        raise ValidationError(f"{where}: missing key(s) {missing}")
+        raise ValueError(f"{where}: missing key(s) {missing}")
     return value
 
 
@@ -194,7 +183,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"repeated key {key!r}")
+                raise ValueError(f"repeated key {key!r}")
             seen.add(key)
     return obj
 
@@ -207,27 +196,46 @@ def _decode(text: str, where: str):
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON: {exc}") from None
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # a repeated key, an integer too long, nesting too deep
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _not_utf8(path) -> ValueError:
+    """The refusal of a file that is not UTF-8, naming its first line that is not."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):  # as text mode splits
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ValueError(f"{path}: line {lineno}: not UTF-8: {exc}")
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is refused naming its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def read_jsonl(path, keys=()):
     """(line number, object) for each non-blank line of a JSONL file; a line
-    that is not JSON, not an object or without one of keys raises an error
-    naming the file and the line."""
+    that is not UTF-8, not JSON, not an object or without one of keys raises
+    an error naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                where = f"{path}: line {lineno}"
-                yield lineno, json_object(_decode(line, where), keys, where)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    where = f"{path}: line {lineno}"
+                    yield lineno, json_object(_decode(line, where), keys, where)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def read_json(path, keys=()) -> dict:
     """A JSON document that must be an object holding every key in keys;
     errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json_object(_decode(fh.read(), str(path)), keys, str(path))
+    return json_object(_decode(read_text(path), str(path)), keys, str(path))
 
 
 def write_vectors(vectors: dict[str, np.ndarray], field: str, path) -> None:
@@ -250,20 +258,20 @@ def read_vectors(
         where = f"{path}: line {lineno}"
         qid = expect_type(rec["id"], str, "id", where)
         if qid in vectors:
-            raise ValidationError(f"{path}: {what} for {qid!r} appear twice")
+            raise ValueError(f"{path}: {what} for {qid!r} appear twice")
         v = float_array(rec[field], field, f"{qid!r} ({where})")
         bad = v[~np.isfinite(v)]
         if bad.size:
-            raise ValidationError(f"{path}: {what} for {qid!r}: {bad[0]} is not finite")
+            raise ValueError(f"{path}: {what} for {qid!r}: {bad[0]} is not finite")
         bad = v[(v < 0.0) | (v > hi)]
         if bad.size:
-            raise ValidationError(f"{path}: {what} for {qid!r}: {bad[0]} {outside}")
+            raise ValueError(f"{path}: {what} for {qid!r}: {bad[0]} {outside}")
         vectors[qid] = v
     corpus.check_ids(path, vectors, what)
     for q in corpus.questions:
         n, size = vectors[q.id].size, getattr(q, f"n_{unit}")
         if n != size:
-            raise ValidationError(f"{path}: {n} {what} for {q.id!r}, which has {size} {unit}")
+            raise ValueError(f"{path}: {n} {what} for {q.id!r}, which has {size} {unit}")
     return vectors
 
 
@@ -273,9 +281,9 @@ def _per_token(rec: dict, field: str, where: str, n: int, lo: float, hi: float, 
         return None
     values = float_array(rec[field], field, where)
     if len(values) != n:
-        raise ValidationError(f"field {field!r} of {where}: length {len(values)} != {n} tokens")
+        raise ValueError(f"field {field!r} of {where}: length {len(values)} != {n} tokens")
     if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
-        raise ValidationError(f"field {field!r} of {where}: entries must {rule}")
+        raise ValueError(f"field {field!r} of {where}: entries must {rule}")
     return values
 
 
@@ -286,20 +294,20 @@ def _spans(raw, n: int, where: str) -> list[tuple[int, int]]:
     for item in expect_type(raw, list, "step_spans", where):
         expect_type(item, list, "step_spans", where)
         if len(item) != 2:
-            raise ValidationError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
+            raise ValueError(f"field 'step_spans' of {where}: spans are [start, end] pairs")
         start, end = item
         if type(start) is not int or type(end) is not int:  # rejects bool too
-            raise ValidationError(f"field 'step_spans' of {where}: bounds must be integers")
+            raise ValueError(f"field 'step_spans' of {where}: bounds must be integers")
         spans.append((start, end))
     if not spans:
-        raise ValidationError(f"field 'step_spans' of {where}: empty")
+        raise ValueError(f"field 'step_spans' of {where}: empty")
     if spans[0][0] != 0 or spans[-1][1] != n:
-        raise ValidationError(f"field 'step_spans' of {where}: must cover [0, {n})")
+        raise ValueError(f"field 'step_spans' of {where}: must cover [0, {n})")
     for k, (s, e) in enumerate(spans):
         if e <= s:
-            raise ValidationError(f"field 'step_spans' of {where}: span {k} is empty")
+            raise ValueError(f"field 'step_spans' of {where}: span {k} is empty")
         if k > 0 and s != spans[k - 1][1]:
-            raise ValidationError(f"field 'step_spans' of {where}: span {k} not contiguous")
+            raise ValueError(f"field 'step_spans' of {where}: span {k} not contiguous")
     return spans
 
 
@@ -309,18 +317,18 @@ def _record_to_question(rec: dict, path, lineno: int) -> Question:
     qid = rec["id"]
     where = f"{qid!r} ({path}: line {lineno})"
     if not expect_type(qid, str, "id", where):
-        raise ValidationError(f"field 'id' of {where}: empty")
+        raise ValueError(f"field 'id' of {where}: empty")
     text = expect_type(rec["question"], str, "question", where)
     if not text.strip():
-        raise ValidationError(f"field 'question' of {where}: empty text")
+        raise ValueError(f"field 'question' of {where}: empty text")
     tokens = expect_type(rec["rationale_tokens"], list, "rationale_tokens", where)
     if not tokens:
-        raise ValidationError(f"field 'rationale_tokens' of {where}: empty")
+        raise ValueError(f"field 'rationale_tokens' of {where}: empty")
     if not set(map(type, tokens)) <= {str}:
         for t in tokens:  # name the type of the first entry that is not a string
             expect_type(t, str, "rationale_tokens", where)
     if "" in tokens:
-        raise ValidationError(f"field 'rationale_tokens' of {where}: tokens must be non-empty strings")
+        raise ValueError(f"field 'rationale_tokens' of {where}: tokens must be non-empty strings")
     # a corpus repeats a small vocabulary; one string per distinct token keeps
     # the parsed corpus at vocabulary size, not at one object per occurrence
     tokens = list(map(sys.intern, tokens))
@@ -329,9 +337,9 @@ def _record_to_question(rec: dict, path, lineno: int) -> Question:
     if "embedding" in rec:
         embedding = float_array(rec["embedding"], "embedding", where)
         if embedding.size == 0:  # the trainer divides by its dim
-            raise ValidationError(f"field 'embedding' of {where}: empty")
+            raise ValueError(f"field 'embedding' of {where}: empty")
         if not np.isfinite(embedding).all():
-            raise ValidationError(f"field 'embedding' of {where}: non-finite values")
+            raise ValueError(f"field 'embedding' of {where}: non-finite values")
     return Question(
         id=qid,
         question_text=text,
@@ -349,9 +357,9 @@ def parse_corpus(path, *, strict: bool = True) -> Corpus:
 
     Missing step_spans are derived by segment_steps; missing embeddings by
     embed_question (dim taken from the first supplied embedding, else 64).
-    Blank lines are skipped. Raises ParseError naming the file and line for
-    malformed lines (a repeated key among them), ValidationError for invariant breaks
-    (a repeated id names both lines) and for a file without questions.
+    Blank lines are skipped. Raises ValueError, naming the file and the line,
+    for a malformed line (a repeated key among them) or a broken invariant
+    (a repeated id names both lines), and for a file without questions.
     """
     questions: list[Question] = []
     lines: dict[str, int] = {}  # id -> its line
@@ -359,24 +367,24 @@ def parse_corpus(path, *, strict: bool = True) -> Corpus:
     for lineno, rec in read_jsonl(path, REQUIRED_KEYS):
         unknown = set(rec) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
         if unknown and strict:
-            raise ParseError(f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore")
+            raise ValueError(f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore")
         for key in unknown:
             del rec[key]
         q = _record_to_question(rec, path, lineno)
         where = f"{q.id!r} ({path}: line {lineno})"
         if q.id in lines:
-            raise ValidationError(f"field 'id' of {where}: duplicate of line {lines[q.id]}")
+            raise ValueError(f"field 'id' of {where}: duplicate of line {lines[q.id]}")
         lines[q.id] = lineno
         if q.embedding is not None:
             if dim is None:
                 dim, dim_line = q.embedding.size, lineno
             elif q.embedding.size != dim:
-                raise ValidationError(
+                raise ValueError(
                     f"field 'embedding' of {where}: dim {q.embedding.size} != dim {dim} of line {dim_line}"
                 )
         questions.append(q)
     if not questions:
-        raise ValidationError(f"{path}: no questions")
+        raise ValueError(f"{path}: no questions")
     dim = 64 if dim is None else dim
     for q in questions:
         if q.embedding is None:

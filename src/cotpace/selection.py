@@ -101,9 +101,6 @@ def value_of(problem: SelectionProblem, chosen: Iterable[str]) -> float:
     """F(S); same operation order as the kernels (sum - budget, then the
     sqrt bonuses of the clusters S touches, in ascending cluster index)."""
     chosen = set(chosen)
-    unknown = chosen - set(problem.ids)
-    if unknown:
-        raise ValueError(f"ids not in candidate set: {sorted(unknown)}")
     total = 0.0
     counts: collections.Counter = collections.Counter()
     for qid in problem.ids:

@@ -153,7 +153,9 @@ def gradient_check(
     g1, g0 = _sample_noise(question.n_tokens, rng)
     prefixes = rng.integers(0, question.n_tokens + 1, size=model.config.prefix_samples).tolist()
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    weighting_loss_and_grads(model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=grads)
+    weighting_loss_and_grads(
+        model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=grads, alpha=model.config.alpha
+    )
     names = sorted(model.params)
     sizes = [model.params[name].size for name in names]
     total = int(np.sum(sizes))
@@ -168,7 +170,8 @@ def gradient_check(
 
     def loss_at() -> float:
         loss, _, _, _ = weighting_loss_and_grads(
-            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=scratch
+            model, question, g1=g1, g0=g0, prefixes=prefixes, mask_mode="soft", grads=scratch,
+            alpha=model.config.alpha,
         )
         return loss
 

@@ -184,16 +184,10 @@ def test_pruned_sweep_matches_the_sequential_loop(deltas, budget, beta, eps, k, 
 
 @pytest.mark.parametrize(
     "n, budget, beta, delta, match",
-    [
-        (3, 1.0, -0.5, 1.0, "beta must be >= 0"),
-        (3, 1.0, 1.0, -1e-300, "deltas must be >= 0"),
-        (3, -1.0, 1.0, 1.0, "budget must be >= 0"),
-        (3, float("nan"), 1.0, 1.0, "budget must be >= 0"),
-        (accel.MONOTONE_COUNTS, 1.0, 1.0, 1.0, "2097152 candidates.*fewer than 2097152"),
-    ],
+    [(accel.MONOTONE_COUNTS, 1.0, 1.0, 1.0, "2097152 candidates.*fewer than 2097152")],
 )
 def test_greedy_refuses_what_its_pruning_does_not_cover(monkeypatch, n, budget, beta, delta, match):
-    # Each refusal comes before any work: no zeros array is allocated.
+    # The refusal comes before any work: no zeros array is allocated.
     deltas = np.full(n, 1.0)
     deltas[-1] = delta
     clusters = np.zeros(n, dtype=np.int64)

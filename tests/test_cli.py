@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import cotpace
+from cotpace import cli
 from cotpace.cli import (
     _KNOBS,
     PipelineConfig,
@@ -671,6 +672,90 @@ def test_malformed_file_names_the_file(tmp_path, planned_out, small_corpus_path,
     code, _ = _rerun(tmp_path, planned_out, corpus_path, command, edit or (lambda out: None))
     assert code == 2  # the message named neither the file nor the line
     assert message in capsys.readouterr().err
+
+
+def _corpus_with_line(tmp_path, corpus_path, k: int, line: bytes, newline: bytes = b"\n") -> Path:
+    """A copy of corpus_path whose line k (from 1) is line, lines ending in newline."""
+    lines = corpus_path.read_bytes().splitlines()
+    lines[k - 1] = line
+    path = tmp_path / corpus_path.name
+    path.write_bytes(b"".join(line + newline for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_corpus_byte_that_is_not_utf8_exits_2_naming_the_file_and_line(
+    tmp_path, small_corpus_path, capsys, newline
+):
+    # the message was the codec's alone: "'utf-8' codec can't decode byte 0xff ..."
+    line = small_corpus_path.read_bytes().splitlines()[2]
+    corpus = _corpus_with_line(tmp_path, small_corpus_path, 3, line[:40] + b"\xff" + line[41:], newline)
+    assert main(["validate", "--corpus", str(corpus), "--seed", "1"]) == 2
+    assert f"error: {corpus}: line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 40" in (
+        capsys.readouterr().err
+    )
+
+
+def test_an_artifact_byte_that_is_not_utf8_exits_2_naming_the_file_and_line(
+    tmp_path, planned_out, small_corpus_path, capsys
+):
+    def edit(out):
+        lines = (out / "weights.jsonl").read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b"0.5", b"0.\xff", 1)
+        (out / "weights.jsonl").write_bytes(b"".join(lines))
+
+    code, out = _rerun(tmp_path, planned_out, small_corpus_path, "assess", edit)
+    assert code == 2
+    assert f"error: {out / 'weights.jsonl'}: line 4: not UTF-8" in capsys.readouterr().err
+
+
+def test_a_config_byte_that_is_not_utf8_exits_2_naming_the_file_and_line(tmp_path, small_corpus_path, capsys):
+    cfg = tmp_path / "pace.ini"
+    cfg.write_bytes(b"seed = 1\nalpha = \xff\n")
+    assert main(["validate", "--corpus", str(small_corpus_path), "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: line 2: not UTF-8" in capsys.readouterr().err
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("validate", lambda line: b'{"id": ' + _DEEP + b"}", "small.jsonl: line 2: maximum recursion depth exceeded"),
+        ("simulate", None, "schedule.json: maximum recursion depth exceeded"),
+        ("validate", lambda line: re.sub(rb'"step_spans": \[\[0, \d+', b'"step_spans": [[0, ' + b"9" * 5000, line),
+         "small.jsonl: line 2: Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["corpus-nesting", "schedule-nesting", "corpus-digits"],
+)
+def test_json_that_the_decoder_cannot_take_exits_2_naming_the_file(
+    tmp_path, planned_out, small_corpus_path, capsys, command, edit, message
+):
+    # nesting exited 3 as a numeric failure; the digits named no file.
+    # Each run nests schedule.json too: validate reads nothing from --out.
+    corpus = small_corpus_path
+    if edit is not None:
+        corpus = _corpus_with_line(tmp_path, small_corpus_path, 2, edit(small_corpus_path.read_bytes().splitlines()[1]))
+    code, _ = _rerun(tmp_path, planned_out, corpus, command, lambda out: (out / "schedule.json").write_bytes(_DEEP))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_lenient_mode_drops_an_unknown_corpus_key(tmp_path, small_corpus_path, capsys, route):
+    line = small_corpus_path.read_bytes().splitlines()[1]
+    corpus = _corpus_with_line(tmp_path, small_corpus_path, 2, line[:-1] + b', "extra": 1}')
+    argv = ["validate", "--corpus", str(corpus), "--seed", "1"]
+    assert main(argv) == 2
+    assert f"{corpus}: line 2: unknown key(s) ['extra']; pass lenient mode to ignore" in capsys.readouterr().err
+    if route == "flag":
+        argv.append("--lenient")
+    else:
+        (tmp_path / "lenient.ini").write_text("lenient = yes\n")
+        argv += ["--config", str(tmp_path / "lenient.ini")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("[validate] ok: 10 questions")
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
@@ -1334,6 +1419,29 @@ def test_a_stage_that_fails_leaves_no_out_directory(tmp_path, small_corpus_path,
     assert main(["schedule", "--corpus", str(small_corpus_path), "--out", str(out), *FAST_FLAGS]) == 2
     assert "difficulty.jsonl" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_writer_that_fails_leaves_no_tmp_and_no_output(tmp_path, small_corpus_path, capsys, monkeypatch):
+    # weights.jsonl was moved into place before weight_model.json was written
+    def full(model, path):
+        raise OSError(f"no space left writing {path}")
+
+    monkeypatch.setattr(cli, "save_model", full)
+    out = tmp_path / "out"
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--weight-epochs", "1"]
+    assert main(argv) == 2
+    assert "weight_model.json.tmp" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_an_output_that_is_a_directory_exits_2_and_leaves_no_tmp(tmp_path, small_corpus_path, capsys):
+    # weight_model.json.tmp stayed behind
+    out = tmp_path / "out"
+    (out / "weight_model.json").mkdir(parents=True)
+    argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--weight-epochs", "1"]
+    assert main(argv) == 2
+    assert str(out / "weight_model.json") in capsys.readouterr().err
+    assert list(out.glob("*.tmp")) == []
 
 
 def test_full_run_writes_all_artifacts_and_repeats_byte_identically(

@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotpace.corpus import (
-    ParseError,
-    ValidationError,
     embed_question,
     parse_corpus,
     question_to_record,
@@ -152,41 +150,41 @@ def test_parse_fills_spans_and_embeddings(tmp_path):
 def test_parse_logprob_length_mismatch_names_id(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("bad", token_logprobs=[-0.5])])
     message = f"field 'token_logprobs' of 'bad' ({path}: line 1): length 1 != 7 tokens"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
 def test_parse_positive_logprob_rejected(tmp_path):
     lp = [0.0] * 6 + [0.5]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(token_logprobs=lp)])
-    with pytest.raises(ValidationError, match="token_logprobs"):
+    with pytest.raises(ValueError, match="token_logprobs"):
         parse_corpus(path)
 
 
 def test_parse_duplicate_id_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("dup"), _record("ok"), _record("dup")])
     message = f"field 'id' of 'dup' ({path}: line 3): duplicate of line 1"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
 @pytest.mark.parametrize("spans", [[[0.7, 2.2], [2, 7]], [[0, 4], [4.0, 7]]])
 def test_parse_float_step_span_rejected(tmp_path, spans):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("fl", step_spans=spans)])
-    with pytest.raises(ValidationError, match=r"step_spans.*'fl'"):
+    with pytest.raises(ValueError, match=r"step_spans.*'fl'"):
         parse_corpus(path)
 
 
 def test_parse_bool_step_span_rejected(tmp_path):
     rec = _record("bo", step_spans=[[0, True], [True, 7]])
     path = _write_jsonl(tmp_path / "c.jsonl", [rec])
-    with pytest.raises(ValidationError, match=r"step_spans.*'bo'"):
+    with pytest.raises(ValueError, match=r"step_spans.*'bo'"):
         parse_corpus(path)
 
 
 def test_parse_unknown_key_strict_vs_lenient(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(extra_field=1)])
-    with pytest.raises(ParseError, match="unknown key"):
+    with pytest.raises(ValueError, match="unknown key"):
         parse_corpus(path)
     corpus = parse_corpus(path, strict=False)
     assert len(corpus) == 1
@@ -195,14 +193,14 @@ def test_parse_unknown_key_strict_vs_lenient(tmp_path):
 def test_parse_bad_json_reports_line_number(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(_record()) + "\n{not json\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         parse_corpus(path)
 
 
 def test_parse_non_object_line_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("[1, 2]\n")
-    with pytest.raises(ParseError, match="object"):
+    with pytest.raises(ValueError, match="object"):
         parse_corpus(path)
 
 
@@ -210,7 +208,7 @@ def test_parse_missing_required_key(tmp_path):
     rec = _record()
     del rec["answer"]
     path = _write_jsonl(tmp_path / "c.jsonl", [rec])
-    with pytest.raises(ValidationError, match="answer"):
+    with pytest.raises(ValueError, match="answer"):
         parse_corpus(path)
 
 
@@ -223,7 +221,7 @@ def test_parse_skips_blank_lines(tmp_path):
 def test_parse_weights_out_of_range(tmp_path):
     tw = [0.5] * 6 + [1.5]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record(token_weights=tw)])
-    with pytest.raises(ValidationError, match="token_weights"):
+    with pytest.raises(ValueError, match="token_weights"):
         parse_corpus(path)
 
 
@@ -237,7 +235,7 @@ def test_parse_non_number_entry_rejected(tmp_path, field, bad):
     values[3] = bad
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("nn", **{field: values})])
     message = f"field '{field}' of 'nn' ({path}: line 1): entries must be numbers"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
@@ -259,7 +257,7 @@ def test_blank_question_text_names_file_line_and_id(tmp_path, embedding):
         blank["embedding"] = embedding
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("ok"), blank])
     message = f"field 'question' of 'blank' ({path}: line 2): empty text"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
@@ -295,7 +293,7 @@ def test_the_bundled_corpus_regenerates_byte_for_byte(bundled_corpus, bundled_co
 def test_parse_bad_token_rejected(tmp_path, token, message):
     tokens = ["one", "plus", "two", token, ".", "so", "three", "."]
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("tk", rationale_tokens=tokens)])
-    with pytest.raises(ValidationError, match=re.escape(message.format(path=path))):
+    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
         parse_corpus(path)
 
 
@@ -313,7 +311,7 @@ def test_parse_non_finite_literal_rejected(tmp_path, field, message, literal):
     path = tmp_path / "c.jsonl"
     path.write_text(line)
     head, reason = message.split(": ", 1)  # the message without the file and line
-    with pytest.raises(ValidationError, match=re.escape(f"{head} ({path}: line 1): {reason}")):
+    with pytest.raises(ValueError, match=re.escape(f"{head} ({path}: line 1): {reason}")):
         parse_corpus(path)
 
 
@@ -323,21 +321,21 @@ def test_parse_non_finite_literal_rejected(tmp_path, field, message, literal):
 def test_validate_span_gap_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("sg", step_spans=[[0, 4], [5, 7]])])
     message = f"field 'step_spans' of 'sg' ({path}: line 1): span 1 not contiguous"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
 def test_validate_span_coverage_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("sc", step_spans=[[0, 4]])])
     message = f"field 'step_spans' of 'sc' ({path}: line 1): must cover [0, 7)"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
 def test_validate_empty_span_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_record("se", step_spans=[[0, 7], [7, 7]])])
     message = f"field 'step_spans' of 'se' ({path}: line 1): span 1 is empty"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 
@@ -345,7 +343,7 @@ def test_corpus_embedding_dim_mismatch(tmp_path):
     records = [_record("a", embedding=[0.6, 0.8]), _record("b", embedding=[1.0, 0.0, 0.0])]
     path = _write_jsonl(tmp_path / "c.jsonl", records)
     message = f"field 'embedding' of 'b' ({path}: line 2): dim 3 != dim 2 of line 1"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_corpus(path)
 
 

@@ -221,12 +221,6 @@ def test_value_of_prefers_spread_sets():
     assert value_of(spread, ["a", "b"]) > value_of(same, ["a", "b"])
 
 
-def test_value_of_unknown_id_rejected():
-    problem = _problem({"a": 1.0}, 0.0)
-    with pytest.raises(ValueError):
-        value_of(problem, ["zzz"])
-
-
 def test_value_gain_identity():
     rng = np.random.default_rng(4)
     for _ in range(200):

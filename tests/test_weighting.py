@@ -180,7 +180,8 @@ def _forced_noise(hard) -> tuple[np.ndarray, np.ndarray]:
 def _prediction_loss(model, q, hard, prefixes) -> float:
     g1, g0 = _forced_noise(hard)
     _, lp, _, sample = weighting.weighting_loss_and_grads(
-        model, q, g1=g1, g0=g0, prefixes=prefixes, grads=_zero_grads(model)
+        model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", grads=_zero_grads(model),
+        alpha=model.config.alpha,
     )
     assert np.array_equal(sample.hard, hard)
     return lp
@@ -203,7 +204,8 @@ def test_uniform_classifier_gives_log_num_classes(arith_small):
     prefixes = [0, 1, q.n_tokens, 2]
     for label, g1, g0 in _noise_cases(q.n_tokens):
         _, lp, _, _ = weighting.weighting_loss_and_grads(
-            model, q, g1=g1, g0=g0, prefixes=prefixes, grads=_zero_grads(model)
+            model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", grads=_zero_grads(model),
+            alpha=model.config.alpha,
         )
         assert abs(lp - len(prefixes) * math.log(nc)) < 1e-12, label
 
@@ -399,7 +401,7 @@ def test_a_visit_adds_into_the_given_sums_and_only_on_its_own_token_rows(arith_s
     # a question with a repeated token, so one table row takes several rows
     q = next(q for q in arith_small.questions if len(set(q.rationale_tokens)) < q.n_tokens)
     g1, g0 = weighting._sample_noise(q.n_tokens, np.random.default_rng(5))
-    kwargs = dict(g1=g1, g0=g0, prefixes=[q.n_tokens, 2, 0], alpha=0.4)
+    kwargs = dict(g1=g1, g0=g0, prefixes=[q.n_tokens, 2, 0], mask_mode="hard", alpha=0.4)
     fresh = _zero_grads(model)
     weighting.weighting_loss_and_grads(model, q, grads=fresh, **kwargs)
     rng = np.random.default_rng(6)
@@ -487,7 +489,7 @@ def test_batch_step_sums_the_visits_in_batch_order(arith_small, monkeypatch):
         prefixes = [q.n_tokens] + rng.integers(0, q.n_tokens + 1, size=2).tolist()
         g = _zero_grads(model)
         q_loss, lp, _, _ = weighting.weighting_loss_and_grads(
-            model, q, g1=g1, g0=g0, prefixes=prefixes, grads=g, alpha=alpha
+            model, q, g1=g1, g0=g0, prefixes=prefixes, mask_mode="hard", grads=g, alpha=alpha
         )
         loss += q_loss
         pred += lp
