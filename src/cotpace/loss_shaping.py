@@ -4,10 +4,10 @@ A LossSpec splits one question's rationale at a stage's input-step count:
 tokens before the cut are fed as input (no loss), tokens from the cut on
 are generated and scored with significance-weighted NLL. The simulator
 trains a unigram+bigram softmax student under a schedule, full batch, so
-curriculum effects are observable end to end without a real LM. Both work
-from the input-step counts alone: a spec holds token ranges, and the
-student scores a token when its step index is at least its question's
-count, so neither copies a weight.
+curriculum effects are observable end to end without a real LM. The
+student trains on the windows build_stage_loss_specs cuts: it scores a
+token whose position is at or past its question's input_end, so neither
+a spec nor the student copies a weight.
 """
 from __future__ import annotations
 
@@ -50,34 +50,22 @@ def write_loss_specs(specs: list[LossSpec], path) -> None:
             fh.write(f'{{"t": {s.stage}, "id": {qid}, "input_end": {s.input_end}}}\n')
 
 
-def _check_epochs(stages: list[dict[str, int]], epochs: int) -> None:
-    """Epoch e trains on stage e, so the schedule needs stages 1..epochs."""
-    if len(stages) <= epochs:
-        raise ValueError(
-            f"schedule has no stage {max(len(stages), 1)} but the student trains for"
-            f" {epochs} epochs"
-        )
-
-
-def _stage_counts(corpus: Corpus, stages: list[dict[str, int]]):
-    """Yield the input-step counts of stages 1, 2, ... in corpus order;
-    read_schedule has checked that each stage counts every question's input
-    steps within [0, n_steps]."""
-    for t in range(1, len(stages)):
-        yield np.array([stages[t][q.id] for q in corpus.questions], dtype=np.int64)
-
-
 def build_stage_loss_specs(corpus: Corpus, stages: list[dict[str, int]], epochs: int) -> list[LossSpec]:
     """Every question's spec at training stage 1, then a spec at each later
     stage where that question's input-step count, and so its window,
     changes; in stage order, then corpus order. stages[t] holds stage t's
     input-step counts; a spec holds until the next one for its question.
-    The student trains for epochs epochs, so stages 1..epochs must exist,
-    and later stages are not shaped."""
-    _check_epochs(stages, epochs)
+    Epoch e trains on stage e, so stages 1..epochs must exist, and later
+    stages are not shaped; read_schedule has checked each count."""
+    if len(stages) <= epochs:
+        raise ValueError(
+            f"schedule has no stage {max(len(stages), 1)} but the student trains for"
+            f" {epochs} epochs"
+        )
     specs: list[LossSpec] = []
     previous = None
-    for t, counts in enumerate(_stage_counts(corpus, stages[: epochs + 1]), start=1):
+    for t in range(1, epochs + 1):
+        counts = np.array([stages[t][q.id] for q in corpus.questions], dtype=np.int64)
         changed = range(counts.size) if previous is None else np.flatnonzero(counts != previous)
         specs.extend(shape_stage_loss(corpus.questions[i], counts[i], stage=t) for i in changed)
         previous = counts
@@ -154,18 +142,18 @@ def _token_weights(corpus: Corpus, weights: dict[str, np.ndarray] | None) -> np.
 def _run_student(
     corpus: Corpus,
     weights: dict[str, np.ndarray] | None,
-    epoch_counts,
+    epoch_ends,
     config: StudentConfig,
 ) -> StudentTrace:
-    """Full-batch gradient descent on weighted NLL. epoch_counts yields each
-    epoch's input-step counts in corpus order; simulate_student and the
-    plain-training oracle (tests/oracles.py) share this engine so they
-    differ only in the counts fed in.
+    """Full-batch gradient descent on weighted NLL. epoch_ends yields each
+    epoch's window starts (input_end) in corpus order; simulate_student and
+    the plain-training oracle (tests/oracles.py) share this engine so they
+    differ only in the window starts fed in.
 
     The student's next-token distribution depends only on the previous
     token, so an epoch's loss and gradient follow from the summed weight
     of each (previous, target) pair and one softmax table. A token whose
-    step index is below its question's count adds an exact 0.0 to its
+    position is before its question's input_end adds an exact 0.0 to its
     pair, and np.bincount adds in input order, so each pair's sum is the
     sum over the scored tokens alone."""
     questions = corpus.questions
@@ -176,14 +164,14 @@ def _run_student(
         idx += np.concatenate(([BOS_ID], idx[:-1])) * nv
     pair = np.concatenate([pairs[q.id] for q in questions])
     w = _token_weights(corpus, weights)
-    step = np.concatenate([np.repeat(np.arange(q.n_steps), [e - s for s, e in q.step_spans]) for q in questions])
+    pos = np.concatenate([np.arange(q.n_tokens) for q in questions])
     n_tokens = np.array([q.n_tokens for q in questions])
     rng = np.random.default_rng(config.seed)
     unigram = rng.normal(0.0, INIT_SCALE, size=nv)
     bigram = rng.normal(0.0, INIT_SCALE, size=(nv, nv))
     epoch_losses: list[float] = []
-    for epoch, counts in zip(range(1, config.epochs + 1), epoch_counts):
-        scored = np.where(step >= np.repeat(counts, n_tokens), w, 0.0)
+    for epoch, ends in zip(range(1, config.epochs + 1), epoch_ends):
+        scored = np.where(pos >= np.repeat(ends, n_tokens), w, 0.0)
         table = np.bincount(pair, weights=scored, minlength=nv * nv).reshape(nv, nv)
         total = _descend(table, unigram, bigram, config.lr / nq)
         if not math.isfinite(total):
@@ -206,10 +194,13 @@ def simulate_student(
     weights: dict[str, np.ndarray] | None,
     config: StudentConfig,
 ) -> StudentTrace:
-    """Train the tabular student for config.epochs epochs, epoch e using
-    stages[e], the input-step counts of schedule stage e."""
-    _check_epochs(stages, config.epochs)
-    return _run_student(corpus, weights, _stage_counts(corpus, stages), config)
+    """Train the tabular student for config.epochs epochs, epoch e on the
+    loss windows build_stage_loss_specs cuts for schedule stage e."""
+    row = {q.id: i for i, q in enumerate(corpus.questions)}
+    ends = np.zeros((config.epochs + 1, len(corpus.questions)), dtype=np.int64)
+    for s in build_stage_loss_specs(corpus, stages, config.epochs):  # in stage order
+        ends[s.stage :, row[s.question_id]] = s.input_end
+    return _run_student(corpus, weights, ends[1:], config)
 
 
 def write_trace(trace: StudentTrace, path) -> None:

@@ -211,7 +211,17 @@ def test_a_held_count_is_listed_once(monkeypatch):
     assert [s.input_end for s in specs] == [9, 2, 0]
     calls[0] = 0
     simulate_student(corpus, sched, {"q": np.linspace(0.1, 0.9, 9)}, StudentConfig(epochs=6))
-    assert calls[0] == 0  # the student scores from the counts and builds no spec
+    assert calls[0] == 3  # the student shapes one spec per window change, never one per epoch
+
+
+def test_the_student_trains_on_the_windows_shape_stage_loss_cuts(monkeypatch, bundled_corpus):
+    def empty(question, input_steps, stage):
+        return LossSpec(question_id=question.id, stage=stage, input_end=question.n_tokens)
+
+    monkeypatch.setattr(loss_shaping, "shape_stage_loss", empty)
+    sched = _zero_schedule(bundled_corpus, 5)  # every token scored, had the student cut its own windows
+    trace = simulate_student(bundled_corpus, sched, None, StudentConfig(epochs=5))
+    assert trace.epoch_losses == [0.0] * 5
 
 
 def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, int]]:
@@ -376,15 +386,15 @@ def test_an_epoch_table_with_zeros_equals_the_scored_tokens_alone(bundled_corpus
     np.bincount adds in input order and x + 0.0 is x, each pair's sum is bit
     for bit the sum over the scored tokens alone."""
     questions = bundled_corpus.questions
-    step = np.concatenate([np.repeat(np.arange(q.n_steps), [e - s for s, e in q.step_spans]) for q in questions])
+    pos = np.concatenate([np.arange(q.n_tokens) for q in questions])
     n_tokens = np.array([q.n_tokens for q in questions])
     rng = np.random.default_rng(17)
     for nv in (3, 10, 40):  # few pairs, so most sums add many tokens
-        pair = rng.integers(0, nv * nv, size=step.size)
-        w = rng.uniform(0.0, 1.0, size=step.size)
+        pair = rng.integers(0, nv * nv, size=pos.size)
+        w = rng.uniform(0.0, 1.0, size=pos.size)
         for _ in range(20):
-            counts = np.array([rng.integers(0, q.n_steps + 1) for q in questions])
-            scored = step >= np.repeat(counts, n_tokens)
+            ends = np.array([shape_stage_loss(q, rng.integers(0, q.n_steps + 1), 0).input_end for q in questions])
+            scored = pos >= np.repeat(ends, n_tokens)
             table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv)
             alone = np.bincount(pair[scored], weights=w[scored], minlength=nv * nv)
             assert table.tobytes() == alone.tobytes()
