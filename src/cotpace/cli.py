@@ -359,8 +359,8 @@ STAGES = {
 def run_stage(name: str, cfg: PipelineConfig) -> int:
     """Parse the corpus, read the stage's inputs, compute, word the note; then
     create --out, write every file to a .tmp sibling, and os.replace each into
-    place. A stage that fails leaves no .tmp, and no --out unless it failed
-    writing; a failed move can leave the stage's earlier files replaced."""
+    place. A stage that fails leaves no .tmp, and no --out it made unless a
+    move failed; a failed move can leave the stage's earlier files replaced."""
     stage = STAGES[name]
     path = Path(cfg.corpus)
     if not path.exists():
@@ -370,6 +370,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     inputs = {file: READERS[file](out / file, corpus) for file in stage.reads}
     result = stage.compute(cfg, corpus, inputs)
     note = stage.note(cfg, result)  # before any write: assess's total can overflow
+    made = stage.writes and not out.exists()
     if stage.writes:
         out.mkdir(parents=True, exist_ok=True)
     tmps = [out / (file + ".tmp") for file, _ in stage.writes]
@@ -381,6 +382,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     finally:  # a moved .tmp is gone already
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
+        if made and not any(out.iterdir()):
+            out.rmdir()
     print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0
 

@@ -473,20 +473,21 @@ def _selection_score(
     corpus: Corpus,
     alpha: float,
     eval_seq: np.random.SeedSequence,
-) -> float:
-    """Deterministic estimate of the final objective: expected answer NLL
-    over SCORE_DRAWS fresh hard masks at full visibility, plus alpha times
-    the expected kept-token count (which is exactly the sum of weights)."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """(score, weights by id): a deterministic estimate of the final objective,
+    the expected answer NLL over SCORE_DRAWS fresh hard masks at full
+    visibility plus alpha times the expected kept-token count, sum(weights)."""
     rng = np.random.default_rng(eval_seq)
     total = 0.0
+    weights = {}
     for q in corpus.questions:
-        w = forward_weights(model, q.rationale_tokens)
+        w = weights[q.id] = forward_weights(model, q.rationale_tokens)
         total += alpha * float(np.sum(w))
         # one full-visibility row per draw
         g1, g0 = _sample_noise(q.n_tokens, rng, SCORE_DRAWS)
         hard = _draw_mask(w, g1, g0, model.config.tau).hard
         total += float(_cut_losses(model, q, hard).sum()) / SCORE_DRAWS
-    return total
+    return total, weights
 
 
 def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
@@ -513,7 +514,7 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
     non-finite restart score (a learning rate too high, or extreme values).
     """
     streams = np.random.SeedSequence(config.seed).spawn(3 * config.restarts)
-    best: tuple[float, int, TokenWeightModel, list[float], list[float]] | None = None
+    best: tuple[float, dict[str, np.ndarray], TokenWeightModel, list[float], list[float]] | None = None
     scores: list[float] = []
     # the first overflow or invalid value, in training or in a score, ends the run
     with np.errstate(over="raise", invalid="raise"):
@@ -521,7 +522,7 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
             init_seq, train_seq, eval_seq = streams[3 * r : 3 * r + 3]
             model, epoch_losses, epoch_pred_losses = _train_once(corpus, config, init_seq, train_seq)
             try:
-                score = _selection_score(model, corpus, config.alpha, eval_seq)
+                score, weights = _selection_score(model, corpus, config.alpha, eval_seq)
             except FloatingPointError:
                 score = math.nan
             if not math.isfinite(score):  # a first NaN score would win every comparison after it
@@ -531,10 +532,8 @@ def train_weighting(corpus: Corpus, config: WeightingConfig) -> TrainResult:
                 )
             scores.append(score)
             if best is None or score < best[0]:
-                best = (score, r, model, epoch_losses, epoch_pred_losses)
-        _, _, model, epoch_losses, epoch_pred_losses = best
-        # the score computed these same weights, finite, without an error
-        weights = {q.id: forward_weights(model, q.rationale_tokens) for q in corpus.questions}
+                best = (score, weights, model, epoch_losses, epoch_pred_losses)
+        _, weights, model, epoch_losses, epoch_pred_losses = best
     return TrainResult(
         weights=weights,
         model=model,

@@ -1431,7 +1431,23 @@ def test_a_writer_that_fails_leaves_no_tmp_and_no_output(tmp_path, small_corpus_
     argv = ["weigh", "--corpus", str(small_corpus_path), "--out", str(out), "--seed", "1", "--weight-epochs", "1"]
     assert main(argv) == 2
     assert "weight_model.json.tmp" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["fresh-out", "existing-out"])
+def test_a_writer_that_fails_removes_only_an_out_it_created(tmp_path, small_corpus_path, capsys, monkeypatch, existed):
+    # a fresh --out was left behind, created and empty
+    def full(result, path):
+        raise OSError(f"no space left writing {path}")
+
+    monkeypatch.setattr(cli, "write_clusters", full)
+    out = tmp_path / "out"
+    if existed:
+        out.mkdir()
+    assert main(["cluster", "--corpus", str(small_corpus_path), "--out", str(out), *FAST_FLAGS]) == 2
+    assert "clusters.json.tmp" in capsys.readouterr().err
+    assert out.exists() == existed
+    assert not existed or list(out.iterdir()) == []
 
 
 def test_an_output_that_is_a_directory_exits_2_and_leaves_no_tmp(tmp_path, small_corpus_path, capsys):

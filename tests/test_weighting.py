@@ -588,7 +588,7 @@ def test_a_nan_restart_score_never_wins(monkeypatch):
     # score < best[0] is False against a NaN, so a NaN first restart beat
     # every later one
     scores = iter([math.nan, 1.0])
-    monkeypatch.setattr(weighting, "_selection_score", lambda *args: next(scores))
+    monkeypatch.setattr(weighting, "_selection_score", lambda *args: (next(scores), {}))
     config = WeightingConfig(epochs=1, restarts=2, seed=0)
     with pytest.raises(RuntimeError, match="restart 0 ended with non-finite"):
         train_weighting(make_arith_corpus(4, seed=5), config)
