@@ -14,6 +14,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import math
 import operator
 import os
@@ -280,6 +281,11 @@ class Stage:
     writes: tuple = ()
 
 
+def _weight(mean: float | None) -> str:
+    """An epoch's mean scored weight, or none where it scored no token."""
+    return "none" if mean is None else f"{mean:.4f}"
+
+
 def _plan(cfg: PipelineConfig, corpus, inputs):
     table = inputs[DIFFICULTY]
     total = table.corpus_total
@@ -341,8 +347,8 @@ STAGES = {
         "Loss token ranges where each question's window changes",
         reads=(SCHEDULE,),
         compute=lambda cfg, corpus, inputs: build_stage_loss_specs(corpus, inputs[SCHEDULE], cfg.epochs),
-        writes=((LOSSES, lambda specs, path: write_loss_specs(specs, path)),),
-        note=lambda cfg, specs: f"{len(specs)} loss windows, one per change",
+        writes=((LOSSES, lambda windows, path: write_loss_specs(windows, path)),),
+        note=lambda cfg, windows: f"{len(windows)} loss windows, one per change",
     ),
     "simulate": Stage(
         "Tabular student under the schedule",
@@ -351,7 +357,10 @@ STAGES = {
             corpus, inputs[SCHEDULE], inputs[WEIGHTS], cfg.stage_config(StudentConfig, seed=stage_seed(cfg.seed, "simulate"))
         ),
         writes=((TRACE, lambda trace, path: write_trace(trace, path)),),
-        note=lambda cfg, trace: f"final loss {trace.epoch_losses[-1]:.4f}",
+        note=lambda cfg, trace: (
+            f"final loss {trace.epoch_losses[-1]:.4f}, mean scored weight"
+            f" {_weight(trace.scored_weight_means[0])} -> {_weight(trace.scored_weight_means[-1])}"
+        ),
     ),
 }
 
@@ -359,8 +368,9 @@ STAGES = {
 def run_stage(name: str, cfg: PipelineConfig) -> int:
     """Parse the corpus, read the stage's inputs, compute, word the note; then
     create --out, write every file to a .tmp sibling, and os.replace each into
-    place. A stage that fails leaves no .tmp, and no --out it made unless a
-    move failed; a failed move can leave the stage's earlier files replaced."""
+    place. A stage that fails leaves no .tmp, and no directory it made for
+    --out unless a move failed; a failed move can leave the stage's earlier
+    files replaced."""
     stage = STAGES[name]
     path = Path(cfg.corpus)
     if not path.exists():
@@ -370,8 +380,9 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     inputs = {file: READERS[file](out / file, corpus) for file in stage.reads}
     result = stage.compute(cfg, corpus, inputs)
     note = stage.note(cfg, result)  # before any write: assess's total can overflow
-    made = stage.writes and not out.exists()
+    made = []  # the directories mkdir creates, deepest first
     if stage.writes:
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
     tmps = [out / (file + ".tmp") for file, _ in stage.writes]
     try:
@@ -382,8 +393,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     finally:  # a moved .tmp is gone already
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
-        if made and not any(out.iterdir()):
-            out.rmdir()
+        for directory in itertools.takewhile(lambda d: not any(d.iterdir()), made):
+            directory.rmdir()
     print(f"[{name}] wrote {out / stage.writes[0][0]} ({note})" if stage.writes else f"[{name}] {note}")
     return 0
 

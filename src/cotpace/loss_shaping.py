@@ -12,6 +12,7 @@ a spec nor the student copies a weight.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -40,36 +41,55 @@ def shape_stage_loss(question: Question, input_steps: int, stage: int) -> LossSp
     return LossSpec(question_id=question.id, stage=stage, input_end=input_end)
 
 
-def write_loss_specs(specs: list[LossSpec], path) -> None:
-    """One line of loss ranges per spec: the window of question id from
-    stage t until that question's next line. The weights are left out: a
-    spec scores the run's token weights over [input_end, n_tokens)."""
+@dataclasses.dataclass(frozen=True)
+class LossWindows:
+    """The loss windows of a schedule in column form, one entry per window
+    change, in stage order, then corpus order: from stage stage[k] until its
+    next entry, question ids[row[k]] is scored over [input_end[k], n_tokens)."""
+
+    ids: list[str]  # the corpus question ids, which row indexes
+    stage: np.ndarray
+    row: np.ndarray
+    input_end: np.ndarray
+
+    def __len__(self) -> int:
+        return self.stage.size
+
+
+def write_loss_specs(windows: LossWindows, path) -> None:
+    """One line of loss ranges per window change: the window of question id
+    from stage t until that question's next line. The weights are left out:
+    a window scores the run's token weights over [input_end, n_tokens)."""
+    ids = [json.dumps(qid) for qid in windows.ids]
     with open(path, "w", encoding="utf-8") as fh:
-        for s in specs:  # the line json.dumps gives for the record's dict, at a fifth of the cost
-            qid = json.dumps(s.question_id)
-            fh.write(f'{{"t": {s.stage}, "id": {qid}, "input_end": {s.input_end}}}\n')
+        # the line json.dumps gives for the record's dict, at a fifth of the cost
+        for t, i, end in zip(windows.stage.tolist(), windows.row.tolist(), windows.input_end.tolist()):
+            fh.write(f'{{"t": {t}, "id": {ids[i]}, "input_end": {end}}}\n')
 
 
-def build_stage_loss_specs(corpus: Corpus, stages: list[dict[str, int]], epochs: int) -> list[LossSpec]:
-    """Every question's spec at training stage 1, then a spec at each later
+def build_stage_loss_specs(corpus: Corpus, stages: np.ndarray, epochs: int) -> LossWindows:
+    """Every question's window at training stage 1, then one at each later
     stage where that question's input-step count, and so its window,
-    changes; in stage order, then corpus order. stages[t] holds stage t's
-    input-step counts; a spec holds until the next one for its question.
-    Epoch e trains on stage e, so stages 1..epochs must exist, and later
-    stages are not shaped; read_schedule has checked each count."""
+    changes; shape_stage_loss cuts each. stages[t, i] holds corpus question
+    i's input-step count at stage t, as read_schedule returns them. Epoch e
+    trains on stage e, so stages 1..epochs must exist, and later stages are
+    not shaped; read_schedule has checked each count."""
     if len(stages) <= epochs:
         raise ValueError(
             f"schedule has no stage {max(len(stages), 1)} but the student trains for"
             f" {epochs} epochs"
         )
-    specs: list[LossSpec] = []
-    previous = None
-    for t in range(1, epochs + 1):
-        counts = np.array([stages[t][q.id] for q in corpus.questions], dtype=np.int64)
-        changed = range(counts.size) if previous is None else np.flatnonzero(counts != previous)
-        specs.extend(shape_stage_loss(corpus.questions[i], counts[i], stage=t) for i in changed)
-        previous = counts
-    return specs
+    counts = stages[1 : epochs + 1]
+    changed = np.ones(counts.shape, dtype=bool)
+    np.not_equal(counts[1:], counts[:-1], out=changed[1:])
+    stage, row = np.nonzero(changed)  # in stage order, then corpus order
+    stage += 1
+    questions = corpus.questions
+    cuts = zip(stage.tolist(), row.tolist(), counts[changed].tolist())
+    input_end = np.fromiter(
+        (shape_stage_loss(questions[i], c, stage=t).input_end for t, i, c in cuts), dtype=np.int64, count=row.size
+    )
+    return LossWindows([q.id for q in questions], stage, row, input_end)
 
 
 # --- tabular student -------------------------------------------------------
@@ -90,18 +110,11 @@ class StudentConfig:
 @dataclasses.dataclass
 class StudentTrace:
     epoch_losses: list[float]
+    # each epoch's mean weight over the tokens it scored; None if it scored none
+    scored_weight_means: list[float | None]
     final_token_probs: dict[str, np.ndarray]
     unigram: np.ndarray
     bigram: np.ndarray
-
-
-def _build_vocab(corpus: Corpus) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    vocab = token_numbering(corpus, BOS_TOKEN)  # BOS_ID is row 0
-    enc = {
-        q.id: np.asarray([vocab[t] for t in q.rationale_tokens], dtype=np.int64)
-        for q in corpus.questions
-    }
-    return vocab, enc
 
 
 def _log_softmax_table(unigram: np.ndarray, bigram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,50 +170,72 @@ def _run_student(
     pair, and np.bincount adds in input order, so each pair's sum is the
     sum over the scored tokens alone."""
     questions = corpus.questions
-    vocab, pairs = _build_vocab(corpus)
+    vocab = token_numbering(corpus, BOS_TOKEN)  # BOS_ID is row 0
     nv = len(vocab)
     nq = len(questions)
-    for idx in pairs.values():  # token id t -> pair id (previous token) * nv + t
-        idx += np.concatenate(([BOS_ID], idx[:-1])) * nv
-    pair = np.concatenate([pairs[q.id] for q in questions])
-    w = _token_weights(corpus, weights)
-    pos = np.concatenate([np.arange(q.n_tokens) for q in questions])
+    # every rationale token of the corpus in one array, question after question
     n_tokens = np.array([q.n_tokens for q in questions])
+    starts = np.cumsum(n_tokens) - n_tokens
+    tokens = itertools.chain.from_iterable(q.rationale_tokens for q in questions)
+    target = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=n_tokens.sum())
+    pair = np.roll(target, 1)  # pair id: (previous token) * nv + target
+    pair[starts] = BOS_ID
+    pair *= nv
+    pair += target
+    del target
+    w = _token_weights(corpus, weights)
     rng = np.random.default_rng(config.seed)
     unigram = rng.normal(0.0, INIT_SCALE, size=nv)
     bigram = rng.normal(0.0, INIT_SCALE, size=(nv, nv))
     epoch_losses: list[float] = []
+    means: list[float | None] = []
     for epoch, ends in zip(range(1, config.epochs + 1), epoch_ends):
-        scored = np.where(pos >= np.repeat(ends, n_tokens), w, 0.0)
-        table = np.bincount(pair, weights=scored, minlength=nv * nv).reshape(nv, nv)
+        # a token is scored from its question's first token + input_end on
+        scored = np.arange(pair.size) >= np.repeat(starts + ends, n_tokens)
+        table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv).reshape(nv, nv)
+        n_scored = np.count_nonzero(scored)
+        means.append(float(table.sum()) / n_scored if n_scored else None)
         total = _descend(table, unigram, bigram, config.lr / nq)
         if not math.isfinite(total):
             raise RuntimeError(f"non-finite student loss at epoch {epoch}; lower the learning rate")
         epoch_losses.append(total / nq)
-    logp = _log_softmax_table(unigram, bigram)[0].ravel()
-    final = {qid: np.exp(logp[p]) for qid, p in pairs.items()}
-    for qid, probs in final.items():
-        if not probs.all():  # trace.json's probabilities lie in (0, 1]
-            raise RuntimeError(
-                f"question {qid!r}: a final token probability underflows to 0;"
-                " the student diverged, lower the learning rate (student_lr)"
-            )
-    return StudentTrace(epoch_losses=epoch_losses, final_token_probs=final, unigram=unigram, bigram=bigram)
+    del w  # the final probabilities need pair alone
+    probs = _log_softmax_table(unigram, bigram)[0].ravel()[pair]
+    np.exp(probs, out=probs)
+    if not probs.all():  # trace.json's probabilities lie in (0, 1]
+        first = int(np.searchsorted(starts, np.argmin(probs != 0.0), side="right")) - 1
+        raise RuntimeError(
+            f"question {questions[first].id!r}: a final token probability underflows to 0;"
+            " the student diverged, lower the learning rate (student_lr)"
+        )
+    final = {q.id: probs[s : s + q.n_tokens] for q, s in zip(questions, starts.tolist())}
+    return StudentTrace(
+        epoch_losses=epoch_losses, scored_weight_means=means, final_token_probs=final, unigram=unigram, bigram=bigram
+    )
+
+
+def _epoch_window_starts(windows: LossWindows, epochs: int):
+    """Each epoch's window starts in corpus order, in one array updated in
+    place: epoch e's hold, for each question, the input_end of its last
+    window at or before stage e."""
+    ends = np.zeros(len(windows.ids), dtype=np.int64)
+    cuts = np.searchsorted(windows.stage, np.arange(1, epochs + 2)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        ends[windows.row[lo:hi]] = windows.input_end[lo:hi]
+        yield ends
 
 
 def simulate_student(
     corpus: Corpus,
-    stages: list[dict[str, int]],
+    stages: np.ndarray,
     weights: dict[str, np.ndarray] | None,
     config: StudentConfig,
 ) -> StudentTrace:
     """Train the tabular student for config.epochs epochs, epoch e on the
-    loss windows build_stage_loss_specs cuts for schedule stage e."""
-    row = {q.id: i for i, q in enumerate(corpus.questions)}
-    ends = np.zeros((config.epochs + 1, len(corpus.questions)), dtype=np.int64)
-    for s in build_stage_loss_specs(corpus, stages, config.epochs):  # in stage order
-        ends[s.stage :, row[s.question_id]] = s.input_end
-    return _run_student(corpus, weights, ends[1:], config)
+    loss windows build_stage_loss_specs cuts for schedule stage e; stages
+    is read_schedule's count matrix."""
+    windows = build_stage_loss_specs(corpus, stages, config.epochs)
+    return _run_student(corpus, weights, _epoch_window_starts(windows, config.epochs), config)
 
 
 def write_trace(trace: StudentTrace, path) -> None:

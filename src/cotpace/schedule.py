@@ -13,6 +13,8 @@ import dataclasses
 import json
 import math
 
+import numpy as np
+
 from .corpus import Corpus, check_ints, expect_type, json_object, read_json
 from .difficulty import DifficultyTable, question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
@@ -56,10 +58,10 @@ def budget_at(curve: BudgetCurve, t: float) -> float:
     return curve.u * t ** (curve.p + 1.0) / (curve.p + 1.0) + curve.c0
 
 
-def _recompute_h(input_steps: dict[str, int], table: DifficultyTable) -> float:
-    return math.fsum(
-        question_generation_difficulty(table, qid, c) for qid, c in input_steps.items()
-    )
+def _recompute_h(input_steps: dict[str, int], tails: dict[str, list[float]]) -> float:
+    """The generated difficulty of input_steps: tails[qid][c] is question
+    qid's with c input steps."""
+    return math.fsum(tails[qid][c] for qid, c in input_steps.items())
 
 
 def _apply_selection(
@@ -119,6 +121,10 @@ def plan_full_schedule(
         return sel, [cands[qid] for qid in sel]
 
     steps = {q.id: q.n_steps for q in corpus.questions}
+    tails = {
+        q.id: [question_generation_difficulty(table, q.id, c) for c in range(q.n_steps + 1)]
+        for q in corpus.questions
+    }
     h = 0.0
     records: list[StageRecord] = []
     for t in range(total_stages + 1):
@@ -128,7 +134,7 @@ def plan_full_schedule(
             # A single round could not retire questions with several input
             # steps left, so the full rationale is forced here.
             steps = dict.fromkeys(steps, 0)
-            new_h = _recompute_h(steps, table)
+            new_h = _recompute_h(steps, tails)
             delta_h, h = max(0.0, new_h - h), new_h
         else:
             increments: list[float] = []
@@ -138,7 +144,7 @@ def plan_full_schedule(
                     break
                 increments += incs
                 steps = _apply_selection(steps, sel, step_reduction)
-                h = _recompute_h(steps, table)
+                h = _recompute_h(steps, tails)
                 if t > 0:
                     break
             delta_h = math.fsum(increments)
@@ -186,21 +192,24 @@ def write_schedule(schedule: Schedule, path) -> None:
         fh.write('\n],\n"params": ' + json.dumps(schedule.params) + "}\n")
 
 
-def read_schedule(path, corpus: Corpus) -> list[dict[str, int]]:
-    """The input-step counts of schedule.json, indexed by stage: stage k's
-    "t" must be the JSON integer k, and its "c" must count each corpus
+def read_schedule(path, corpus: Corpus) -> np.ndarray:
+    """The input-step counts of schedule.json as one int64 matrix: row k
+    holds stage k's counts, column i corpus question i's. Stage k's "t"
+    must be the JSON integer k, and its "c" must count each corpus
     question's input steps with a JSON integer in [0, n_steps]. No other
     field is read."""
     doc = read_json(path, ("stages",))
+    records = expect_type(doc["stages"], list, "stages", str(path))
+    ids = [q.id for q in corpus.questions]
     n_steps = {q.id: q.n_steps for q in corpus.questions}
-    stages = []
-    for k, rec in enumerate(expect_type(doc["stages"], list, "stages", str(path))):
+    counts = np.empty((len(records), len(ids)), dtype=np.int64)
+    for k, rec in enumerate(records):
         where = f"{path}: stage {k}"
         json_object(rec, ("t", "c"), where)
         if type(rec["t"]) is not int or rec["t"] != k:  # rejects bool too
             raise ValueError(f"{where}: t must be the integer {k}, got {rec['t']!r}")
-        counts = expect_type(rec["c"], dict, "c", where)
-        corpus.check_ids(where, counts, "input-step count")
-        check_ints(where, counts, "input-step count", n_steps, closed=True)
-        stages.append(counts)
-    return stages
+        c = expect_type(rec["c"], dict, "c", where)
+        corpus.check_ids(where, c, "input-step count")
+        check_ints(where, c, "input-step count", n_steps, closed=True)
+        counts[k] = [c[qid] for qid in ids]
+    return counts

@@ -4,7 +4,7 @@ No cotpace command runs these: the exhaustive best-subset search and its
 set-function helpers check select_ftgp, gumbel_sample checks the
 relaxed-Bernoulli mask draw, gradient_check checks the trainer's analytic
 gradients, and evaluate_loss and train_plain check the loss windows and
-the scheduled student.
+the scheduled student, whose schedules count_matrix builds by hand.
 """
 from __future__ import annotations
 
@@ -230,3 +230,11 @@ def train_plain(
     """Same student, no curriculum: every epoch scores the whole rationale."""
     zeros = np.zeros(len(corpus.questions), dtype=np.int64)
     return _run_student(corpus, weights, itertools.repeat(zeros), config)
+
+
+def count_matrix(corpus: Corpus, stages: Iterable[dict[str, int]]) -> np.ndarray:
+    """A schedule written by hand, one {id: input-step count} map per stage,
+    as the matrix read_schedule returns: one int64 row per stage, one
+    column per corpus question."""
+    rows = [[counts[q.id] for q in corpus.questions] for counts in stages]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(corpus.questions))

@@ -32,7 +32,7 @@ from cotpace.selection import (
 )
 from cotpace.synth import KEY_TOKENS, make_keypoint_corpus
 from cotpace.weighting import WeightingConfig, build_model, train_weighting
-from oracles import evaluate_loss, gradient_check, gumbel_sample, marginal_gain, select_bruteforce, train_plain
+from oracles import count_matrix, evaluate_loss, gradient_check, gumbel_sample, marginal_gain, select_bruteforce, train_plain
 
 
 def _random_instance(rng: np.random.Generator) -> SelectionProblem:
@@ -270,7 +270,7 @@ def test_criterion_8_loss_shaping_equivalence(criterion_report, bundled_corpus):
         plain_nll = -float(np.sum(lp))
         assert abs(evaluate_loss(spec, lp) - plain_nll) <= 1e-9
     cfg = StudentConfig(epochs=6, lr=0.5, seed=88)
-    zeros = [{q.id: 0 for q in bundled_corpus.questions} for _ in range(cfg.epochs + 1)]
+    zeros = count_matrix(bundled_corpus, [{q.id: 0 for q in bundled_corpus.questions}] * (cfg.epochs + 1))
     sim = simulate_student(bundled_corpus, zeros, None, cfg)
     plain = train_plain(bundled_corpus, None, cfg)
     assert sim.epoch_losses == plain.epoch_losses

@@ -19,6 +19,7 @@ from cotpace.schedule import (
 )
 from cotpace.selection import kmeans_cluster, write_clusters
 from cotpace.synth import make_arith_corpus
+from oracles import count_matrix
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def planned():
     plan = plan_full_schedule(
         corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=10
     )
-    stages = [rec.input_steps for rec in plan.stages]
+    stages = count_matrix(corpus, [rec.input_steps for rec in plan.stages])
     trace = simulate_student(corpus, stages, None, StudentConfig(epochs=10, seed=4))
     return plan, clusters, trace
 
@@ -93,7 +94,7 @@ def test_clusters_load_equal_to_the_indented_document(tmp_path, planned):
 
 
 def test_an_empty_trace_is_one_document(tmp_path):
-    trace = StudentTrace(epoch_losses=[], final_token_probs={}, unigram=None, bigram=None)
+    trace = StudentTrace(epoch_losses=[], scored_weight_means=[], final_token_probs={}, unigram=None, bigram=None)
     write_trace(trace, tmp_path / "trace.json")
     assert _load(tmp_path / "trace.json") == {"epoch_losses": [], "final_token_probs": {}}
 
@@ -128,8 +129,8 @@ def test_write_schedule_encodes_one_stage_at_a_time(tmp_path):
 def test_write_trace_encodes_one_question_at_a_time(tmp_path):
     rng = np.random.default_rng(1)
     probs = {qid: rng.random(int(rng.integers(15, 40))) for qid in IDS}
-    trace = StudentTrace(epoch_losses=list(rng.random(20)), final_token_probs=probs,
-                         unigram=None, bigram=None)
+    trace = StudentTrace(epoch_losses=list(rng.random(20)), scored_weight_means=[None] * 20,
+                         final_token_probs=probs, unigram=None, bigram=None)
     path = tmp_path / "trace.json"
     peak = _peak_bytes(lambda: write_trace(trace, path))
     assert peak < path.stat().st_size / 2

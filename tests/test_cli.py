@@ -1406,12 +1406,24 @@ def stage_output(small_corpus_path, tmp_path_factory) -> tuple[Path, dict[str, s
         ("cluster", "[cluster] wrote {out}/clusters.json (2 clusters)"),
         ("schedule", "[schedule] wrote {out}/schedule.json (7 stages)"),
         ("shape-loss", "[shape-loss] wrote {out}/losses.jsonl (22 loss windows, one per change)"),
-        ("simulate", "[simulate] wrote {out}/trace.json (final loss 2.9047)"),
+        ("simulate", "[simulate] wrote {out}/trace.json (final loss 2.9047, mean scored weight 0.0308 -> 0.0307)"),
     ],
 )
 def test_each_stage_prints_one_line(stage_output, command, line):
     out, printed = stage_output
     assert printed[command] == line.format(out=out) + "\n"
+
+
+def test_an_epoch_that_scores_no_token_reports_none(tmp_path, small_corpus_path, capsys):
+    # every question keeps all its input steps, so no token is scored
+    corpus = parse_corpus(small_corpus_path)
+    stages = [{"t": t, "c": {q.id: q.n_steps for q in corpus.questions}} for t in range(3)]
+    (tmp_path / "schedule.json").write_text(json.dumps({"stages": stages}), encoding="utf-8")
+    argv = ["simulate", "--corpus", str(small_corpus_path), "--out", str(tmp_path), "--seed", "1", "--epochs", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(", mean scored weight none -> none)\n")
 
 
 def test_a_stage_that_fails_leaves_no_out_directory(tmp_path, small_corpus_path, capsys):
@@ -1434,20 +1446,28 @@ def test_a_writer_that_fails_leaves_no_tmp_and_no_output(tmp_path, small_corpus_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("existed", [False, True], ids=["fresh-out", "existing-out"])
-def test_a_writer_that_fails_removes_only_an_out_it_created(tmp_path, small_corpus_path, capsys, monkeypatch, existed):
-    # a fresh --out was left behind, created and empty
+@pytest.mark.parametrize(
+    "existed, out_path",
+    [(False, "out"), (True, "out"), (False, "nest/a/b/out")],
+    ids=["fresh-out", "existing-out", "nested-out"],
+)
+def test_a_writer_that_fails_removes_only_an_out_it_created(
+    tmp_path, small_corpus_path, capsys, monkeypatch, existed, out_path
+):
+    # a fresh --out was left behind, created and empty; a nested one left
+    # the parent directories mkdir made for it
     def full(result, path):
         raise OSError(f"no space left writing {path}")
 
     monkeypatch.setattr(cli, "write_clusters", full)
-    out = tmp_path / "out"
+    out = tmp_path / out_path
     if existed:
         out.mkdir()
     assert main(["cluster", "--corpus", str(small_corpus_path), "--out", str(out), *FAST_FLAGS]) == 2
     assert "clusters.json.tmp" in capsys.readouterr().err
     assert out.exists() == existed
     assert not existed or list(out.iterdir()) == []
+    assert list(tmp_path.iterdir()) == ([out] if existed else [])
 
 
 def test_an_output_that_is_a_directory_exits_2_and_leaves_no_tmp(tmp_path, small_corpus_path, capsys):

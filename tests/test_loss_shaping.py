@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  imported here, so that no measurement below counts its import
 import pytest
 
 from cotpace import loss_shaping
 from cotpace.corpus import Corpus, Question
+from cotpace.difficulty import compute_table
 from cotpace.loss_shaping import (
     BOS_ID,
     LossSpec,
@@ -19,7 +22,10 @@ from cotpace.loss_shaping import (
     write_loss_specs,
     write_trace,
 )
-from oracles import evaluate_loss, train_plain
+from cotpace.schedule import BudgetCurve, plan_full_schedule, read_schedule, write_schedule
+from cotpace.selection import kmeans_cluster
+from cotpace.synth import make_arith_corpus
+from oracles import count_matrix, evaluate_loss, train_plain
 
 
 def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:
@@ -36,9 +42,9 @@ def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:
     )
 
 
-def _zero_schedule(corpus, n_stages: int) -> list[dict[str, int]]:
+def _zero_schedule(corpus, n_stages: int) -> np.ndarray:
     """Input-step counts of stages 0..n_stages, every one 0."""
-    return [{q.id: 0 for q in corpus.questions} for _ in range(n_stages + 1)]
+    return count_matrix(corpus, [{q.id: 0 for q in corpus.questions}] * (n_stages + 1))
 
 
 # --- shape_stage_loss -----------------------------------------------------------
@@ -142,9 +148,9 @@ def test_loss_shrinks_as_input_steps_grow():
 
 def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 3)
-    specs = build_stage_loss_specs(bundled_corpus, sched, 3)
-    assert [s.question_id for s in specs] == [q.id for q in bundled_corpus.questions]
-    assert all(s.stage == 1 and s.input_end == 0 for s in specs)
+    windows = build_stage_loss_specs(bundled_corpus, sched, 3)
+    assert [windows.ids[i] for i in windows.row] == [q.id for q in bundled_corpus.questions]
+    assert windows.stage.tolist() == [1] * len(windows) and not windows.input_end.any()
 
 
 def test_build_specs_requires_a_stage_per_epoch(bundled_corpus):
@@ -187,28 +193,28 @@ def _count_shape_calls(monkeypatch) -> list[int]:
 def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 8, seed=4)
     calls = _count_shape_calls(monkeypatch)
-    specs = build_stage_loss_specs(bundled_corpus, sched, 8)
-    assert calls[0] == len(specs) == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
+    windows = build_stage_loss_specs(bundled_corpus, count_matrix(bundled_corpus, sched), 8)
+    assert calls[0] == len(windows) == _distinct_pairs(sched, 8) < 8 * len(bundled_corpus.questions)
     monkeypatch.undo()
     want, last = [], {}
     for t, counts in enumerate(sched[1:], start=1):
-        for q in bundled_corpus.questions:
+        for i, q in enumerate(bundled_corpus.questions):
             c = counts[q.id]
             if last.get(q.id) != c:
                 last[q.id] = c
-                want.append(shape_stage_loss(q, c, stage=t))
-    assert specs == want
+                want.append((t, i, shape_stage_loss(q, c, stage=t).input_end))
+    assert list(zip(windows.stage.tolist(), windows.row.tolist(), windows.input_end.tolist())) == want
 
 
 def test_a_held_count_is_listed_once(monkeypatch):
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     corpus = Corpus(questions=[q], embedding_dim=None)
-    sched = [{"q": c} for c in (3, 3, 1, 1, 1, 1, 0)]  # drops at stage 2, holds through stage 5
+    sched = count_matrix(corpus, [{"q": c} for c in (3, 3, 1, 1, 1, 1, 0)])  # drops at stage 2, holds through stage 5
     calls = _count_shape_calls(monkeypatch)
-    specs = build_stage_loss_specs(corpus, sched, 6)
+    windows = build_stage_loss_specs(corpus, sched, 6)
     assert calls[0] == 3
-    assert [s.stage for s in specs] == [1, 2, 6]
-    assert [s.input_end for s in specs] == [9, 2, 0]
+    assert windows.stage.tolist() == [1, 2, 6]
+    assert windows.input_end.tolist() == [9, 2, 0]
     calls[0] = 0
     simulate_student(corpus, sched, {"q": np.linspace(0.1, 0.9, 9)}, StudentConfig(epochs=6))
     assert calls[0] == 3  # the student shapes one spec per window change, never one per epoch
@@ -240,7 +246,7 @@ def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, int]]:
 def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 6, seed=12)
     path = tmp_path / "losses.jsonl"
-    write_loss_specs(build_stage_loss_specs(bundled_corpus, sched, 6), path)
+    write_loss_specs(build_stage_loss_specs(bundled_corpus, count_matrix(bundled_corpus, sched), 6), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == _distinct_pairs(sched, 6)
     assert any(  # a count that drops and then holds
@@ -257,15 +263,15 @@ def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
 
 def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
     sched = _stepped_schedule(bundled_corpus, 4, seed=9)
-    specs = build_stage_loss_specs(bundled_corpus, sched, 4)
+    windows = build_stage_loss_specs(bundled_corpus, count_matrix(bundled_corpus, sched), 4)
     path = tmp_path / "losses.jsonl"
-    write_loss_specs(specs, path)
+    write_loss_specs(windows, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(specs)
-    for line, s in zip(lines, specs):
+    assert len(lines) == len(windows)
+    for line, t, i, end in zip(lines, windows.stage, windows.row, windows.input_end):
         rec = json.loads(line)
         assert list(rec) == ["t", "id", "input_end"]
-        assert rec == {"t": s.stage, "id": s.question_id, "input_end": s.input_end}
+        assert rec == {"t": t, "id": bundled_corpus.questions[i].id, "input_end": end}
 
 
 # --- the tabular student ---------------------------------------------------------
@@ -413,7 +419,7 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     weights = (
         {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions} if weighted else None
     )
-    sched = _zero_schedule(corpus, cfg.epochs)
+    sched = [{q.id: 0 for q in corpus.questions}] * (cfg.epochs + 1)
     if curriculum == "random":  # every question a random number of input steps at every stage
         sched = [{q.id: int(rng.integers(0, q.n_steps + 1)) for q in corpus.questions} for _ in sched]
     elif curriculum == "stepped":  # counts that drop and then hold
@@ -424,10 +430,44 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     ]
     assert (curriculum != "none") == any(s.input_end > 0 for specs in epoch_specs for s in specs.values())
     losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, weights, cfg)
-    trace = simulate_student(corpus, sched, weights, cfg)
+    trace = simulate_student(corpus, count_matrix(corpus, sched), weights, cfg)
     _close(trace.epoch_losses, losses)
     _close(trace.unigram, unigram)
     _close(trace.bigram, bigram)
     assert trace.final_token_probs.keys() == final.keys()
     for qid, probs in final.items():
         _close(trace.final_token_probs[qid], probs)
+
+
+# --- memory ----------------------------------------------------------------------
+
+MiB = 2**20
+
+
+def test_the_schedule_and_the_student_stay_small(tmp_path):
+    # Each bound lies between two designs' readings (numpy 2.4.6): one
+    # {id: count} dict per stage, one LossSpec per window change and one
+    # pair array per question read 1.15 and 4.18 MiB; the count matrix,
+    # column windows and one flat pair array read 0.33 and 2.57 MiB.
+    corpus = make_arith_corpus(2000, seed=1)
+    rng = np.random.default_rng(1)
+    weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+    table = compute_table(corpus, weights)
+    clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 5, seed=1)
+    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=10)
+    plan = plan_full_schedule(corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=20)
+    write_schedule(plan, tmp_path / "schedule.json")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stages = read_schedule(tmp_path / "schedule.json", corpus)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = simulate_student(corpus, stages, weights, StudentConfig(epochs=20, seed=3))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(plan.stages) == 21 and len(trace.epoch_losses) == 20
+    assert kept < 0.75 * MiB
+    assert peak < 3.4 * MiB

@@ -1,6 +1,8 @@
 """Budget curve solving and stage-by-stage curriculum planning."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from cotpace.schedule import (
     write_schedule,
 )
 from cotpace.selection import ClusterAssignment, kmeans_cluster
+from oracles import count_matrix
 
 
 def _unit_table(n_questions: int = 3, n_steps: int = 1) -> DifficultyTable:
@@ -234,6 +237,28 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     assert admitted[1:6] == [set(sel) for sel in rounds[3:]]
 
 
+def test_a_plan_sums_each_tail_once(bundled_corpus, monkeypatch):
+    # every round re-summed every question's tail: 42,000 calls on a
+    # 2000-question, 21-stage plan
+    calls = [0]
+    tail = schedule.question_generation_difficulty
+
+    def counted(*args):
+        calls[0] += 1
+        return tail(*args)
+
+    monkeypatch.setattr(schedule, "question_generation_difficulty", counted)
+    table = compute_table(bundled_corpus)
+    clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
+    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6)
+    plan = plan_full_schedule(
+        bundled_corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=8
+    )
+    assert calls[0] <= sum(q.n_steps + 1 for q in bundled_corpus.questions)
+    for record in plan.stages:  # the fsum of the looked-up tails is the fsum of the tails
+        assert record.h_after == math.fsum(tail(table, qid, c) for qid, c in record.input_steps.items())
+
+
 def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():
     # The curriculum is cut at the last stage: the stages before it are
     # those of the full plan, and input steps are left.
@@ -263,4 +288,7 @@ def test_schedule_round_trip(tmp_path):
     plan = _plan(table, c0=1.5, t_max=4, total_stages=6)
     path = tmp_path / "schedule.json"
     write_schedule(plan, path)
-    assert read_schedule(path, _corpus_for(table)) == [rec.input_steps for rec in plan.stages]
+    corpus = _corpus_for(table)
+    counts = read_schedule(path, corpus)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, count_matrix(corpus, [rec.input_steps for rec in plan.stages]))
