@@ -132,8 +132,9 @@ def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale:
     """One full-batch step in place; returns the summed weighted NLL."""
     logp, g_bi = _log_softmax_table(unigram, bigram)
     # einsum's own loop, not a BLAS dot: the sum's order, and so its last
-    # bits, must not depend on the BLAS thread count
-    total = -float(np.einsum("ij,ij->", counts, logp))
+    # bits, must not depend on the BLAS thread count; + 0.0 turns the -0.0 of
+    # a step that scores no token into 0.0 and leaves any other sum alone
+    total = -float(np.einsum("ij,ij->", counts, logp)) + 0.0
     g_bi *= counts.sum(axis=1)[:, None]
     g_bi -= counts
     unigram -= scale * g_bi.sum(axis=0)

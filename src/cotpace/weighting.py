@@ -11,6 +11,7 @@ against central differences on the relaxed objective.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import json
@@ -47,7 +48,7 @@ UNK_TOKEN = "<unk>"
 SCORE_DRAWS = 8
 
 MODEL_FORMAT = "cotpace-weight-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -558,16 +559,30 @@ def read_weights(path, corpus: Corpus) -> dict[str, np.ndarray]:
 
 
 def save_model(model: TokenWeightModel, path) -> None:
-    doc = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "config": dataclasses.asdict(model.config),
-        "question_dim": model.params["x_proj"].shape[0],
-        "vocab": model.vocab,
-        "classes": model.classes,
-        "params": {name: arr.tolist() for name, arr in model.params.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    """The model as one JSON document: format, format_version, config,
+    question_dim, vocab, classes and params, where params maps each parameter
+    name to {"shape": [...], "data": base64 of the parameter's C-order
+    little-endian float64 bytes}. A parameter decodes exactly with
+    np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"]).
+    The parameters are encoded one at a time, so the writer holds at most one
+    parameter's base64 text beside the model."""
+    head = json.dumps(
+        {
+            "format": MODEL_FORMAT,
+            "format_version": MODEL_FORMAT_VERSION,
+            "config": dataclasses.asdict(model.config),
+            "question_dim": model.params["x_proj"].shape[0],
+            "vocab": model.vocab,
+            "classes": model.classes,
+        }
+    )
+    with open(path, "wb") as fh:
+        # the head's closing brace comes after params
+        fh.write(head[:-1].encode("ascii") + b', "params": {')
+        for i, (name, arr) in enumerate(model.params.items()):
+            field = f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(arr.shape)}, "data": "'
+            fh.write(field.encode("ascii"))
+            fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8")))
+            fh.write(b'"}')
+        fh.write(b"}}\n")
 

@@ -1423,7 +1423,10 @@ def test_an_epoch_that_scores_no_token_reports_none(tmp_path, small_corpus_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 0
-    assert capsys.readouterr().out.endswith(", mean scored weight none -> none)\n")
+    assert capsys.readouterr().out.endswith("(final loss 0.0000, mean scored weight none -> none)\n")
+    losses = json.loads((tmp_path / "trace.json").read_text())["epoch_losses"]
+    assert losses == [0.0, 0.0]
+    assert all(math.copysign(1.0, x) == 1.0 for x in losses)
 
 
 def test_a_stage_that_fails_leaves_no_out_directory(tmp_path, small_corpus_path, capsys):

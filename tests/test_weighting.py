@@ -1,9 +1,11 @@
 """Token significance scoring, Gumbel masks, and the joint training loop."""
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -624,4 +626,31 @@ def test_model_round_trip(tmp_path, model_small, arith_small):
     assert doc["question_dim"] == arith_small.embedding_dim
     assert doc["params"].keys() == model_small.params.keys()
     for name, arr in model_small.params.items():
-        assert np.array_equal(np.asarray(doc["params"][name], dtype=np.float64), arr), name
+        assert np.array_equal(_decode_param(doc["params"][name]), arr), name
+
+
+def _decode_param(p: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"])
+
+
+def test_save_model_encodes_one_parameter_at_a_time(tmp_path, model_small):
+    # 5,000-token tables make the writer's own copies dominate its peak
+    rng = np.random.default_rng(11)
+    params = dict(model_small.params)
+    params["embed"] = rng.standard_normal((5000, 32))
+    params["h_embed"] = rng.standard_normal((5000, 32))
+    model = dataclasses.replace(model_small, params=params)
+    nbytes = sum(arr.nbytes for arr in params.values())
+    path = tmp_path / "weight_model.json"
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * nbytes, (peak, nbytes)
+    doc = json.loads(path.read_text())
+    assert doc["params"].keys() == params.keys()
+    for name, arr in params.items():
+        back = _decode_param(doc["params"][name])
+        assert back.shape == arr.shape and back.tobytes() == arr.tobytes(), name
