@@ -159,10 +159,14 @@ def expect_type(value, types, field: str, where: str):
 
 def float_array(value, field: str, where: str) -> np.ndarray:
     """The JSON list of numbers as a float64 array. type() keeps bool out,
-    which isinstance(v, int) would let in."""
+    which isinstance(v, int) would let in; an integer past the float range
+    is refused here, where its field and line are known."""
     if not set(map(type, expect_type(value, list, field, where))) <= {int, float}:
         raise ValueError(f"field {field!r} of {where}: entries must be numbers")
-    return np.asarray(value, dtype=np.float64)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"field {field!r} of {where}: an integer entry is too large for a float") from None
 
 
 def json_object(value, keys, where: str) -> dict:

@@ -1,13 +1,13 @@
 """Stagewise loss ranges and a tabular student simulator.
 
-A LossSpec splits one question's rationale at a stage's input-step count:
-tokens before the cut are fed as input (no loss), tokens from the cut on
-are generated and scored with significance-weighted NLL. The simulator
-trains a unigram+bigram softmax student under a schedule, full batch, so
-curriculum effects are observable end to end without a real LM. The
-student trains on the windows build_stage_loss_specs cuts: it scores a
-token whose position is at or past its question's input_end, so neither
-a spec nor the student copies a weight.
+shape_stage_loss cuts one question's rationale at a stage's input-step
+count, at the token index input_end: tokens before it are fed as input (no
+loss), tokens from it on are generated and scored with significance-weighted
+NLL. The simulator trains a unigram+bigram softmax student under a schedule,
+full batch, so curriculum effects are observable end to end without a real
+LM. The student trains on the windows build_stage_loss_specs cuts: it scores
+a token whose position is at or past its question's input_end, so neither a
+window nor the student copies a weight.
 """
 from __future__ import annotations
 
@@ -24,21 +24,13 @@ BOS_ID = 0
 BOS_TOKEN = "<bos>"
 
 
-@dataclasses.dataclass
-class LossSpec:
-    question_id: str
-    stage: int
-    # first generated token index: the input range is [0, input_end), and
-    # the generation range [input_end, n_tokens)
-    input_end: int
-
-
-def shape_stage_loss(question: Question, input_steps: int, stage: int) -> LossSpec:
-    """Build the loss ranges for one question at one stage; input_steps lies
-    in [0, n_steps]."""
-    n = question.n_tokens
-    input_end = n if input_steps == question.n_steps else question.step_spans[input_steps][0]
-    return LossSpec(question_id=question.id, stage=stage, input_end=input_end)
+def shape_stage_loss(question: Question, input_steps: int) -> int:
+    """The window start input_end of one question with input_steps in [0,
+    n_steps] input steps: the input range is [0, input_end), and the
+    generation range [input_end, n_tokens)."""
+    if input_steps == question.n_steps:
+        return question.n_tokens
+    return question.step_spans[input_steps][0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,10 +77,8 @@ def build_stage_loss_specs(corpus: Corpus, stages: np.ndarray, epochs: int) -> L
     stage, row = np.nonzero(changed)  # in stage order, then corpus order
     stage += 1
     questions = corpus.questions
-    cuts = zip(stage.tolist(), row.tolist(), counts[changed].tolist())
-    input_end = np.fromiter(
-        (shape_stage_loss(questions[i], c, stage=t).input_end for t, i, c in cuts), dtype=np.int64, count=row.size
-    )
+    cuts = zip(row.tolist(), counts[changed].tolist())
+    input_end = np.fromiter((shape_stage_loss(questions[i], c) for i, c in cuts), dtype=np.int64, count=row.size)
     return LossWindows([q.id for q in questions], stage, row, input_end)
 
 

@@ -64,28 +64,23 @@ def _recompute_h(input_steps: dict[str, int], tails: dict[str, list[float]]) -> 
     return math.fsum(tails[qid][c] for qid, c in input_steps.items())
 
 
-def _apply_selection(
-    input_steps: dict[str, int], selected: list[str], step_reduction: int
-) -> dict[str, int]:
-    out = dict(input_steps)
-    for qid in selected:
-        out[qid] = max(0, out[qid] - step_reduction)
-    return out
-
-
 @dataclasses.dataclass
 class StageRecord:
-    t: int
+    """The budgets of stage t, the index of its record."""
+
     budget: float  # D(t)
     delta_budget: float  # budget available to this stage (clamped)
     delta_h: float  # admitted difficulty increments (fsum)
-    input_steps: dict[str, int]  # c_i snapshot after the stage
     h_after: float
 
 
 @dataclasses.dataclass
 class Schedule:
     stages: list[StageRecord]
+    # counts[t, i]: question ids[i]'s input steps after stage t, the int64
+    # matrix read_schedule returns
+    counts: np.ndarray
+    ids: list[str]
     params: dict
 
 
@@ -107,9 +102,9 @@ def plan_full_schedule(
     admitted; stages before the horizon run one round each; at the horizon
     and beyond the budget covers the whole corpus and every input-step
     count drops to zero. With total_stages below the horizon the plan is
-    the first total_stages + 1 stages of the horizon's plan. A stage's
-    admitted ids are those whose input-step count it lowered, so the
-    records do not list them.
+    the first total_stages + 1 stages of the horizon's plan. Row t of
+    counts holds the input-step counts after stage t; a stage's admitted
+    ids are those whose count it lowered, so the records do not list them.
     """
 
     def select_round(steps: dict[str, int], budget: float) -> tuple[list[str], list[float]]:
@@ -120,13 +115,15 @@ def plan_full_schedule(
         sel = select_ftgp(SelectionProblem(cands, budget, clusters, beta), eps)
         return sel, [cands[qid] for qid in sel]
 
-    steps = {q.id: q.n_steps for q in corpus.questions}
+    ids = [q.id for q in corpus.questions]
+    steps = {q.id: q.n_steps for q in corpus.questions}  # in corpus order, as counts' columns
     tails = {
         q.id: [question_generation_difficulty(table, q.id, c) for c in range(q.n_steps + 1)]
         for q in corpus.questions
     }
     h = 0.0
     records: list[StageRecord] = []
+    counts = np.empty((total_stages + 1, len(ids)), dtype=np.int64)
     for t in range(total_stages + 1):
         d_t = budget_at(curve, t)
         delta_budget = max(0.0, d_t - h)
@@ -143,21 +140,14 @@ def plan_full_schedule(
                 if not sel:
                     break
                 increments += incs
-                steps = _apply_selection(steps, sel, step_reduction)
+                for qid in sel:
+                    steps[qid] = max(0, steps[qid] - step_reduction)
                 h = _recompute_h(steps, tails)
                 if t > 0:
                     break
             delta_h = math.fsum(increments)
-        records.append(
-            StageRecord(
-                t=t,
-                budget=d_t,
-                delta_budget=delta_budget,
-                delta_h=delta_h,
-                input_steps=dict(steps),
-                h_after=h,
-            )
-        )
+        records.append(StageRecord(budget=d_t, delta_budget=delta_budget, delta_h=delta_h, h_after=h))
+        counts[t] = list(steps.values())
 
     params = {
         "total_difficulty": curve.b_total,
@@ -170,22 +160,23 @@ def plan_full_schedule(
         "step_reduction": step_reduction,
         "n_clusters": clusters.n_clusters,
     }
-    return Schedule(stages=records, params=params)
+    return Schedule(stages=records, counts=counts, ids=ids, params=params)
 
 
 def write_schedule(schedule: Schedule, path) -> None:
-    """One JSON document, one stage per line."""
+    """One JSON document, one stage per line; a stage's "c" is built from its
+    row of counts alone, so the whole matrix is never converted at once."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"stages": [')
         sep = "\n"
-        for rec in schedule.stages:
+        for t, (rec, row) in enumerate(zip(schedule.stages, schedule.counts)):
             stage = {
-                "t": rec.t,
+                "t": t,
                 "D_t": rec.budget,
                 "delta_D": rec.delta_budget,
                 "delta_H": rec.delta_h,
                 "H": rec.h_after,
-                "c": rec.input_steps,
+                "c": dict(zip(schedule.ids, row.tolist())),
             }
             fh.write(sep + json.dumps(stage))
             sep = ",\n"

@@ -161,13 +161,14 @@ def write_clusters(clusters: ClusterAssignment, path) -> None:
 
 def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
     """clusters.json for corpus: n_clusters a JSON integer >= 1, and one
-    cluster index per corpus question, a JSON integer in [0, n_clusters)."""
+    cluster index per corpus question, a JSON integer in [0, n_clusters)
+    that also fits the planner's int64 cluster ids."""
     doc = read_json(path, ("n_clusters", "assignment"))
     n_clusters = doc["n_clusters"]
     if type(n_clusters) is not int or n_clusters < 1:  # rejects bool too
         raise ValueError(f"{path}: n_clusters must be an integer >= 1, got {n_clusters!r}")
     assignment = expect_type(doc["assignment"], dict, "assignment", str(path))
-    check_ints(path, assignment, "cluster index", dict.fromkeys(assignment, n_clusters), closed=False)
+    check_ints(path, assignment, "cluster index", dict.fromkeys(assignment, min(n_clusters, 2**63)), closed=False)
     corpus.check_ids(path, assignment, "cluster")
     return ClusterAssignment(n_clusters=n_clusters, assignment=assignment)
 

@@ -4,7 +4,9 @@ No cotpace command runs these: the exhaustive best-subset search and its
 set-function helpers check select_ftgp, gumbel_sample checks the
 relaxed-Bernoulli mask draw, gradient_check checks the trainer's analytic
 gradients, and evaluate_loss and train_plain check the loss windows and
-the scheduled student, whose schedules count_matrix builds by hand.
+the scheduled student. count_matrix turns a schedule a test writes by hand
+into read_schedule's matrix; a planned schedule already holds it as
+Schedule.counts.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from cotpace.corpus import Corpus, Question
-from cotpace.loss_shaping import LossSpec, StudentConfig, StudentTrace, _run_student
+from cotpace.loss_shaping import StudentConfig, StudentTrace, _run_student
 from cotpace.selection import SelectionProblem
 from cotpace.weighting import MaskSample, TokenWeightModel, _draw_mask, _sample_noise, weighting_loss_and_grads
 
@@ -200,28 +202,24 @@ def gradient_check(
 # the loss of one window, and the student without a curriculum
 
 
-def evaluate_loss(spec: LossSpec, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
+def evaluate_loss(input_end: int, logprobs: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Weighted NLL over the generation range [input_end, n), where n, the
     rationale's length, is that of logprobs. weights index the same tokens;
     logprobs inside the range must be <= 0, and weights (uniform when None)
     must lie in [0, 1]."""
     lp = np.asarray(logprobs, dtype=np.float64)
     n = lp.size
-    if lp.shape != (n,) or spec.input_end > n:
-        raise ValueError(
-            f"spec for {spec.question_id!r}: {n} logprobs do not cover [0, {spec.input_end})"
-        )
-    window = lp[spec.input_end :]
+    if lp.shape != (n,) or input_end > n:
+        raise ValueError(f"window from {input_end}: {n} logprobs do not cover [0, {input_end})")
+    window = lp[input_end:]
     if window.size and (not np.all(np.isfinite(window)) or window.max() > 0.0):
-        raise ValueError(
-            f"spec for {spec.question_id!r}: generation-range logprobs must be finite and <= 0"
-        )
+        raise ValueError(f"window from {input_end}: generation-range logprobs must be finite and <= 0")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
-        raise ValueError(f"spec for {spec.question_id!r}: {w.size} weights for {n} rationale tokens")
+        raise ValueError(f"window from {input_end}: {w.size} weights for {n} rationale tokens")
     if w.size and (not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0):
-        raise ValueError(f"spec for {spec.question_id!r}: weights must lie in [0, 1]")
-    return -float(np.dot(w[spec.input_end :], window))
+        raise ValueError(f"window from {input_end}: weights must lie in [0, 1]")
+    return -float(np.dot(w[input_end:], window))
 
 
 def train_plain(

@@ -265,10 +265,10 @@ def test_criterion_8_loss_shaping_equivalence(criterion_report, bundled_corpus):
     rng = np.random.default_rng(8)
     for i in range(100):
         q = _random_question(rng, f"q{i}")
-        spec = shape_stage_loss(q, 0, stage=0)
+        end = shape_stage_loss(q, 0)
         lp = np.asarray(q.token_logprobs)
         plain_nll = -float(np.sum(lp))
-        assert abs(evaluate_loss(spec, lp) - plain_nll) <= 1e-9
+        assert abs(evaluate_loss(end, lp) - plain_nll) <= 1e-9
     cfg = StudentConfig(epochs=6, lr=0.5, seed=88)
     zeros = count_matrix(bundled_corpus, [{q.id: 0 for q in bundled_corpus.questions}] * (cfg.epochs + 1))
     sim = simulate_student(bundled_corpus, zeros, None, cfg)

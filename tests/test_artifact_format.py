@@ -19,7 +19,6 @@ from cotpace.schedule import (
 )
 from cotpace.selection import kmeans_cluster, write_clusters
 from cotpace.synth import make_arith_corpus
-from oracles import count_matrix
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +31,7 @@ def planned():
     plan = plan_full_schedule(
         corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=10
     )
-    stages = count_matrix(corpus, [rec.input_steps for rec in plan.stages])
-    trace = simulate_student(corpus, stages, None, StudentConfig(epochs=10, seed=4))
+    trace = simulate_student(corpus, plan.counts, None, StudentConfig(epochs=10, seed=4))
     return plan, clusters, trace
 
 
@@ -56,14 +54,14 @@ def test_schedule_loads_equal_to_the_indented_document(tmp_path, planned):
     doc = {  # as before, less "selected": a stage admitted the ids whose "c" fell
         "stages": [
             {
-                "t": rec.t,
+                "t": t,
                 "D_t": rec.budget,
                 "delta_D": rec.delta_budget,
                 "delta_H": rec.delta_h,
                 "H": rec.h_after,
-                "c": rec.input_steps,
+                "c": dict(zip(plan.ids, row)),
             }
-            for rec in plan.stages
+            for t, (rec, row) in enumerate(zip(plan.stages, plan.counts.tolist()))
         ],
         "params": plan.params,
     }
@@ -116,13 +114,10 @@ def test_write_schedule_encodes_one_stage_at_a_time(tmp_path):
     # once (several times its size as the encoder's pieces); a line holds
     # one stage, a 60th of this document.
     rng = np.random.default_rng(0)
-    stages = [
-        StageRecord(t=t, budget=1.5 * t, delta_budget=0.3, delta_h=0.2,
-                    input_steps={qid: int(rng.integers(0, 5)) for qid in IDS}, h_after=1 / 3)
-        for t in range(61)
-    ]
+    stages = [StageRecord(budget=1.5 * t, delta_budget=0.3, delta_h=0.2, h_after=1 / 3) for t in range(61)]
+    counts = rng.integers(0, 5, size=(61, len(IDS)))
     path = tmp_path / "schedule.json"
-    peak = _peak_bytes(lambda: write_schedule(Schedule(stages, {"horizon": 30}), path))
+    peak = _peak_bytes(lambda: write_schedule(Schedule(stages, counts, IDS, {"horizon": 30}), path))
     assert peak < path.stat().st_size / 2
 
 

@@ -103,6 +103,9 @@ def test_a_traced_run_records_every_stage_and_every_cli_call(tmp_path):
     assert names["corpus.parse"] == 7
     assert run["counts"]["weighting.visits"] > 0
     assert run["counts"]["loss_shaping.shape_calls"] > 0
+    # the fields the tracer reads from the plan and the trace: stages 0..--epochs
+    attrs = {span[0]: span[4] for span in run["spans"] if span[0] in ("schedule.plan", "loss_shaping.simulate")}
+    assert attrs == {"schedule.plan": {"stages": 5}, "loss_shaping.simulate": {"epochs": 4}}
     for doc in (run, assess):  # every cli call runs inside its stage's span
         for name, _, _, parent, _ in doc["spans"]:
             if name in tracer.CLI_SITES.values():

@@ -345,6 +345,27 @@ def test_cluster_index_outside_the_clusters_exit_2(tmp_path, small_corpus_path, 
     assert not (out / "schedule.json").exists()
 
 
+def test_a_cluster_index_past_int64_exits_2(tmp_path, small_corpus_path, capsys):
+    # under n_clusters = 2**70, indices from 2**65 on exited 3: "Python int
+    # too large to convert to C long", from the planner's int64 cluster ids
+    out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
+    path = out / "clusters.json"
+    doc = json.loads(path.read_text())
+    small = doc["assignment"]
+    doc["n_clusters"] = 2**70
+    doc["assignment"] = {qid: 2**65 + i for i, qid in enumerate(small)}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["schedule", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"clusters.json: cluster index {2**65} of 'q000' is not an integer in [0, {2**63})" in err
+    assert not (out / "schedule.json").exists()
+    path.write_text(json.dumps({**doc, "assignment": small}))  # small indices under the same n_clusters
+    assert main(["schedule", *argv]) == 0
+    assert main(["cluster", *argv, "--clusters", str(2**62)]) == 0
+    assert main(["schedule", *argv]) == 0
+
+
 def test_a_repeated_key_in_clusters_json_exit_2(tmp_path, small_corpus_path, capsys):
     out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
     path = out / "clusters.json"
@@ -740,6 +761,41 @@ def test_json_that_the_decoder_cannot_take_exits_2_naming_the_file(
     code, _ = _rerun(tmp_path, planned_out, corpus, command, lambda out: (out / "schedule.json").write_bytes(_DEEP))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, field, value",
+    [
+        ("validate", "small.jsonl", "token_logprobs", -10**400),
+        ("validate", "small.jsonl", "token_weights", 10**400),
+        ("validate", "small.jsonl", "embedding", 10**400),
+        ("assess", "weights.jsonl", "weights", -10**400),
+        ("schedule", "difficulty.jsonl", "step_difficulties", 10**400),
+    ],
+    ids=["token_logprobs", "token_weights", "embedding", "weights", "difficulty"],
+)
+def test_an_integer_too_large_for_a_float_exits_2_naming_the_field_and_line(
+    tmp_path, planned_out, small_corpus_path, capsys, command, name, field, value
+):
+    # each exited 3 naming nothing: "numeric failure: int too large to convert to float"
+    def put(path):  # value as the last entry of field on line 4
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec[field] = [*(rec.get(field) or [0.5] * len(rec["rationale_tokens"]))[:-1], value]
+        lines[3] = json.dumps(rec)
+        path.write_text("".join(line + "\n" for line in lines))
+
+    corpus, edit = small_corpus_path, lambda out: put(out / name)
+    if command == "validate":  # the corpus itself
+        corpus, edit = tmp_path / name, lambda out: None
+        corpus.write_bytes(small_corpus_path.read_bytes())
+        put(corpus)
+    code, out = _rerun(tmp_path, planned_out, corpus, command, edit)
+    assert code == 2
+    path = corpus if command == "validate" else out / name
+    assert f"field {field!r} of 'q003' ({path}: line 4): an integer entry is too large for a float" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])

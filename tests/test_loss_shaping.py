@@ -14,7 +14,6 @@ from cotpace.corpus import Corpus, Question
 from cotpace.difficulty import compute_table
 from cotpace.loss_shaping import (
     BOS_ID,
-    LossSpec,
     StudentConfig,
     build_stage_loss_specs,
     shape_stage_loss,
@@ -51,56 +50,52 @@ def _zero_schedule(corpus, n_stages: int) -> np.ndarray:
 
 
 def test_zero_input_steps_covers_whole_rationale():
-    spec = shape_stage_loss(_question(), 0, stage=0)
-    assert spec.input_end == 0
+    assert shape_stage_loss(_question(), 0) == 0
 
 
 def test_all_input_steps_leaves_nothing_generated():
-    spec = shape_stage_loss(_question(), 2, stage=0)
-    assert spec.input_end == 5
+    assert shape_stage_loss(_question(), 2) == 5
 
 
 def test_partial_input_starts_at_step_boundary():
-    spec = shape_stage_loss(_question(), 1, stage=0)
-    assert spec.input_end == 3
+    assert shape_stage_loss(_question(), 1) == 3
 
 
 def test_weights_are_sliced_to_generated_range():
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     lp = np.array([-1.0, -2.0, -3.0, -4.0, -5.0])
-    assert abs(evaluate_loss(shape_stage_loss(_question(), 1, stage=0), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
+    assert abs(evaluate_loss(shape_stage_loss(_question(), 1), lp, w) - (0.4 * 4.0 + 0.5 * 5.0)) < 1e-12
 
 
 def test_weight_vector_must_cover_rationale():
     with pytest.raises(ValueError, match="3 weights for 5 rationale tokens"):
-        evaluate_loss(shape_stage_loss(_question(), 1, stage=0), np.full(5, -1.0), np.ones(3))
+        evaluate_loss(shape_stage_loss(_question(), 1), np.full(5, -1.0), np.ones(3))
 
 
 def test_spec_validation_rejects_bad_weights():
-    spec = LossSpec(question_id="q", stage=0, input_end=0)
     for bad in ([0.5, 1.5], [0.5, -0.1], [np.nan, 0.5]):
         with pytest.raises(ValueError, match="lie in"):
-            evaluate_loss(spec, np.full(2, -1.0), np.array(bad))
+            evaluate_loss(0, np.full(2, -1.0), np.array(bad))
 
 
 # --- evaluate_loss --------------------------------------------------------------
 
 
 def test_evaluate_empty_generation_range_is_zero():
-    spec = shape_stage_loss(_question(), 2, stage=0)
-    assert evaluate_loss(spec, np.full(5, -1.0)) == 0.0
+    end = shape_stage_loss(_question(), 2)
+    assert evaluate_loss(end, np.full(5, -1.0)) == 0.0
 
 
 def test_evaluate_hand_value():
-    spec = shape_stage_loss(_question(), 1, stage=0)
+    end = shape_stage_loss(_question(), 1)
     lp = np.array([0.0, 0.0, 0.0, math.log(0.5), math.log(0.5)])
-    assert abs(evaluate_loss(spec, lp) - 2.0 * math.log(2.0)) < 1e-12
-    assert abs(evaluate_loss(spec, lp) - 1.3863) < 1e-4
+    assert abs(evaluate_loss(end, lp) - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(evaluate_loss(end, lp) - 1.3863) < 1e-4
 
 
 def test_evaluate_zero_weights_ignore_tokens():
-    spec = shape_stage_loss(_question(), 0, stage=0)
-    assert evaluate_loss(spec, np.full(5, -9.0), np.zeros(5)) == 0.0
+    end = shape_stage_loss(_question(), 0)
+    assert evaluate_loss(end, np.full(5, -9.0), np.zeros(5)) == 0.0
 
 
 def test_evaluate_is_linear_in_weights():
@@ -110,40 +105,40 @@ def test_evaluate_is_linear_in_weights():
     w1 = rng.uniform(0, 1, size=5)
     w2 = rng.uniform(0, 1, size=5)
     mid = 0.5 * (w1 + w2)
-    spec = shape_stage_loss(q, 0, stage=0)
-    a = evaluate_loss(spec, lp, w1)
-    b = evaluate_loss(spec, lp, w2)
-    c = evaluate_loss(spec, lp, mid)
+    end = shape_stage_loss(q, 0)
+    a = evaluate_loss(end, lp, w1)
+    b = evaluate_loss(end, lp, w2)
+    c = evaluate_loss(end, lp, mid)
     assert abs(c - 0.5 * (a + b)) < 1e-12
 
 
 def test_evaluate_input_validation():
-    spec = shape_stage_loss(_question(), 1, stage=0)
+    end = shape_stage_loss(_question(), 1)
     with pytest.raises(ValueError, match="cover"):
-        evaluate_loss(spec, np.zeros(2))
+        evaluate_loss(end, np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
-        evaluate_loss(spec, np.array([0.0, 0.0, 0.0, 0.1, -1.0]))
+        evaluate_loss(end, np.array([0.0, 0.0, 0.0, 0.1, -1.0]))
     with pytest.raises(ValueError, match="finite"):
-        evaluate_loss(spec, np.array([0.0, 0.0, 0.0, np.nan, -1.0]))
+        evaluate_loss(end, np.array([0.0, 0.0, 0.0, np.nan, -1.0]))
 
 
 def test_evaluate_ignores_logprobs_in_input_range():
-    spec = shape_stage_loss(_question(), 1, stage=0)
+    end = shape_stage_loss(_question(), 1)
     lp_a = np.array([np.inf, 99.0, -5.0, -1.0, -1.0])
     lp_b = np.array([0.0, 0.0, 0.0, -1.0, -1.0])
-    assert evaluate_loss(spec, lp_a) == evaluate_loss(spec, lp_b)
+    assert evaluate_loss(end, lp_a) == evaluate_loss(end, lp_b)
 
 
 def test_loss_shrinks_as_input_steps_grow():
     rng = np.random.default_rng(1)
     q = _question(spans=((0, 2), (2, 5), (5, 9)))
     lp = -rng.exponential(1.0, size=9)
-    losses = [evaluate_loss(shape_stage_loss(q, c, stage=0), lp) for c in range(4)]
+    losses = [evaluate_loss(shape_stage_loss(q, c), lp) for c in range(4)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] == 0.0
 
 
-# --- spec construction from a schedule ------------------------------------------
+# --- windows from a schedule ----------------------------------------------------
 
 
 def test_a_zero_schedule_lists_stage_1_only(bundled_corpus):
@@ -202,7 +197,7 @@ def test_build_specs_lists_each_window_change_once(monkeypatch, bundled_corpus):
             c = counts[q.id]
             if last.get(q.id) != c:
                 last[q.id] = c
-                want.append((t, i, shape_stage_loss(q, c, stage=t).input_end))
+                want.append((t, i, shape_stage_loss(q, c)))
     assert list(zip(windows.stage.tolist(), windows.row.tolist(), windows.input_end.tolist())) == want
 
 
@@ -217,12 +212,12 @@ def test_a_held_count_is_listed_once(monkeypatch):
     assert windows.input_end.tolist() == [9, 2, 0]
     calls[0] = 0
     simulate_student(corpus, sched, {"q": np.linspace(0.1, 0.9, 9)}, StudentConfig(epochs=6))
-    assert calls[0] == 3  # the student shapes one spec per window change, never one per epoch
+    assert calls[0] == 3  # the student shapes once per window change, never once per epoch
 
 
 def test_the_student_trains_on_the_windows_shape_stage_loss_cuts(monkeypatch, bundled_corpus):
-    def empty(question, input_steps, stage):
-        return LossSpec(question_id=question.id, stage=stage, input_end=question.n_tokens)
+    def empty(question, input_steps):
+        return question.n_tokens
 
     monkeypatch.setattr(loss_shaping, "shape_stage_loss", empty)
     sched = _zero_schedule(bundled_corpus, 5)  # every token scored, had the student cut its own windows
@@ -329,9 +324,9 @@ def test_trace_written_as_json(tmp_path, bundled_corpus):
     assert set(doc["final_token_probs"]) == {q.id for q in corpus_slice.questions}
 
 
-def _reference_student(corpus, epoch_specs, weights, cfg):
+def _reference_student(corpus, epoch_ends, weights, cfg):
     """The student as a per-question loop: one softmax per generated token,
-    gradients scattered with np.add.at. epoch_specs[e] maps id -> LossSpec;
+    gradients scattered with np.add.at. epoch_ends[e] maps id -> input_end;
     weights maps id -> the whole rationale's weights (uniform when None)."""
     vocab = {"<bos>": BOS_ID}
     for q in corpus.questions:
@@ -349,16 +344,16 @@ def _reference_student(corpus, epoch_specs, weights, cfg):
     unigram = rng.normal(0.0, loss_shaping.INIT_SCALE, size=nv)
     bigram = rng.normal(0.0, loss_shaping.INIT_SCALE, size=(nv, nv))
     losses = []
-    for specs in epoch_specs:
+    for ends in epoch_ends:
         g_uni, g_bi, total = np.zeros(nv), np.zeros((nv, nv)), 0.0
         for q in corpus.questions:
-            spec = specs[q.id]
-            m = q.n_tokens - spec.input_end
+            end = ends[q.id]
+            m = q.n_tokens - end
             if m == 0:
                 continue
-            w = weights[q.id][spec.input_end :] if weights else np.ones(m)
+            w = weights[q.id][end:] if weights else np.ones(m)
             idx = enc[q.id]
-            prev, tgt = context(idx, spec.input_end), idx[spec.input_end :]
+            prev, tgt = context(idx, end), idx[end:]
             logits = unigram[None, :] + bigram[prev]
             mx = logits.max(axis=1, keepdims=True)
             ez = np.exp(logits - mx)
@@ -399,7 +394,7 @@ def test_an_epoch_table_with_zeros_equals_the_scored_tokens_alone(bundled_corpus
         pair = rng.integers(0, nv * nv, size=pos.size)
         w = rng.uniform(0.0, 1.0, size=pos.size)
         for _ in range(20):
-            ends = np.array([shape_stage_loss(q, rng.integers(0, q.n_steps + 1), 0).input_end for q in questions])
+            ends = np.array([shape_stage_loss(q, rng.integers(0, q.n_steps + 1)) for q in questions])
             scored = pos >= np.repeat(ends, n_tokens)
             table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv)
             alone = np.bincount(pair[scored], weights=w[scored], minlength=nv * nv)
@@ -425,11 +420,9 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     elif curriculum == "stepped":  # counts that drop and then hold
         sched = _stepped_schedule(corpus, cfg.epochs, seed=3)
         assert any(sched[t - 1][q] > sched[t][q] == sched[t + 1][q] for t in range(2, 6) for q in sched[t])
-    epoch_specs = [
-        {q.id: shape_stage_loss(q, counts[q.id], stage=0) for q in corpus.questions} for counts in sched[1:]
-    ]
-    assert (curriculum != "none") == any(s.input_end > 0 for specs in epoch_specs for s in specs.values())
-    losses, unigram, bigram, final = _reference_student(corpus, epoch_specs, weights, cfg)
+    epoch_ends = [{q.id: shape_stage_loss(q, counts[q.id]) for q in corpus.questions} for counts in sched[1:]]
+    assert (curriculum != "none") == any(end > 0 for ends in epoch_ends for end in ends.values())
+    losses, unigram, bigram, final = _reference_student(corpus, epoch_ends, weights, cfg)
     trace = simulate_student(corpus, count_matrix(corpus, sched), weights, cfg)
     _close(trace.epoch_losses, losses)
     _close(trace.unigram, unigram)
@@ -446,7 +439,7 @@ MiB = 2**20
 
 def test_the_schedule_and_the_student_stay_small(tmp_path):
     # Each bound lies between two designs' readings (numpy 2.4.6): one
-    # {id: count} dict per stage, one LossSpec per window change and one
+    # {id: count} dict per stage, one spec object per window change and one
     # pair array per question read 1.15 and 4.18 MiB; the count matrix,
     # column windows and one flat pair array read 0.33 and 2.57 MiB.
     corpus = make_arith_corpus(2000, seed=1)

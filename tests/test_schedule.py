@@ -12,7 +12,6 @@ from cotpace.difficulty import DifficultyTable, compute_table
 from cotpace.schedule import (
     BudgetCurve,
     Schedule,
-    _apply_selection,
     budget_at,
     plan_full_schedule,
     read_schedule,
@@ -20,7 +19,6 @@ from cotpace.schedule import (
     write_schedule,
 )
 from cotpace.selection import ClusterAssignment, kmeans_cluster
-from oracles import count_matrix
 
 
 def _unit_table(n_questions: int = 3, n_steps: int = 1) -> DifficultyTable:
@@ -124,13 +122,6 @@ def test_budget_monotone_on_grid():
     assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
 
-# --- stage updates --------------------------------------------------------------
-
-
-def test_apply_selection_clamps_at_zero():
-    assert _apply_selection({"q0": 1, "q1": 3}, ["q0"], 2) == {"q0": 0, "q1": 3}
-
-
 # --- plan_full_schedule ---------------------------------------------------------
 
 
@@ -140,30 +131,39 @@ def test_plan_matches_hand_worked_example():
     plan = _plan(table, c0=1.0, p=1.0, t_max=3)
     stage0 = plan.stages[0]
     assert stage0.budget == 1.0
-    assert stage0.input_steps == {"q0": 2}
+    assert plan.counts[0].tolist() == [2]
     assert abs(stage0.delta_h - 1.0) < 1e-12
     assert stage0.h_after == 1.0
     final = plan.stages[3]
-    assert final.input_steps == {"q0": 0}
+    assert plan.counts[3].tolist() == [0]
     assert abs(final.h_after - 3.0) < 1e-9
 
 
 def test_plan_zeroes_all_counts_at_horizon():
     table = _unit_table(n_questions=4, n_steps=5)
     plan = _plan(table, c0=0.5, t_max=3, total_stages=6)
-    for record in plan.stages:
-        if record.t >= 3:
-            assert all(c == 0 for c in record.input_steps.values())
+    assert plan.counts.shape == (7, 4)
+    assert plan.counts[:3].any() and not plan.counts[3:].any()
+
+
+def test_an_admitted_count_falls_by_the_step_reduction_and_stops_at_zero():
+    # three steps, two at a time: an admitted count falls 3 -> 1, then 1 -> 0
+    plan = _plan(_unit_table(n_questions=4, n_steps=3), c0=2.0, t_max=8, step_reduction=2)
+    assert (plan.counts >= 0).all()
+    before = np.full(4, 3)  # every question's n_steps
+    falls = []
+    for row in plan.counts[:8]:  # the stages before the horizon, which zeroes every count
+        admitted = row < before
+        assert np.array_equal(row[admitted], before[admitted] - np.minimum(before[admitted], 2))
+        falls += zip(before[admitted].tolist(), row[admitted].tolist())
+        before = row
+    assert (3, 1) in falls and (1, 0) in falls
 
 
 def test_plan_counts_never_increase():
     table = _unit_table(n_questions=5, n_steps=4)
     plan = _plan(table, c0=2.0, t_max=5, total_stages=7)
-    prev = None
-    for record in plan.stages:
-        if prev is not None:
-            assert all(record.input_steps[qid] <= prev[qid] for qid in prev)
-        prev = record.input_steps
+    assert (plan.counts[1:] <= plan.counts[:-1]).all()
 
 
 def test_plan_invariants_on_bundled_corpus(bundled_corpus):
@@ -179,12 +179,12 @@ def test_plan_invariants_on_bundled_corpus(bundled_corpus):
     )
     max_step = max(float(arr.max()) for arr in table.steps.values())
     cumulative_h = 0.0
-    for record in plan.stages:
-        if record.t < 6:
+    for t, record in enumerate(plan.stages):
+        if t < 6:
             assert record.delta_h <= record.delta_budget + 1e-9
         cumulative_h += record.delta_h
         assert abs(cumulative_h - record.h_after) < 1e-6
-        assert record.h_after <= budget_at(curve, record.t) + max_step + 1e-9
+        assert record.h_after <= budget_at(curve, t) + max_step + 1e-9
     assert abs(plan.stages[-1].h_after - table.corpus_total) < 1e-6
 
 
@@ -224,11 +224,11 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     assert counts == {"increments": 8, "ftgp": 8, "candidates": 297, "admitted": 128}
     # a stage admitted the ids whose input-step count fell since the stage
     # before it (since n_steps at stage 0)
-    before = {q.id: q.n_steps for q in bundled_corpus.questions}
+    before = [q.n_steps for q in bundled_corpus.questions]
     admitted = []
-    for r in plan.stages:
-        admitted.append({qid for qid, c in r.input_steps.items() if c < before[qid]})
-        before = r.input_steps
+    for row in plan.counts.tolist():
+        admitted.append({qid for qid, c, b in zip(plan.ids, row, before) if c < b})
+        before = row
     assert [len(ids) for ids in admitted] == [50, 5, 10, 11, 11, 12, 9, 0, 0]
     # stage 0's rounds run until one admits nothing, then one round per
     # stage before the horizon (6)
@@ -255,8 +255,9 @@ def test_a_plan_sums_each_tail_once(bundled_corpus, monkeypatch):
         bundled_corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=8
     )
     assert calls[0] <= sum(q.n_steps + 1 for q in bundled_corpus.questions)
-    for record in plan.stages:  # the fsum of the looked-up tails is the fsum of the tails
-        assert record.h_after == math.fsum(tail(table, qid, c) for qid, c in record.input_steps.items())
+    # the fsum of the looked-up tails is the fsum of the tails
+    for record, row in zip(plan.stages, plan.counts.tolist()):
+        assert record.h_after == math.fsum(tail(table, qid, c) for qid, c in zip(plan.ids, row))
 
 
 def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():
@@ -265,10 +266,11 @@ def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():
     table = _unit_table(n_questions=4, n_steps=3)
     cut = _plan(table, c0=1.0, t_max=5, total_stages=3)
     full = _plan(table, c0=1.0, t_max=5)
-    assert [r.t for r in cut.stages] == [0, 1, 2, 3]
+    assert len(cut.stages) == len(cut.counts) == 4
     assert cut.stages == full.stages[:4]
+    assert np.array_equal(cut.counts, full.counts[:4])
     assert cut.params == full.params
-    assert any(cut.stages[-1].input_steps.values())
+    assert cut.counts[-1].any()
 
 
 def test_plan_deterministic():
@@ -278,6 +280,7 @@ def test_plan_deterministic():
     assert a.params == b.params
     for ra, rb in zip(a.stages, b.stages):
         assert ra == rb
+    assert np.array_equal(a.counts, b.counts)
 
 
 # --- persistence ----------------------------------------------------------------
@@ -290,5 +293,6 @@ def test_schedule_round_trip(tmp_path):
     write_schedule(plan, path)
     corpus = _corpus_for(table)
     counts = read_schedule(path, corpus)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, count_matrix(corpus, [rec.input_steps for rec in plan.stages]))
+    assert counts.dtype == plan.counts.dtype == np.int64
+    assert counts.shape == plan.counts.shape == (7, 4)
+    assert np.array_equal(counts, plan.counts)
