@@ -194,6 +194,14 @@ def _unique_keys(pairs: list) -> dict:
 
 # One decoder for every read: json.loads with a hook builds a new one per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# One encoder for every artifact: json.dumps(value, separators=(",", ":")),
+# which would also build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode(value) -> str:
+    """value as compact JSON, with no space after a "," or a ":"."""
+    return _ENCODER.encode(value)
 
 
 def _decode(text: str, where: str):
@@ -246,7 +254,7 @@ def write_vectors(vectors: dict[str, np.ndarray], field: str, path) -> None:
     """JSONL: one {"id", field: [numbers]} row per question."""
     with open(path, "w", encoding="utf-8") as fh:
         for qid, v in vectors.items():
-            fh.write(json.dumps({"id": qid, field: [float(x) for x in v]}) + "\n")
+            fh.write(encode({"id": qid, field: v.tolist()}) + "\n")
 
 
 def read_vectors(

@@ -7,18 +7,18 @@ NLL. The simulator trains a unigram+bigram softmax student under a schedule,
 full batch, so curriculum effects are observable end to end without a real
 LM. The student trains on the windows build_stage_loss_specs cuts: it scores
 a token whose position is at or past its question's input_end, so neither a
-window nor the student copies a weight.
+window nor the student copies a weight. write_loss_specs writes the windows
+as losses.jsonl, one line per stage at which some window changes.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, token_numbering
+from .corpus import Corpus, Question, encode, token_numbering
 
 BOS_ID = 0
 BOS_TOKEN = "<bos>"
@@ -49,14 +49,18 @@ class LossWindows:
 
 
 def write_loss_specs(windows: LossWindows, path) -> None:
-    """One line of loss ranges per window change: the window of question id
-    from stage t until that question's next line. The weights are left out:
-    a window scores the run's token weights over [input_end, n_tokens)."""
-    ids = [json.dumps(qid) for qid in windows.ids]
+    """One line of loss ranges per stage at which some window changes:
+    {"t", "input_end": {id: input_end}}, the ids in corpus order, each the
+    window of question id from stage t until the next line that names it.
+    The weights are left out: a window scores the run's token weights over
+    [input_end, n_tokens)."""
+    stages, firsts = np.unique(windows.stage, return_index=True)
+    bounds = [*firsts.tolist(), len(windows)]
+    ids, rows, ends = windows.ids, windows.row.tolist(), windows.input_end.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        # the line json.dumps gives for the record's dict, at a fifth of the cost
-        for t, i, end in zip(windows.stage.tolist(), windows.row.tolist(), windows.input_end.tolist()):
-            fh.write(f'{{"t": {t}, "id": {ids[i]}, "input_end": {end}}}\n')
+        for t, lo, hi in zip(stages.tolist(), bounds, bounds[1:]):
+            changed = {ids[i]: end for i, end in zip(rows[lo:hi], ends[lo:hi])}
+            fh.write(encode({"t": t, "input_end": changed}) + "\n")
 
 
 def build_stage_loss_specs(corpus: Corpus, stages: np.ndarray, epochs: int) -> LossWindows:
@@ -234,9 +238,9 @@ def write_trace(trace: StudentTrace, path) -> None:
     The input-step counts are not repeated here: epoch e's are
     schedule.json stage e's "c"."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"epoch_losses": ' + json.dumps(trace.epoch_losses) + ',\n"final_token_probs": {')
+        fh.write('{"epoch_losses":' + encode(trace.epoch_losses) + ',\n"final_token_probs":{')
         sep = "\n"
         for qid, p in trace.final_token_probs.items():
-            fh.write(sep + json.dumps(qid) + ": " + json.dumps(p.tolist()))
+            fh.write(sep + encode(qid) + ":" + encode(p.tolist()))
             sep = ",\n"
         fh.write("\n}}\n")

@@ -10,12 +10,11 @@ horizon stops the curriculum at its last stage.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
-from .corpus import Corpus, check_ints, expect_type, json_object, read_json
+from .corpus import Corpus, check_ints, encode, expect_type, json_object, read_json
 from .difficulty import DifficultyTable, question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
 
@@ -167,7 +166,7 @@ def write_schedule(schedule: Schedule, path) -> None:
     """One JSON document, one stage per line; a stage's "c" is built from its
     row of counts alone, so the whole matrix is never converted at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"stages": [')
+        fh.write('{"stages":[')
         sep = "\n"
         for t, (rec, row) in enumerate(zip(schedule.stages, schedule.counts)):
             stage = {
@@ -178,9 +177,9 @@ def write_schedule(schedule: Schedule, path) -> None:
                 "H": rec.h_after,
                 "c": dict(zip(schedule.ids, row.tolist())),
             }
-            fh.write(sep + json.dumps(stage))
+            fh.write(sep + encode(stage))
             sep = ",\n"
-        fh.write('\n],\n"params": ' + json.dumps(schedule.params) + "}\n")
+        fh.write('\n],\n"params":' + encode(schedule.params) + "}\n")
 
 
 def read_schedule(path, corpus: Corpus) -> np.ndarray:

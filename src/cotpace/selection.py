@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import json
 import math
 from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from . import accel
-from .corpus import Corpus, check_ints, expect_type, read_json
+from .corpus import Corpus, check_ints, encode, expect_type, read_json
 from .difficulty import DifficultyTable
 
 # Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
@@ -156,7 +155,7 @@ def _best_singleton(problem: SelectionProblem) -> tuple[str | None, float]:
 
 def write_clusters(clusters: ClusterAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"n_clusters": clusters.n_clusters, "assignment": clusters.assignment}) + "\n")
+        fh.write(encode({"n_clusters": clusters.n_clusters, "assignment": clusters.assignment}) + "\n")
 
 
 def read_clusters(path, corpus: Corpus) -> ClusterAssignment:

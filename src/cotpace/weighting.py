@@ -14,12 +14,11 @@ from __future__ import annotations
 import base64
 import dataclasses
 import functools
-import json
 import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, read_vectors, token_numbering, write_vectors
+from .corpus import Corpus, Question, encode, read_vectors, token_numbering, write_vectors
 
 SOFT_LO = 1e-12
 SOFT_HI = 1.0 - 1e-12
@@ -566,7 +565,7 @@ def save_model(model: TokenWeightModel, path) -> None:
     np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"]).
     The parameters are encoded one at a time, so the writer holds at most one
     parameter's base64 text beside the model."""
-    head = json.dumps(
+    head = encode(
         {
             "format": MODEL_FORMAT,
             "format_version": MODEL_FORMAT_VERSION,
@@ -578,9 +577,9 @@ def save_model(model: TokenWeightModel, path) -> None:
     )
     with open(path, "wb") as fh:
         # the head's closing brace comes after params
-        fh.write(head[:-1].encode("ascii") + b', "params": {')
+        fh.write(head[:-1].encode("ascii") + b',"params":{')
         for i, (name, arr) in enumerate(model.params.items()):
-            field = f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(arr.shape)}, "data": "'
+            field = f'{"," if i else ""}{encode(name)}:{{"shape":{encode(arr.shape)},"data":"'
             fh.write(field.encode("ascii"))
             fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8")))
             fh.write(b'"}')

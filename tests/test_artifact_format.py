@@ -1,24 +1,31 @@
 """The JSON artifacts: documents equal to the indented ones written before,
-encoded one record at a time."""
+encoded one record at a time as compact JSON, and still read in the spaced
+encoding written before that."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cotpace.difficulty import compute_table
+from cotpace.cli import main
+from cotpace.corpus import parse_corpus, write_corpus
+from cotpace.difficulty import compute_table, read_table
 from cotpace.loss_shaping import StudentConfig, StudentTrace, simulate_student, write_trace
 from cotpace.schedule import (
     BudgetCurve,
     Schedule,
     StageRecord,
     plan_full_schedule,
+    read_schedule,
     write_schedule,
 )
-from cotpace.selection import kmeans_cluster, write_clusters
+from cotpace.selection import kmeans_cluster, read_clusters, write_clusters
 from cotpace.synth import make_arith_corpus
+from cotpace.weighting import read_weights, write_weights
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +136,117 @@ def test_write_trace_encodes_one_question_at_a_time(tmp_path):
     path = tmp_path / "trace.json"
     peak = _peak_bytes(lambda: write_trace(trace, path))
     assert peak < path.stat().st_size / 2
+
+
+# --- the encoding of every artifact the pipeline writes ----------------------
+
+
+REPLAN_STAGES = ("assess", "cluster", "schedule", "shape-loss", "simulate")
+
+
+def _cli(*argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory, bundled_corpus_path):
+    """(--out of each pipeline, the replan corpus path): run --simulate on the
+    bundled corpus with a short trainer, and the five replan commands on 60
+    questions with given weights."""
+    base = tmp_path_factory.mktemp("written")
+    outs = {"run": base / "run", "replan": base / "replan"}
+    _cli("run", "--simulate", "--corpus", str(bundled_corpus_path), "--out", str(outs["run"]),
+         "--weight-epochs", "2", "--restarts", "1", "--seed", "1", "--epochs", "6")
+    corpus = make_arith_corpus(60, seed=5)
+    corpus_path = base / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    outs["replan"].mkdir()
+    rng = np.random.default_rng(5)
+    write_weights({q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions},
+                  outs["replan"] / "weights.jsonl")
+    for stage in REPLAN_STAGES:
+        _cli(stage, "--corpus", str(corpus_path), "--out", str(outs["replan"]), "--seed", "1", "--epochs", "8")
+    return outs, corpus_path
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("pipeline, names", [
+    ("run", ["clusters.json", "difficulty.jsonl", "losses.jsonl", "schedule.json", "trace.json",
+             "weight_model.json", "weights.jsonl"]),
+    ("replan", ["clusters.json", "difficulty.jsonl", "losses.jsonl", "schedule.json", "trace.json",
+                "weights.jsonl"]),
+])
+def test_every_artifact_is_compact_json(written, pipeline, names):
+    # every writer put a space after each "," and ":"
+    out = written[0][pipeline]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        text = (out / name).read_text(encoding="utf-8")
+        if name.endswith(".jsonl"):
+            for line in text.splitlines():
+                assert line == _compact(json.loads(line)), name
+        else:  # one record per line: the newlines between records are all it adds
+            assert text.replace("\n", "") == _compact(json.loads(text)), name
+
+
+@pytest.mark.parametrize("pipeline", ["run", "replan"])
+def test_losses_jsonl_has_one_line_per_stage_with_a_change(written, pipeline):
+    # losses.jsonl had one line per window change
+    out = written[0][pipeline]
+    stages = [rec["c"] for rec in json.loads((out / "schedule.json").read_text())["stages"]]
+    epochs = len(json.loads((out / "trace.json").read_text())["epoch_losses"])
+    lines = [json.loads(line) for line in (out / "losses.jsonl").read_text().splitlines()]
+    changed = [t for t in range(1, epochs + 1) if t == 1 or stages[t] != stages[t - 1]]
+    assert len(changed) > 1
+    assert [rec["t"] for rec in lines] == changed  # ascending, each stage once
+    assert list(lines[0]["input_end"]) == list(stages[1])  # stage 1 lists every question, in corpus order
+
+
+def _spaced(path, out) -> None:
+    """path rewritten into out as the writers wrote it before they were
+    compact: json.dumps with its default separators, in the same layout."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
+    elif path.name == "schedule.json":
+        doc = json.loads(text)
+        stages = ",".join("\n" + json.dumps(stage) for stage in doc["stages"])
+        spaced = '{"stages": [' + stages + '\n],\n"params": ' + json.dumps(doc["params"]) + "}\n"
+    else:
+        spaced = json.dumps(json.loads(text)) + "\n"
+    assert spaced != text
+    (out / path.name).write_text(spaced, encoding="utf-8")
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_an_out_directory_in_the_spaced_encoding_reads_the_same(written, tmp_path):
+    outs, corpus_path = written
+    compact = outs["replan"]
+    corpus = parse_corpus(corpus_path)
+    readers = {
+        "weights.jsonl": read_weights,
+        "difficulty.jsonl": lambda path, corpus: read_table(path, corpus).steps,
+        "clusters.json": read_clusters,
+        "schedule.json": read_schedule,
+    }
+    old = tmp_path / "old"
+    old.mkdir()
+    for name, read in readers.items():
+        _spaced(compact / name, old)
+        assert _same(read(old / name, corpus), read(compact / name, corpus)), name
+    # the stages downstream of each file write what they wrote from the compact ones
+    argv = ["--corpus", str(corpus_path), "--out", str(old), "--seed", "1", "--epochs", "8"]
+    for stage, artifact in (("shape-loss", "losses.jsonl"), ("simulate", "trace.json"), ("schedule", "schedule.json")):
+        _cli(stage, *argv)
+        assert (old / artifact).read_bytes() == (compact / artifact).read_bytes(), stage

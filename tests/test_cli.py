@@ -370,7 +370,7 @@ def test_a_repeated_key_in_clusters_json_exit_2(tmp_path, small_corpus_path, cap
     out, argv = _assess_and_cluster(tmp_path, small_corpus_path)
     path = out / "clusters.json"
     # the last value won: schedule exited 0 and planned with q003 in cluster 4
-    path.write_text(path.read_text().replace('"q003": ', '"q003": 4, "q003": ', 1))
+    path.write_text(path.read_text().replace('"q003":', '"q003":4,"q003":', 1))
     capsys.readouterr()
     assert main(["schedule", *argv]) == 2
     assert capsys.readouterr().err == f"error: {path}: repeated key 'q003'\n"

@@ -227,13 +227,13 @@ def test_the_student_trains_on_the_windows_shape_stage_loss_cuts(monkeypatch, bu
 
 def _expand(lines: list[str], stages: list[int]) -> dict[int, dict[str, int]]:
     """losses.jsonl carried forward: at each stage, every id's window start
-    from its last line at or before that stage."""
+    from its last line at or before that stage, one line per stage."""
     records = [json.loads(line) for line in lines]
-    assert [r["t"] for r in records] == sorted(r["t"] for r in records)
+    assert [r["t"] for r in records] == sorted({r["t"] for r in records})
     held: dict[str, int] = {}
     out = {}
     for t in stages:
-        held.update((r["id"], r["input_end"]) for r in records if r["t"] == t)
+        held.update(next((r["input_end"] for r in records if r["t"] == t), {}))
         out[t] = dict(held)
     return out
 
@@ -243,7 +243,8 @@ def test_losses_file_expands_to_every_stage(tmp_path, bundled_corpus):
     path = tmp_path / "losses.jsonl"
     write_loss_specs(build_stage_loss_specs(bundled_corpus, count_matrix(bundled_corpus, sched), 6), path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == _distinct_pairs(sched, 6)
+    changed = [t for t in range(1, 7) if t == 1 or sched[t] != sched[t - 1]]
+    assert len(lines) == len(changed)
     assert any(  # a count that drops and then holds
         sched[t - 1][qid] > sched[t][qid] == sched[t + 1][qid] for t in range(2, 6) for qid in sched[t]
     )
@@ -262,11 +263,14 @@ def test_losses_file_holds_ranges_only(tmp_path, bundled_corpus):
     path = tmp_path / "losses.jsonl"
     write_loss_specs(windows, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(windows)
-    for line, t, i, end in zip(lines, windows.stage, windows.row, windows.input_end):
+    assert len(lines) == len(set(windows.stage.tolist()))
+    for line in lines:
         rec = json.loads(line)
-        assert list(rec) == ["t", "id", "input_end"]
-        assert rec == {"t": t, "id": bundled_corpus.questions[i].id, "input_end": end}
+        assert list(rec) == ["t", "input_end"]
+        at = windows.stage == rec["t"]
+        ids = [bundled_corpus.questions[i].id for i in windows.row[at]]
+        assert rec["input_end"] == dict(zip(ids, windows.input_end[at].tolist()))
+        assert list(rec["input_end"]) == ids  # in corpus order
 
 
 # --- the tabular student ---------------------------------------------------------
