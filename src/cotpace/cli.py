@@ -23,8 +23,10 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .corpus import parse_corpus, read_text
-from .difficulty import compute_table, read_table, synthetic_logprobs, write_table
+from .difficulty import compute_table, corpus_logprobs, read_table, synthetic_logprobs, write_table
 from .loss_shaping import (
     StudentConfig,
     build_stage_loss_specs,
@@ -77,7 +79,7 @@ class PipelineConfig:
     seed: int | None = _knob(None, "master seed (required here or in the config)", ge=-(2**63), le=2**63 - 1)
     lenient: bool = _knob(False, "ignore unknown corpus keys")
     synthetic_logprobs: int | None = _knob(
-        None, "generate seeded logprobs instead of requiring token_logprobs", metavar="SEED", ge=0
+        None, "score seeded logprobs for every question, in place of any token_logprobs", metavar="SEED", ge=0
     )
     # significance model
     alpha: float = _stage_knob(WeightingConfig, "alpha", "mask-ratio penalty", ge=0)
@@ -253,14 +255,15 @@ WEIGHTS, MODEL, DIFFICULTY, CLUSTERS = "weights.jsonl", "weight_model.json", "di
 SCHEDULE, LOSSES, TRACE = "schedule.json", "losses.jsonl", "trace.json"
 
 # The reader of each file a stage takes from --out: (path, corpus) -> value.
-# Without weights.jsonl the corpus token_weights serve (uniform where absent).
+# The token weights of every question, which assess and simulate share, come
+# from weights.jsonl, else from the question's corpus token_weights, else ones.
 # Here and in STAGES each cotpace call sits in a lambda, so it is looked up at
 # call time among this module's globals, where pipebench/traced_cli.py wraps it.
 READERS = {
     WEIGHTS: lambda path, corpus: (
         read_weights(path, corpus)
         if path.exists()
-        else {q.id: q.token_weights for q in corpus.questions if q.token_weights is not None}
+        else {q.id: np.ones(q.n_tokens) if q.token_weights is None else q.token_weights for q in corpus.questions}
     ),
     DIFFICULTY: lambda path, corpus: read_table(path, corpus),
     CLUSTERS: lambda path, corpus: read_clusters(path, corpus),
@@ -322,8 +325,10 @@ STAGES = {
         reads=(WEIGHTS,),
         compute=lambda cfg, corpus, inputs: compute_table(
             corpus,
-            weights=inputs[WEIGHTS],
-            logprobs=None if cfg.synthetic_logprobs is None else synthetic_logprobs(corpus, cfg.synthetic_logprobs),
+            inputs[WEIGHTS],
+            synthetic_logprobs(corpus, cfg.synthetic_logprobs)
+            if cfg.synthetic_logprobs is not None
+            else corpus_logprobs(corpus),
         ),
         writes=((DIFFICULTY, lambda table, path: write_table(table, path)),),
         note=lambda cfg, table: f"total difficulty {table.corpus_total:.4f}",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .corpus import Corpus, Question, read_vectors, write_vectors
+from .corpus import Corpus, read_vectors, write_vectors
 
 
 def normalize_step_weights(weights: np.ndarray, span: tuple[int, int]) -> np.ndarray:
@@ -49,35 +49,25 @@ class DifficultyTable:
                     raise OverflowError(f"total difficulty overflows a float at question {qid!r}") from None
 
 
-def _question_logprobs(q: Question, logprobs: dict[str, np.ndarray] | None) -> np.ndarray:
-    if logprobs is not None and q.id in logprobs:
-        return logprobs[q.id]
-    if q.token_logprobs is not None:
-        return q.token_logprobs
-    raise ValueError(
-        f"question {q.id!r} has no token_logprobs; supply them in the corpus, pass a logprobs"
-        " map, or generate synthetic ones (synthetic_logprobs)"
-    )
+def corpus_logprobs(corpus: Corpus) -> dict[str, np.ndarray]:
+    """Every question's token_logprobs from the corpus; refuses a question
+    without them."""
+    for q in corpus.questions:
+        if q.token_logprobs is None:
+            raise ValueError(
+                f"question {q.id!r} has no token_logprobs; supply them in the corpus, or generate"
+                " synthetic ones (synthetic_logprobs)"
+            )
+    return {q.id: q.token_logprobs for q in corpus.questions}
 
 
-def compute_table(
-    corpus: Corpus,
-    weights: dict[str, np.ndarray] | None = None,
-    logprobs: dict[str, np.ndarray] | None = None,
-) -> DifficultyTable:
-    """Score every step of every question.
-
-    Raw significance weights come from the weights map, else a constant
-    (softmax of a constant is uniform, so unweighted scoring falls out as
-    the default).
-    """
+def compute_table(corpus: Corpus, weights: dict[str, np.ndarray], logprobs: dict[str, np.ndarray]) -> DifficultyTable:
+    """Score every step of every question from its raw significance weights
+    weights[id] and its log-probabilities logprobs[id]; each map holds every
+    corpus question."""
     steps: dict[str, np.ndarray] = {}
     for q in corpus.questions:
-        lp = _question_logprobs(q, logprobs)
-        if weights is not None and q.id in weights:
-            w = weights[q.id]
-        else:
-            w = np.zeros(q.n_tokens, dtype=np.float64)
+        lp, w = logprobs[q.id], weights[q.id]
         d = np.empty(q.n_steps, dtype=np.float64)
         for k, span in enumerate(q.step_spans):
             d[k] = step_difficulty(lp, normalize_step_weights(w, span), span)

@@ -137,26 +137,12 @@ def _descend(counts: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, scale:
     return total
 
 
-def _token_weights(corpus: Corpus, weights: dict[str, np.ndarray] | None) -> np.ndarray:
-    """Every rationale token's weight in corpus order: weights[id] where the
-    map has the question, else 1."""
-    parts = []
-    for q in corpus.questions:
-        w = weights.get(q.id) if weights else None
-        parts.append(np.ones(q.n_tokens) if w is None else w)
-    return np.concatenate(parts)
-
-
-def _run_student(
-    corpus: Corpus,
-    weights: dict[str, np.ndarray] | None,
-    epoch_ends,
-    config: StudentConfig,
-) -> StudentTrace:
-    """Full-batch gradient descent on weighted NLL. epoch_ends yields each
-    epoch's window starts (input_end) in corpus order; simulate_student and
-    the plain-training oracle (tests/oracles.py) share this engine so they
-    differ only in the window starts fed in.
+def _run_student(corpus: Corpus, weights: dict[str, np.ndarray], epoch_ends, config: StudentConfig) -> StudentTrace:
+    """Full-batch gradient descent on weighted NLL, question id's tokens
+    weighted by weights[id]. epoch_ends yields each epoch's window starts
+    (input_end) in corpus order; simulate_student and the plain-training
+    oracle (tests/oracles.py) share this engine so they differ only in the
+    window starts fed in.
 
     The student's next-token distribution depends only on the previous
     token, so an epoch's loss and gradient follow from the summed weight
@@ -178,7 +164,7 @@ def _run_student(
     pair *= nv
     pair += target
     del target
-    w = _token_weights(corpus, weights)
+    w = np.concatenate([weights[q.id] for q in questions])
     rng = np.random.default_rng(config.seed)
     unigram = rng.normal(0.0, INIT_SCALE, size=nv)
     bigram = rng.normal(0.0, INIT_SCALE, size=(nv, nv))
@@ -223,12 +209,13 @@ def _epoch_window_starts(windows: LossWindows, epochs: int):
 def simulate_student(
     corpus: Corpus,
     stages: np.ndarray,
-    weights: dict[str, np.ndarray] | None,
+    weights: dict[str, np.ndarray],
     config: StudentConfig,
 ) -> StudentTrace:
     """Train the tabular student for config.epochs epochs, epoch e on the
     loss windows build_stage_loss_specs cuts for schedule stage e; stages
-    is read_schedule's count matrix."""
+    is read_schedule's count matrix, and weights holds every corpus
+    question's token weights."""
     windows = build_stage_loss_specs(corpus, stages, config.epochs)
     return _run_student(corpus, weights, _epoch_window_starts(windows, config.epochs), config)
 

@@ -6,7 +6,8 @@ relaxed-Bernoulli mask draw, gradient_check checks the trainer's analytic
 gradients, and evaluate_loss and train_plain check the loss windows and
 the scheduled student. count_matrix turns a schedule a test writes by hand
 into read_schedule's matrix; a planned schedule already holds it as
-Schedule.counts.
+Schedule.counts. uniform_weights is the weights map the command line builds
+for a corpus without token_weights when --out holds no weights.jsonl.
 """
 from __future__ import annotations
 
@@ -222,9 +223,7 @@ def evaluate_loss(input_end: int, logprobs: np.ndarray, weights: np.ndarray | No
     return -float(np.dot(w[input_end:], window))
 
 
-def train_plain(
-    corpus: Corpus, weights: dict[str, np.ndarray] | None, config: StudentConfig
-) -> StudentTrace:
+def train_plain(corpus: Corpus, weights: dict[str, np.ndarray], config: StudentConfig) -> StudentTrace:
     """Same student, no curriculum: every epoch scores the whole rationale."""
     zeros = np.zeros(len(corpus.questions), dtype=np.int64)
     return _run_student(corpus, weights, itertools.repeat(zeros), config)
@@ -236,3 +235,8 @@ def count_matrix(corpus: Corpus, stages: Iterable[dict[str, int]]) -> np.ndarray
     column per corpus question."""
     rows = [[counts[q.id] for q in corpus.questions] for counts in stages]
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(corpus.questions))
+
+
+def uniform_weights(corpus: Corpus) -> dict[str, np.ndarray]:
+    """A weight of 1 for every rationale token of every corpus question."""
+    return {q.id: np.ones(q.n_tokens) for q in corpus.questions}

@@ -18,6 +18,7 @@ from cotpace.corpus import Question
 from cotpace.difficulty import (
     DifficultyTable,
     compute_table,
+    corpus_logprobs,
     normalize_step_weights,
     question_generation_difficulty,
     step_difficulty,
@@ -32,7 +33,16 @@ from cotpace.selection import (
 )
 from cotpace.synth import KEY_TOKENS, make_keypoint_corpus
 from cotpace.weighting import WeightingConfig, build_model, train_weighting
-from oracles import count_matrix, evaluate_loss, gradient_check, gumbel_sample, marginal_gain, select_bruteforce, train_plain
+from oracles import (
+    count_matrix,
+    evaluate_loss,
+    gradient_check,
+    gumbel_sample,
+    marginal_gain,
+    select_bruteforce,
+    train_plain,
+    uniform_weights,
+)
 
 
 def _random_instance(rng: np.random.Generator) -> SelectionProblem:
@@ -133,7 +143,7 @@ def test_criterion_4_schedule_invariants(
     # reads only each stage's t and c
     with open(tmp_path / "schedule.json", encoding="utf-8") as fh:
         plan = json.load(fh)
-    table = compute_table(bundled_corpus)
+    table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     horizon = plan["params"]["horizon"]
     max_increment = max(float(arr.max()) for arr in table.steps.values())
     curve = BudgetCurve.solve(
@@ -271,8 +281,8 @@ def test_criterion_8_loss_shaping_equivalence(criterion_report, bundled_corpus):
         assert abs(evaluate_loss(end, lp) - plain_nll) <= 1e-9
     cfg = StudentConfig(epochs=6, lr=0.5, seed=88)
     zeros = count_matrix(bundled_corpus, [{q.id: 0 for q in bundled_corpus.questions}] * (cfg.epochs + 1))
-    sim = simulate_student(bundled_corpus, zeros, None, cfg)
-    plain = train_plain(bundled_corpus, None, cfg)
+    sim = simulate_student(bundled_corpus, zeros, uniform_weights(bundled_corpus), cfg)
+    plain = train_plain(bundled_corpus, uniform_weights(bundled_corpus), cfg)
     assert sim.epoch_losses == plain.epoch_losses
     assert np.array_equal(sim.unigram, plain.unigram)
     assert np.array_equal(sim.bigram, plain.bigram)

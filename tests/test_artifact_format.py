@@ -13,7 +13,7 @@ import pytest
 
 from cotpace.cli import main
 from cotpace.corpus import parse_corpus, write_corpus
-from cotpace.difficulty import compute_table, read_table
+from cotpace.difficulty import compute_table, corpus_logprobs, read_table
 from cotpace.loss_shaping import StudentConfig, StudentTrace, simulate_student, write_trace
 from cotpace.schedule import (
     BudgetCurve,
@@ -26,19 +26,21 @@ from cotpace.schedule import (
 from cotpace.selection import kmeans_cluster, read_clusters, write_clusters
 from cotpace.synth import make_arith_corpus
 from cotpace.weighting import read_weights, write_weights
+from oracles import uniform_weights
 
 
 @pytest.fixture(scope="module")
 def planned():
     """A schedule, its clusters and the simulated student on 60 questions."""
     corpus = make_arith_corpus(60, seed=5)
-    table = compute_table(corpus)
+    weights = uniform_weights(corpus)
+    table = compute_table(corpus, weights, corpus_logprobs(corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 3, seed=2)
     curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=5)
     plan = plan_full_schedule(
         corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=10
     )
-    trace = simulate_student(corpus, plan.counts, None, StudentConfig(epochs=10, seed=4))
+    trace = simulate_student(corpus, plan.counts, weights, StudentConfig(epochs=10, seed=4))
     return plan, clusters, trace
 
 

@@ -32,8 +32,10 @@ from cotpace.cli import (
     stage_seed,
 )
 from cotpace.corpus import parse_corpus, write_corpus
+from cotpace.difficulty import compute_table, synthetic_logprobs, write_table
 from cotpace.synth import make_arith_corpus, make_keypoint_corpus
 from cotpace.weighting import WeightingConfig, write_weights
+from oracles import uniform_weights
 
 ARTIFACTS = [
     "weights.jsonl",
@@ -596,6 +598,49 @@ def test_corpus_token_weights_reach_the_student(tmp_path, capsys):
     for stage in ("assess", "cluster", "schedule", "simulate"):
         assert main([stage, "--corpus", str(plain_path), "--out", str(unweighted), "--seed", "1", "--epochs", "4"]) == 0
     assert (unweighted / "trace.json").read_bytes() != a["trace.json"]
+
+
+def test_a_corpus_with_some_token_weights_scores_ones_for_the_rest(tmp_path, capsys):
+    # with no weights.jsonl, assess and simulate take each question's corpus
+    # token_weights where it has them and a weight of 1 per token where not
+    corpus = make_arith_corpus(10, seed=78)
+    rng = np.random.default_rng(78)
+    weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+    plain_path = tmp_path / "plain.jsonl"
+    write_corpus(corpus, plain_path)
+    for q in corpus.questions[::2]:
+        q.token_weights = weights[q.id].tolist()
+    for q in corpus.questions[1::2]:
+        weights[q.id] = np.ones(q.n_tokens)
+    mixed_path = tmp_path / "mixed.jsonl"
+    write_corpus(corpus, mixed_path)
+    outs = {"in-corpus": (mixed_path, tmp_path / "a"), "weights.jsonl": (plain_path, tmp_path / "b")}
+    outs["weights.jsonl"][1].mkdir()
+    write_weights(weights, outs["weights.jsonl"][1] / "weights.jsonl")
+    for corpus_path, out in outs.values():
+        for stage in ("assess", "cluster", "schedule", "shape-loss", "simulate"):
+            argv = [stage, "--corpus", str(corpus_path), "--out", str(out), "--seed", "1", "--epochs", "4"]
+            assert main(argv) == 0, stage
+    names = ["difficulty.jsonl", "clusters.json", "schedule.json", "losses.jsonl", "trace.json"]
+    a, b = (_read_artifacts(out, names) for _, out in outs.values())
+    assert a == b
+    assert not (tmp_path / "a" / "weights.jsonl").exists()
+
+
+def test_synthetic_logprobs_replace_the_corpus_logprobs(tmp_path, capsys):
+    corpus = make_arith_corpus(8, seed=79)
+    assert all(q.token_logprobs is not None for q in corpus.questions)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    corpus = parse_corpus(path)
+    base = ["assess", "--corpus", str(path), "--seed", "1"]
+    assert main([*base, "--out", str(tmp_path / "synthetic"), "--synthetic-logprobs", "5"]) == 0
+    assert main([*base, "--out", str(tmp_path / "corpus")]) == 0
+    expected = compute_table(corpus, uniform_weights(corpus), synthetic_logprobs(corpus, 5))
+    write_table(expected, tmp_path / "expected.jsonl")
+    synthetic = (tmp_path / "synthetic" / "difficulty.jsonl").read_bytes()
+    assert synthetic == (tmp_path / "expected.jsonl").read_bytes()
+    assert synthetic != (tmp_path / "corpus" / "difficulty.jsonl").read_bytes()
 
 
 def test_trace_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus_path):

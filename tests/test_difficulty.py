@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotpace.cli import READERS, WEIGHTS
 from cotpace.corpus import Corpus, Question
 from cotpace.difficulty import (
     DifficultyTable,
     compute_table,
+    corpus_logprobs,
     normalize_step_weights,
     question_generation_difficulty,
     read_table,
@@ -20,6 +22,8 @@ from cotpace.difficulty import (
     synthetic_logprobs,
     write_table,
 )
+from cotpace.weighting import write_weights
+from oracles import uniform_weights
 
 
 def _question(qid, logprobs, weights=None, steps=None):
@@ -30,10 +34,16 @@ def _question(qid, logprobs, weights=None, steps=None):
         answer_text="a",
         rationale_tokens=tokens,
         step_spans=steps or [(0, len(tokens))],
-        token_logprobs=list(logprobs),
-        token_weights=list(weights) if weights is not None else None,
+        token_logprobs=np.array(logprobs, dtype=np.float64),
+        token_weights=np.array(weights, dtype=np.float64) if weights is not None else None,
         embedding=np.zeros(4),
     )
+
+
+def _uniform_table(corpus):
+    """The table assess writes for a corpus without token_weights and with no
+    weights.jsonl: ones for every token, the corpus token_logprobs."""
+    return compute_table(corpus, uniform_weights(corpus), corpus_logprobs(corpus))
 
 
 # --- normalize_step_weights ---------------------------------------------------
@@ -94,7 +104,7 @@ def test_step_difficulty_zero_weight_annihilates():
 
 def test_generation_difficulty_boundaries():
     q = _question("q", [-1.0, -2.0, -3.0], steps=[(0, 1), (1, 2), (2, 3)])
-    table = compute_table(Corpus([q], 4))
+    table = _uniform_table(Corpus([q], 4))
     assert question_generation_difficulty(table, "q", 3) == 0.0
     assert question_generation_difficulty(table, "q", 0) == math.fsum(table.steps["q"])
 
@@ -105,16 +115,16 @@ def test_generation_difficulty_hand_case():
 
 
 def test_corpus_total_empty_and_sum():
-    assert compute_table(Corpus([], 4)).corpus_total == 0.0
+    assert _uniform_table(Corpus([], 4)).corpus_total == 0.0
     qa = _question("a", [-1.5])
     qb = _question("b", [-2.5])
-    table = compute_table(Corpus([qa, qb], 4))
+    table = _uniform_table(Corpus([qa, qb], 4))
     assert table.steps["a"].tolist() == [1.5] and table.steps["b"].tolist() == [2.5]
     assert table.corpus_total == 4.0
 
 
 def test_totals_match_parts(bundled_corpus):
-    table = compute_table(bundled_corpus)
+    table = _uniform_table(bundled_corpus)
     for qid, d in table.steps.items():
         assert np.all(d >= 0.0)
     # the fsum of each question's fsum, in any order (fsum is exactly rounded)
@@ -124,31 +134,40 @@ def test_totals_match_parts(bundled_corpus):
 
 def test_bundled_corpus_golden_total(bundled_corpus, golden_dir):
     doc = json.loads((golden_dir / "golden_difficulty_total.json").read_text())
-    table = compute_table(bundled_corpus)
+    table = _uniform_table(bundled_corpus)
     assert abs(table.corpus_total - doc["B"]) < 1e-9
 
 
 # --- compute_table plumbing ---------------------------------------------------
 
 
-def test_compute_table_weight_precedence():
+def test_assess_weights_come_from_the_file_else_the_corpus_else_ones(tmp_path):
+    # cli.READERS is the one place that picks the weights assess and simulate
+    # score; compute_table scores only the map it is given
     q = _question("q", [-1.0, -2.0], weights=[0.0, 1.0])
-    corpus = Corpus([q], 4)
-    # without a map every step is scored uniformly: the run's weights, the
-    # record's included, reach compute_table only through the map
-    assert compute_table(corpus).steps["q"][0] == 1.5
-    assert compute_table(corpus, weights={}).steps["q"][0] == 1.5
-    # the map's weights are the ones scored
-    override = compute_table(corpus, weights={"q": np.array([1.0, 0.0])}).steps["q"][0]
+    bare = _question("bare", [-1.0, -2.0])
+    corpus = Corpus([q, bare], 4)
+    read = READERS[WEIGHTS]
+    # no weights.jsonl: the record's weights, else a weight of 1 per token
+    fallback = read(tmp_path / "weights.jsonl", corpus)
+    assert np.array_equal(fallback["q"], [0.0, 1.0]) and np.array_equal(fallback["bare"], [1.0, 1.0])
+    table = compute_table(corpus, fallback, corpus_logprobs(corpus))
+    # a weight of 1 per token scores every step uniformly
+    assert table.steps["bare"][0] == 1.5
+    expected_record = -float(np.dot(normalize_step_weights(np.array([0.0, 1.0]), (0, 2)), [-1.0, -2.0]))
+    assert abs(table.steps["q"][0] - expected_record) < 1e-12
+    # weights.jsonl's weights are the ones scored, over the record's
+    write_weights({"q": np.array([1.0, 0.0]), "bare": np.array([0.5, 0.5])}, tmp_path / "weights.jsonl")
+    override = compute_table(corpus, read(tmp_path / "weights.jsonl", corpus), corpus_logprobs(corpus)).steps["q"][0]
     expected_override = -float(np.dot(normalize_step_weights(np.array([1.0, 0.0]), (0, 2)), [-1.0, -2.0]))
     assert abs(override - expected_override) < 1e-12
 
 
-def test_compute_table_missing_logprobs_instructs():
+def test_corpus_logprobs_refuses_a_question_without_them():
     q = _question("q", [-1.0])
     q.token_logprobs = None
     with pytest.raises(ValueError, match="synthetic_logprobs"):
-        compute_table(Corpus([q], 4))
+        corpus_logprobs(Corpus([_question("first", [-2.0]), q], 4))
 
 
 def test_synthetic_logprobs_deterministic(bundled_corpus):
@@ -167,7 +186,7 @@ def test_synthetic_logprobs_deterministic(bundled_corpus):
 
 
 def test_table_round_trip(bundled_corpus, tmp_path):
-    table = compute_table(bundled_corpus)
+    table = _uniform_table(bundled_corpus)
     path = tmp_path / "difficulty.jsonl"
     write_table(table, path)
     back = read_table(path, bundled_corpus)
@@ -203,7 +222,8 @@ def test_h_non_increasing_in_input_steps(data):
     lp = [data.draw(st.floats(-5.0, 0.0)) for _ in range(pos)]
     tw = [data.draw(st.floats(0.0, 1.0)) for _ in range(pos)]
     q = _question("q", lp, weights=tw, steps=spans)
-    table = compute_table(Corpus([q], 4), weights={"q": np.array(tw)})
+    corpus = Corpus([q], 4)
+    table = compute_table(corpus, {"q": np.array(tw)}, corpus_logprobs(corpus))
     values = [question_generation_difficulty(table, "q", c) for c in range(n_steps + 1)]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-12

@@ -11,7 +11,7 @@ import pytest
 
 from cotpace import loss_shaping
 from cotpace.corpus import Corpus, Question
-from cotpace.difficulty import compute_table
+from cotpace.difficulty import compute_table, corpus_logprobs
 from cotpace.loss_shaping import (
     BOS_ID,
     StudentConfig,
@@ -24,7 +24,7 @@ from cotpace.loss_shaping import (
 from cotpace.schedule import BudgetCurve, plan_full_schedule, read_schedule, write_schedule
 from cotpace.selection import kmeans_cluster
 from cotpace.synth import make_arith_corpus
-from oracles import count_matrix, evaluate_loss, train_plain
+from oracles import count_matrix, evaluate_loss, train_plain, uniform_weights
 
 
 def _question(qid: str = "q", spans=((0, 3), (3, 5))) -> Question:
@@ -221,7 +221,7 @@ def test_the_student_trains_on_the_windows_shape_stage_loss_cuts(monkeypatch, bu
 
     monkeypatch.setattr(loss_shaping, "shape_stage_loss", empty)
     sched = _zero_schedule(bundled_corpus, 5)  # every token scored, had the student cut its own windows
-    trace = simulate_student(bundled_corpus, sched, None, StudentConfig(epochs=5))
+    trace = simulate_student(bundled_corpus, sched, uniform_weights(bundled_corpus), StudentConfig(epochs=5))
     assert trace.epoch_losses == [0.0] * 5
 
 
@@ -282,8 +282,9 @@ def test_zero_curriculum_matches_plain_training_bitwise(bundled_corpus):
     )
     cfg = StudentConfig(epochs=5, lr=0.5, seed=3)
     sched = _zero_schedule(corpus_slice, cfg.epochs)
-    sim = simulate_student(corpus_slice, sched, None, cfg)
-    plain = train_plain(corpus_slice, None, cfg)
+    weights = uniform_weights(corpus_slice)
+    sim = simulate_student(corpus_slice, sched, weights, cfg)
+    plain = train_plain(corpus_slice, weights, cfg)
     assert sim.epoch_losses == plain.epoch_losses
     assert np.array_equal(sim.unigram, plain.unigram)
     assert np.array_equal(sim.bigram, plain.bigram)
@@ -295,7 +296,7 @@ def test_plain_training_reduces_loss(bundled_corpus):
     corpus_slice = type(bundled_corpus)(
         questions=bundled_corpus.questions[:8], embedding_dim=bundled_corpus.embedding_dim
     )
-    trace = train_plain(corpus_slice, None, StudentConfig(epochs=15, lr=0.5, seed=0))
+    trace = train_plain(corpus_slice, uniform_weights(corpus_slice), StudentConfig(epochs=15, lr=0.5, seed=0))
     assert trace.epoch_losses[-1] < trace.epoch_losses[0]
 
 
@@ -304,8 +305,8 @@ def test_student_is_deterministic(bundled_corpus):
         questions=bundled_corpus.questions[:4], embedding_dim=bundled_corpus.embedding_dim
     )
     cfg = StudentConfig(epochs=4, lr=0.5, seed=12)
-    a = train_plain(corpus_slice, None, cfg)
-    b = train_plain(corpus_slice, None, cfg)
+    a = train_plain(corpus_slice, uniform_weights(corpus_slice), cfg)
+    b = train_plain(corpus_slice, uniform_weights(corpus_slice), cfg)
     assert a.epoch_losses == b.epoch_losses
     assert np.array_equal(a.unigram, b.unigram)
 
@@ -313,14 +314,14 @@ def test_student_is_deterministic(bundled_corpus):
 def test_simulate_requires_stage_per_epoch(bundled_corpus):
     sched = _zero_schedule(bundled_corpus, 2)
     with pytest.raises(ValueError, match="no stage 3 but the student trains for 10 epochs"):
-        simulate_student(bundled_corpus, sched, None, StudentConfig(epochs=10))
+        simulate_student(bundled_corpus, sched, uniform_weights(bundled_corpus), StudentConfig(epochs=10))
 
 
 def test_trace_written_as_json(tmp_path, bundled_corpus):
     corpus_slice = type(bundled_corpus)(
         questions=bundled_corpus.questions[:3], embedding_dim=bundled_corpus.embedding_dim
     )
-    trace = train_plain(corpus_slice, None, StudentConfig(epochs=2))
+    trace = train_plain(corpus_slice, uniform_weights(corpus_slice), StudentConfig(epochs=2))
     path = tmp_path / "trace.json"
     write_trace(trace, path)
     doc = json.loads(path.read_text())
@@ -331,7 +332,7 @@ def test_trace_written_as_json(tmp_path, bundled_corpus):
 def _reference_student(corpus, epoch_ends, weights, cfg):
     """The student as a per-question loop: one softmax per generated token,
     gradients scattered with np.add.at. epoch_ends[e] maps id -> input_end;
-    weights maps id -> the whole rationale's weights (uniform when None)."""
+    weights maps id -> the whole rationale's weights."""
     vocab = {"<bos>": BOS_ID}
     for q in corpus.questions:
         for tok in q.rationale_tokens:
@@ -355,7 +356,7 @@ def _reference_student(corpus, epoch_ends, weights, cfg):
             m = q.n_tokens - end
             if m == 0:
                 continue
-            w = weights[q.id][end:] if weights else np.ones(m)
+            w = weights[q.id][end:]
             idx = enc[q.id]
             prev, tgt = context(idx, end), idx[end:]
             logits = unigram[None, :] + bigram[prev]
@@ -416,7 +417,9 @@ def test_student_matches_the_per_question_loop(bundled_corpus, weighted, curricu
     cfg = StudentConfig(epochs=6, lr=0.8, seed=5)
     rng = np.random.default_rng(11)
     weights = (
-        {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions} if weighted else None
+        {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
+        if weighted
+        else uniform_weights(corpus)
     )
     sched = [{q.id: 0 for q in corpus.questions}] * (cfg.epochs + 1)
     if curriculum == "random":  # every question a random number of input steps at every stage
@@ -449,7 +452,7 @@ def test_the_schedule_and_the_student_stay_small(tmp_path):
     corpus = make_arith_corpus(2000, seed=1)
     rng = np.random.default_rng(1)
     weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
-    table = compute_table(corpus, weights)
+    table = compute_table(corpus, weights, corpus_logprobs(corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 5, seed=1)
     curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=10)
     plan = plan_full_schedule(corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=20)

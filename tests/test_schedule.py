@@ -8,7 +8,7 @@ import pytest
 
 from cotpace import schedule
 from cotpace.corpus import Corpus, Question
-from cotpace.difficulty import DifficultyTable, compute_table
+from cotpace.difficulty import DifficultyTable, compute_table, corpus_logprobs
 from cotpace.schedule import (
     BudgetCurve,
     Schedule,
@@ -19,6 +19,7 @@ from cotpace.schedule import (
     write_schedule,
 )
 from cotpace.selection import ClusterAssignment, kmeans_cluster
+from oracles import uniform_weights
 
 
 def _unit_table(n_questions: int = 3, n_steps: int = 1) -> DifficultyTable:
@@ -167,7 +168,7 @@ def test_plan_counts_never_increase():
 
 
 def test_plan_invariants_on_bundled_corpus(bundled_corpus):
-    table = compute_table(bundled_corpus)
+    table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     embeddings = {q.id: q.embedding for q in bundled_corpus.questions}
     clusters = kmeans_cluster(embeddings, 4, seed=11)
     curve = BudgetCurve.solve(
@@ -210,7 +211,7 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
 
     monkeypatch.setattr(schedule, "candidate_increments", counted_increments)
     monkeypatch.setattr(schedule, "select_ftgp", counted_ftgp)
-    table = compute_table(bundled_corpus)
+    table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
     curve = BudgetCurve.solve(
         b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6
@@ -248,7 +249,7 @@ def test_a_plan_sums_each_tail_once(bundled_corpus, monkeypatch):
         return tail(*args)
 
     monkeypatch.setattr(schedule, "question_generation_difficulty", counted)
-    table = compute_table(bundled_corpus)
+    table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
     curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6)
     plan = plan_full_schedule(
