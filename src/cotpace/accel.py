@@ -31,7 +31,9 @@ MONOTONE_COUNTS = 1 << 21
 
 def greedy_admit(deltas, clusters, budget, beta, eps):
     """Boolean mask of candidates admitted by the decaying threshold sweep,
-    where clusters holds each candidate's cluster index.
+    with the arguments used as given: deltas a contiguous float64 array,
+    clusters a contiguous int64 array of each candidate's cluster index, and
+    budget, beta and eps Python floats.
 
     Each pass walks the open candidates in index order and admits one when
     it fits the budget and its gain over its delta reaches the threshold (a
@@ -44,9 +46,6 @@ def greedy_admit(deltas, clusters, budget, beta, eps):
     total. Callers pass no negative budget (the planner clamps it), beta (the
     config check) or delta (the difficulty reader). Raises ValueError, before
     any work, for MONOTONE_COUNTS candidates or more."""
-    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
-    clusters = np.ascontiguousarray(clusters, dtype=np.int64)
-    budget, beta, eps = float(budget), float(beta), float(eps)
     n = deltas.shape[0]
     if n >= MONOTONE_COUNTS:
         raise ValueError(
@@ -105,11 +104,10 @@ def greedy_admit(deltas, clusters, budget, beta, eps):
 
 
 def kmeans_labels(points, centroids):
+    """int64 label of each point's nearest centroid; points (n, dim) and centroids (k, dim) are float64 arrays."""
     # Accumulate over dimensions one at a time; numpy's pairwise .sum()
     # rounds differently and can flip the argmin for near-equidistant
     # points, which changes kmeans_cluster's result.
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
     n, dim = points.shape
     d2 = np.zeros((n, centroids.shape[0]), dtype=np.float64)
     for j in range(dim):

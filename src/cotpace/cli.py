@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import parse_corpus, read_text
-from .difficulty import compute_table, corpus_logprobs, read_table, synthetic_logprobs, write_table
+from .difficulty import compute_table, corpus_logprobs, corpus_total, read_table, synthetic_logprobs, write_table
 from .loss_shaping import (
     StudentConfig,
     build_stage_loss_specs,
@@ -291,7 +291,7 @@ def _weight(mean: float | None) -> str:
 
 def _plan(cfg: PipelineConfig, corpus, inputs):
     table = inputs[DIFFICULTY]
-    total = table.corpus_total
+    total = corpus_total(table)
     curve = BudgetCurve.solve(b_total=total, c0=cfg.c0_frac * total, p=cfg.p, t_max=cfg.horizon)
     return plan_full_schedule(
         corpus, table, curve, inputs[CLUSTERS],
@@ -331,7 +331,7 @@ STAGES = {
             else corpus_logprobs(corpus),
         ),
         writes=((DIFFICULTY, lambda table, path: write_table(table, path)),),
-        note=lambda cfg, table: f"total difficulty {table.corpus_total:.4f}",
+        note=lambda cfg, table: f"total difficulty {corpus_total(table):.4f}",
     ),
     "cluster": Stage(
         "K-means over question embeddings",

@@ -380,8 +380,6 @@ def parse_corpus(path, *, strict: bool = True) -> Corpus:
         unknown = set(rec) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
         if unknown and strict:
             raise ValueError(f"{path}: line {lineno}: unknown key(s) {sorted(unknown)}; pass lenient mode to ignore")
-        for key in unknown:
-            del rec[key]
         q = _record_to_question(rec, path, lineno)
         where = f"{q.id!r} ({path}: line {lineno})"
         if q.id in lines:

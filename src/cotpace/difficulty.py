@@ -8,7 +8,6 @@ computed from the step difficulties whenever needed, never stored.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -28,25 +27,20 @@ def step_difficulty(logprobs: np.ndarray, normalized_weights: np.ndarray, span: 
     return -math.fsum(normalized_weights * logprobs[slice(*span)])
 
 
-@dataclasses.dataclass
-class DifficultyTable:
-    steps: dict[str, np.ndarray]  # id -> per-step difficulty vector
-
-    @property
-    def corpus_total(self) -> float:
-        """fsum of each question's fsum (exactly rounded, so in any order).
-        OverflowError names the question at which the running total leaves
-        the float range."""
-        try:
-            return math.fsum(math.fsum(d) for d in self.steps.values())
-        except OverflowError:
-            totals = []  # found again one question at a time, only on failure
-            for qid, d in self.steps.items():
-                try:
-                    totals.append(math.fsum(d))
-                    math.fsum(totals)
-                except OverflowError:
-                    raise OverflowError(f"total difficulty overflows a float at question {qid!r}") from None
+def corpus_total(table: dict[str, np.ndarray]) -> float:
+    """fsum of each question's fsum of the {id: step difficulties} map
+    (exactly rounded, so in any order). OverflowError names the question at
+    which the running total leaves the float range."""
+    try:
+        return math.fsum(math.fsum(d) for d in table.values())
+    except OverflowError:
+        totals = []  # found again one question at a time, only on failure
+        for qid, d in table.items():
+            try:
+                totals.append(math.fsum(d))
+                math.fsum(totals)
+            except OverflowError:
+                raise OverflowError(f"total difficulty overflows a float at question {qid!r}") from None
 
 
 def corpus_logprobs(corpus: Corpus) -> dict[str, np.ndarray]:
@@ -61,10 +55,10 @@ def corpus_logprobs(corpus: Corpus) -> dict[str, np.ndarray]:
     return {q.id: q.token_logprobs for q in corpus.questions}
 
 
-def compute_table(corpus: Corpus, weights: dict[str, np.ndarray], logprobs: dict[str, np.ndarray]) -> DifficultyTable:
-    """Score every step of every question from its raw significance weights
-    weights[id] and its log-probabilities logprobs[id]; each map holds every
-    corpus question."""
+def compute_table(corpus: Corpus, weights: dict[str, np.ndarray], logprobs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The {id: step difficulties} map: every step of every question scored
+    from its raw significance weights weights[id] and its log-probabilities
+    logprobs[id]; each map holds every corpus question."""
     steps: dict[str, np.ndarray] = {}
     for q in corpus.questions:
         lp, w = logprobs[q.id], weights[q.id]
@@ -72,13 +66,14 @@ def compute_table(corpus: Corpus, weights: dict[str, np.ndarray], logprobs: dict
         for k, span in enumerate(q.step_spans):
             d[k] = step_difficulty(lp, normalize_step_weights(w, span), span)
         steps[q.id] = d
-    return DifficultyTable(steps=steps)
+    return steps
 
 
-def question_generation_difficulty(table: DifficultyTable, qid: str, input_steps: int) -> float:
+def question_generation_difficulty(table: dict[str, np.ndarray], qid: str, input_steps: int) -> float:
     """Difficulty the student must generate when the first input_steps
-    steps of the rationale are given as input: sum of the tail steps."""
-    return math.fsum(table.steps[qid][input_steps:])
+    steps of the rationale are given as input: sum of the tail steps of
+    question qid in the {id: step difficulties} map."""
+    return math.fsum(table[qid][input_steps:])
 
 
 def beta_logprobs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -92,19 +87,20 @@ def synthetic_logprobs(corpus: Corpus, seed: int) -> dict[str, np.ndarray]:
     return {q.id: beta_logprobs(rng, q.n_tokens) for q in corpus.questions}
 
 
-def write_table(table: DifficultyTable, path) -> None:
-    """JSONL: one {"id", "step_difficulties"} row per question."""
-    write_vectors(table.steps, "step_difficulties", path)
+def write_table(table: dict[str, np.ndarray], path) -> None:
+    """The {id: step difficulties} map as JSONL: one {"id",
+    "step_difficulties"} row per question."""
+    write_vectors(table, "step_difficulties", path)
 
 
-def read_table(path, corpus: Corpus) -> DifficultyTable:
-    """difficulty.jsonl for corpus: one row per corpus question, each id once,
-    one step difficulty per step, and every one finite and >= 0; their total
-    must be finite too (OverflowError otherwise)."""
-    steps = read_vectors(path, corpus, "step_difficulties", "step difficulties", "steps", math.inf, "is below 0")
-    table = DifficultyTable(steps=steps)
+def read_table(path, corpus: Corpus) -> dict[str, np.ndarray]:
+    """The {id: step difficulties} map in difficulty.jsonl for corpus: one
+    row per corpus question, each id once, one step difficulty per step, and
+    every one finite and >= 0; their total must be finite too (OverflowError
+    otherwise)."""
+    table = read_vectors(path, corpus, "step_difficulties", "step difficulties", "steps", math.inf, "is below 0")
     try:
-        table.corpus_total
+        corpus_total(table)
     except OverflowError as exc:
         raise OverflowError(f"{path}: {exc}") from None
     return table

@@ -170,18 +170,22 @@ def _run_student(corpus: Corpus, weights: dict[str, np.ndarray], epoch_ends, con
     bigram = rng.normal(0.0, INIT_SCALE, size=(nv, nv))
     epoch_losses: list[float] = []
     means: list[float | None] = []
-    for epoch, ends in zip(range(1, config.epochs + 1), epoch_ends):
-        # a token is scored from its question's first token + input_end on
-        scored = np.arange(pair.size) >= np.repeat(starts + ends, n_tokens)
-        table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv).reshape(nv, nv)
-        n_scored = np.count_nonzero(scored)
-        means.append(float(table.sum()) / n_scored if n_scored else None)
-        total = _descend(table, unigram, bigram, config.lr / nq)
-        if not math.isfinite(total):
-            raise RuntimeError(f"non-finite student loss at epoch {epoch}; lower the learning rate")
-        epoch_losses.append(total / nq)
-    del w  # the final probabilities need pair alone
-    probs = _log_softmax_table(unigram, bigram)[0].ravel()[pair]
+    try:  # the first overflow or invalid value ends the run, as in weigh
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch, ends in zip(range(1, config.epochs + 1), epoch_ends):
+                # a token is scored from its question's first token + input_end on
+                scored = np.arange(pair.size) >= np.repeat(starts + ends, n_tokens)
+                table = np.bincount(pair, weights=np.where(scored, w, 0.0), minlength=nv * nv).reshape(nv, nv)
+                n_scored = np.count_nonzero(scored)
+                means.append(float(table.sum()) / n_scored if n_scored else None)
+                total = _descend(table, unigram, bigram, config.lr / nq)
+                if not math.isfinite(total):  # einsum overflows without a word
+                    raise FloatingPointError("non-finite student loss")
+                epoch_losses.append(total / nq)
+            del w  # the final probabilities need pair alone
+            probs = _log_softmax_table(unigram, bigram)[0].ravel()[pair]
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{exc} at epoch {epoch}: the student diverged, lower the learning rate (student_lr)") from None
     np.exp(probs, out=probs)
     if not probs.all():  # trace.json's probabilities lie in (0, 1]
         first = int(np.searchsorted(starts, np.argmin(probs != 0.0), side="right")) - 1

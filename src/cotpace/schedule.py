@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .corpus import Corpus, check_ints, encode, expect_type, json_object, read_json
-from .difficulty import DifficultyTable, question_generation_difficulty
+from .difficulty import question_generation_difficulty
 from .selection import ClusterAssignment, SelectionProblem, candidate_increments, select_ftgp
 
 
@@ -85,7 +85,7 @@ class Schedule:
 
 def plan_full_schedule(
     corpus: Corpus,
-    table: DifficultyTable,
+    table: dict[str, np.ndarray],
     curve: BudgetCurve,
     clusters: ClusterAssignment,
     *,
@@ -94,7 +94,8 @@ def plan_full_schedule(
     step_reduction: int,
     total_stages: int,
 ) -> Schedule:
-    """Plan every stage 0..total_stages.
+    """Plan every stage 0..total_stages from the {id: step difficulties}
+    map table.
 
     Each stage's budget is D(t) minus the difficulty already generated.
     Stage 0 repeats selection rounds against it until no candidate is
@@ -109,8 +110,6 @@ def plan_full_schedule(
     def select_round(steps: dict[str, int], budget: float) -> tuple[list[str], list[float]]:
         """The ids one selection round admits, and their increments."""
         cands = candidate_increments(steps, table, step_reduction)
-        if not cands:
-            return [], []
         sel = select_ftgp(SelectionProblem(cands, budget, clusters, beta), eps)
         return sel, [cands[qid] for qid in sel]
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import accel
 from .corpus import Corpus, check_ints, encode, expect_type, read_json
-from .difficulty import DifficultyTable
 
 # Threshold passes select_ftgp allows. The default eps = 0.1 needs about 100
 # passes over 2000 candidates and eps = 0.01 about 1300; each pass can cost a
@@ -173,14 +172,15 @@ def read_clusters(path, corpus: Corpus) -> ClusterAssignment:
 
 
 def candidate_increments(
-    input_steps: Mapping[str, int], table: DifficultyTable, step_reduction: int
+    input_steps: Mapping[str, int], table: Mapping[str, np.ndarray], step_reduction: int
 ) -> dict[str, float]:
     """Difficulty increment each question would add if selected: the sum
-    of the next step_reduction step difficulties counted from the back
+    of its next step_reduction step difficulties in the {id: step
+    difficulties} map table, counted from the back
     (steps c, c-1, ... in one-based terms are spans [c - r, c) zero-based).
     Questions with no input steps left are not candidates."""
     out: dict[str, float] = {}
     for qid, c in input_steps.items():
         if c > 0:
-            out[qid] = math.fsum(table.steps[qid][max(0, c - step_reduction) : c])
+            out[qid] = math.fsum(table[qid][max(0, c - step_reduction) : c])
     return out

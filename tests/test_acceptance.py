@@ -16,9 +16,9 @@ import pytest
 from cotpace.cli import PipelineConfig, run_pipeline
 from cotpace.corpus import Question
 from cotpace.difficulty import (
-    DifficultyTable,
     compute_table,
     corpus_logprobs,
+    corpus_total,
     normalize_step_weights,
     question_generation_difficulty,
     step_difficulty,
@@ -145,10 +145,10 @@ def test_criterion_4_schedule_invariants(
         plan = json.load(fh)
     table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     horizon = plan["params"]["horizon"]
-    max_increment = max(float(arr.max()) for arr in table.steps.values())
+    max_increment = max(float(arr.max()) for arr in table.values())
     curve = BudgetCurve.solve(
-        b_total=table.corpus_total,
-        c0=cfg.c0_frac * table.corpus_total,
+        b_total=corpus_total(table),
+        c0=cfg.c0_frac * corpus_total(table),
         p=cfg.p,
         t_max=horizon,
     )
@@ -241,8 +241,7 @@ def test_criterion_7_difficulty_correctness(criterion_report):
         d = step_difficulty(logprobs, weights, (0, n))
         assert d >= 0.0
         n_steps = int(rng.integers(1, 7))
-        steps = {"q": rng.uniform(0.0, 3.0, size=n_steps)}
-        table = DifficultyTable(steps=steps)
+        table = {"q": rng.uniform(0.0, 3.0, size=n_steps)}
         h = [question_generation_difficulty(table, "q", c) for c in range(n_steps + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
     criterion_report(

@@ -13,7 +13,7 @@ import pytest
 
 from cotpace.cli import main
 from cotpace.corpus import parse_corpus, write_corpus
-from cotpace.difficulty import compute_table, corpus_logprobs, read_table
+from cotpace.difficulty import compute_table, corpus_logprobs, corpus_total, read_table
 from cotpace.loss_shaping import StudentConfig, StudentTrace, simulate_student, write_trace
 from cotpace.schedule import (
     BudgetCurve,
@@ -36,7 +36,7 @@ def planned():
     weights = uniform_weights(corpus)
     table = compute_table(corpus, weights, corpus_logprobs(corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 3, seed=2)
-    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=5)
+    curve = BudgetCurve.solve(b_total=corpus_total(table), c0=0.3 * corpus_total(table), p=0.5, t_max=5)
     plan = plan_full_schedule(
         corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=10
     )
@@ -238,7 +238,7 @@ def test_an_out_directory_in_the_spaced_encoding_reads_the_same(written, tmp_pat
     corpus = parse_corpus(corpus_path)
     readers = {
         "weights.jsonl": read_weights,
-        "difficulty.jsonl": lambda path, corpus: read_table(path, corpus).steps,
+        "difficulty.jsonl": lambda path, corpus: read_table(path, corpus),
         "clusters.json": read_clusters,
         "schedule.json": read_schedule,
     }

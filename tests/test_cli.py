@@ -126,6 +126,11 @@ def test_missing_seed_exits_2(small_corpus_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_missing_corpus_exits_2(capsys):
+    assert main(["validate", "--seed", "1"]) == 2
+    assert "no corpus given" in capsys.readouterr().err
+
+
 def test_validate_ok_exits_0(small_corpus_path, capsys):
     assert main(["validate", "--corpus", str(small_corpus_path), "--seed", "1"]) == 0
     assert "[validate] ok" in capsys.readouterr().out
@@ -952,13 +957,21 @@ def test_diverging_training_exits_3(tmp_path, small_corpus_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--unmasked-weight"])
-def test_an_objective_that_overflows_before_any_update_exits_3_and_names_it(tmp_path, small_corpus_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--alpha", "1e308"), ("--unmasked-weight", "1e308"), ("--alpha", "1e306")],
+    # at 1e306 numpy's sums stay finite and the minibatch loss, a Python
+    # float, overflows instead
+    ids=["--alpha", "--unmasked-weight", "--alpha-1e306"],
+)
+def test_an_objective_that_overflows_before_any_update_exits_3_and_names_it(
+    tmp_path, small_corpus_path, capsys, flag, value
+):
     # the first minibatch overflowed before any update, yet the message
     # told the user to lower the learning rate
     code = main([
         "weigh", "--corpus", str(small_corpus_path), "--out", str(tmp_path / "out"),
-        "--seed", "1", flag, "1e308", "--weight-epochs", "1", "--restarts", "1",
+        "--seed", "1", flag, value, "--weight-epochs", "1", "--restarts", "1",
     ])
     assert code == 3
     err = capsys.readouterr().err
@@ -1070,18 +1083,36 @@ def test_weigh_that_ends_non_finite_exits_3_and_writes_nothing(tmp_path, capsys)
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_a_student_whose_probabilities_underflow_exits_3_and_writes_no_trace(tmp_path, capsys):
-    # the epoch loss went from 20.7 to 9269 and the run exited 0 with a
-    # trace.json holding final token probabilities of exactly 0.0
+def _diverge_student(tmp_path, capsys, lr: str) -> str:
+    """Run the pipeline with a student learning rate that diverges; checks
+    that it exits 3 with no RuntimeWarning, names student_lr and writes no
+    trace.json, and returns stderr."""
     path = tmp_path / "corpus.jsonl"
     write_corpus(make_arith_corpus(12, seed=3), path)
     out = tmp_path / "out"
     argv = ["run", "--simulate", "--corpus", str(path), "--out", str(out), "--seed", "1",
-            "--student-lr", "1000", "--weight-epochs", "1", "--restarts", "1"]
-    assert main(argv) == 3
+            "--student-lr", lr, "--weight-epochs", "1", "--restarts", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "student_lr" in err and "question 'q0" in err
+    assert "numeric failure" in err and "student_lr" in err
     assert (out / "losses.jsonl").exists() and not (out / "trace.json").exists()
+    return err
+
+
+def test_a_student_whose_probabilities_underflow_exits_3_and_writes_no_trace(tmp_path, capsys):
+    # the epoch loss went from 20.7 to 9269 and the run exited 0 with a
+    # trace.json holding final token probabilities of exactly 0.0
+    assert "question 'q0" in _diverge_student(tmp_path, capsys, "1000")
+
+
+@pytest.mark.parametrize("lr", ["1e307", "1e308"])
+def test_a_student_whose_loss_overflows_exits_3_without_a_warning(tmp_path, capsys, lr):
+    # numpy printed an overflow RuntimeWarning at 1e308 before the exit-3
+    # message, and neither rate's message named student_lr
+    _diverge_student(tmp_path, capsys, lr)
 
 
 def test_an_allocation_failure_exits_3_without_a_traceback(tmp_path, small_corpus_path, capsys):

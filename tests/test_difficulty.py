@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from cotpace.cli import READERS, WEIGHTS
 from cotpace.corpus import Corpus, Question
 from cotpace.difficulty import (
-    DifficultyTable,
     compute_table,
     corpus_logprobs,
+    corpus_total,
     normalize_step_weights,
     question_generation_difficulty,
     read_table,
@@ -106,36 +106,36 @@ def test_generation_difficulty_boundaries():
     q = _question("q", [-1.0, -2.0, -3.0], steps=[(0, 1), (1, 2), (2, 3)])
     table = _uniform_table(Corpus([q], 4))
     assert question_generation_difficulty(table, "q", 3) == 0.0
-    assert question_generation_difficulty(table, "q", 0) == math.fsum(table.steps["q"])
+    assert question_generation_difficulty(table, "q", 0) == math.fsum(table["q"])
 
 
 def test_generation_difficulty_hand_case():
-    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])})
+    table = {"q": np.array([1.0, 2.0, 3.0])}
     assert question_generation_difficulty(table, "q", 1) == 5.0
 
 
 def test_corpus_total_empty_and_sum():
-    assert _uniform_table(Corpus([], 4)).corpus_total == 0.0
+    assert corpus_total(_uniform_table(Corpus([], 4))) == 0.0
     qa = _question("a", [-1.5])
     qb = _question("b", [-2.5])
     table = _uniform_table(Corpus([qa, qb], 4))
-    assert table.steps["a"].tolist() == [1.5] and table.steps["b"].tolist() == [2.5]
-    assert table.corpus_total == 4.0
+    assert table["a"].tolist() == [1.5] and table["b"].tolist() == [2.5]
+    assert corpus_total(table) == 4.0
 
 
 def test_totals_match_parts(bundled_corpus):
     table = _uniform_table(bundled_corpus)
-    for qid, d in table.steps.items():
+    for qid, d in table.items():
         assert np.all(d >= 0.0)
     # the fsum of each question's fsum, in any order (fsum is exactly rounded)
-    parts = [math.fsum(d) for d in table.steps.values()]
-    assert table.corpus_total == math.fsum(parts) == math.fsum(reversed(parts))
+    parts = [math.fsum(d) for d in table.values()]
+    assert corpus_total(table) == math.fsum(parts) == math.fsum(reversed(parts))
 
 
 def test_bundled_corpus_golden_total(bundled_corpus, golden_dir):
     doc = json.loads((golden_dir / "golden_difficulty_total.json").read_text())
     table = _uniform_table(bundled_corpus)
-    assert abs(table.corpus_total - doc["B"]) < 1e-9
+    assert abs(corpus_total(table) - doc["B"]) < 1e-9
 
 
 # --- compute_table plumbing ---------------------------------------------------
@@ -153,12 +153,12 @@ def test_assess_weights_come_from_the_file_else_the_corpus_else_ones(tmp_path):
     assert np.array_equal(fallback["q"], [0.0, 1.0]) and np.array_equal(fallback["bare"], [1.0, 1.0])
     table = compute_table(corpus, fallback, corpus_logprobs(corpus))
     # a weight of 1 per token scores every step uniformly
-    assert table.steps["bare"][0] == 1.5
+    assert table["bare"][0] == 1.5
     expected_record = -float(np.dot(normalize_step_weights(np.array([0.0, 1.0]), (0, 2)), [-1.0, -2.0]))
-    assert abs(table.steps["q"][0] - expected_record) < 1e-12
+    assert abs(table["q"][0] - expected_record) < 1e-12
     # weights.jsonl's weights are the ones scored, over the record's
     write_weights({"q": np.array([1.0, 0.0]), "bare": np.array([0.5, 0.5])}, tmp_path / "weights.jsonl")
-    override = compute_table(corpus, read(tmp_path / "weights.jsonl", corpus), corpus_logprobs(corpus)).steps["q"][0]
+    override = compute_table(corpus, read(tmp_path / "weights.jsonl", corpus), corpus_logprobs(corpus))["q"][0]
     expected_override = -float(np.dot(normalize_step_weights(np.array([1.0, 0.0]), (0, 2)), [-1.0, -2.0]))
     assert abs(override - expected_override) < 1e-12
 
@@ -190,11 +190,11 @@ def test_table_round_trip(bundled_corpus, tmp_path):
     path = tmp_path / "difficulty.jsonl"
     write_table(table, path)
     back = read_table(path, bundled_corpus)
-    assert back.corpus_total == table.corpus_total
+    assert corpus_total(back) == corpus_total(table)
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"id", "step_difficulties"}  # no stored totals
-    for qid in table.steps:
-        assert np.array_equal(back.steps[qid], table.steps[qid])
+    for qid in table:
+        assert np.array_equal(back[qid], table[qid])
 
 
 def test_read_table_refuses_a_stored_total_row(tmp_path):

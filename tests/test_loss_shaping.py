@@ -11,7 +11,7 @@ import pytest
 
 from cotpace import loss_shaping
 from cotpace.corpus import Corpus, Question
-from cotpace.difficulty import compute_table, corpus_logprobs
+from cotpace.difficulty import compute_table, corpus_logprobs, corpus_total
 from cotpace.loss_shaping import (
     BOS_ID,
     StudentConfig,
@@ -454,7 +454,7 @@ def test_the_schedule_and_the_student_stay_small(tmp_path):
     weights = {q.id: rng.uniform(0.0, 1.0, size=q.n_tokens) for q in corpus.questions}
     table = compute_table(corpus, weights, corpus_logprobs(corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 5, seed=1)
-    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=10)
+    curve = BudgetCurve.solve(b_total=corpus_total(table), c0=0.3 * corpus_total(table), p=0.5, t_max=10)
     plan = plan_full_schedule(corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=20)
     write_schedule(plan, tmp_path / "schedule.json")
     tracemalloc.start()

@@ -8,7 +8,7 @@ import pytest
 
 from cotpace import schedule
 from cotpace.corpus import Corpus, Question
-from cotpace.difficulty import DifficultyTable, compute_table, corpus_logprobs
+from cotpace.difficulty import compute_table, corpus_logprobs, corpus_total
 from cotpace.schedule import (
     BudgetCurve,
     Schedule,
@@ -19,16 +19,17 @@ from cotpace.schedule import (
     write_schedule,
 )
 from cotpace.selection import ClusterAssignment, kmeans_cluster
+from cotpace.synth import make_arith_corpus
 from oracles import uniform_weights
 
 
-def _unit_table(n_questions: int = 3, n_steps: int = 1) -> DifficultyTable:
-    return DifficultyTable(steps={f"q{i}": np.ones(n_steps) for i in range(n_questions)})
+def _unit_table(n_questions: int = 3, n_steps: int = 1) -> dict[str, np.ndarray]:
+    return {f"q{i}": np.ones(n_steps) for i in range(n_questions)}
 
 
-def _corpus_for(table: DifficultyTable) -> Corpus:
+def _corpus_for(table: dict[str, np.ndarray]) -> Corpus:
     questions = []
-    for qid, arr in table.steps.items():
+    for qid, arr in table.items():
         m = arr.size
         questions.append(
             Question(
@@ -46,7 +47,7 @@ def _corpus_for(table: DifficultyTable) -> Corpus:
 
 
 def _plan(
-    table: DifficultyTable,
+    table: dict[str, np.ndarray],
     *,
     c0: float,
     p: float = 1.0,
@@ -57,8 +58,8 @@ def _plan(
     step_reduction: int = 1,
 ) -> Schedule:
     corpus = _corpus_for(table)
-    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=c0, p=p, t_max=t_max)
-    clusters = ClusterAssignment(n_clusters=1, assignment={qid: 0 for qid in table.steps})
+    curve = BudgetCurve.solve(b_total=corpus_total(table), c0=c0, p=p, t_max=t_max)
+    clusters = ClusterAssignment(n_clusters=1, assignment={qid: 0 for qid in table})
     return plan_full_schedule(
         corpus,
         table,
@@ -172,13 +173,13 @@ def test_plan_invariants_on_bundled_corpus(bundled_corpus):
     embeddings = {q.id: q.embedding for q in bundled_corpus.questions}
     clusters = kmeans_cluster(embeddings, 4, seed=11)
     curve = BudgetCurve.solve(
-        b_total=table.corpus_total, c0=0.3 * table.corpus_total, p=0.5, t_max=6
+        b_total=corpus_total(table), c0=0.3 * corpus_total(table), p=0.5, t_max=6
     )
     plan = plan_full_schedule(
         bundled_corpus, table, curve, clusters, beta=1.0, eps=0.1,
         step_reduction=1, total_stages=8,
     )
-    max_step = max(float(arr.max()) for arr in table.steps.values())
+    max_step = max(float(arr.max()) for arr in table.values())
     cumulative_h = 0.0
     for t, record in enumerate(plan.stages):
         if t < 6:
@@ -186,7 +187,7 @@ def test_plan_invariants_on_bundled_corpus(bundled_corpus):
         cumulative_h += record.delta_h
         assert abs(cumulative_h - record.h_after) < 1e-6
         assert record.h_after <= budget_at(curve, t) + max_step + 1e-9
-    assert abs(plan.stages[-1].h_after - table.corpus_total) < 1e-6
+    assert abs(plan.stages[-1].h_after - corpus_total(table)) < 1e-6
 
 
 def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
@@ -214,7 +215,7 @@ def test_plan_selects_through_the_module_globals(bundled_corpus, monkeypatch):
     table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
     curve = BudgetCurve.solve(
-        b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6
+        b_total=corpus_total(table), c0=0.5 * corpus_total(table), p=0.5, t_max=6
     )
     plan = plan_full_schedule(
         bundled_corpus, table, curve, clusters, beta=12.0, eps=0.1,
@@ -251,7 +252,7 @@ def test_a_plan_sums_each_tail_once(bundled_corpus, monkeypatch):
     monkeypatch.setattr(schedule, "question_generation_difficulty", counted)
     table = compute_table(bundled_corpus, uniform_weights(bundled_corpus), corpus_logprobs(bundled_corpus))
     clusters = kmeans_cluster({q.id: q.embedding for q in bundled_corpus.questions}, 4, seed=11)
-    curve = BudgetCurve.solve(b_total=table.corpus_total, c0=0.5 * table.corpus_total, p=0.5, t_max=6)
+    curve = BudgetCurve.solve(b_total=corpus_total(table), c0=0.5 * corpus_total(table), p=0.5, t_max=6)
     plan = plan_full_schedule(
         bundled_corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=8
     )
@@ -259,6 +260,21 @@ def test_a_plan_sums_each_tail_once(bundled_corpus, monkeypatch):
     # the fsum of the looked-up tails is the fsum of the tails
     for record, row in zip(plan.stages, plan.counts.tolist()):
         assert record.h_after == math.fsum(tail(table, qid, c) for qid, c in zip(plan.ids, row))
+
+
+def test_a_zero_difficulty_corpus_retires_every_question_at_stage_0():
+    # Every step scores 0, so stage 0 admits every question until none has an
+    # input step left, and each later round before the horizon has no
+    # candidate at all.
+    corpus = make_arith_corpus(20, seed=4)
+    for q in corpus.questions:
+        q.token_logprobs = np.zeros(q.n_tokens)
+    table = compute_table(corpus, uniform_weights(corpus), corpus_logprobs(corpus))
+    clusters = kmeans_cluster({q.id: q.embedding for q in corpus.questions}, 5, seed=1)
+    curve = BudgetCurve.solve(b_total=corpus_total(table), c0=0.0, p=0.5, t_max=6)
+    plan = plan_full_schedule(corpus, table, curve, clusters, beta=12.0, eps=0.1, step_reduction=1, total_stages=8)
+    assert plan.counts.shape == (9, 20) and not plan.counts.any()
+    assert all(record.delta_h == 0.0 and record.h_after == 0.0 for record in plan.stages)
 
 
 def test_a_plan_shorter_than_its_horizon_ends_at_its_last_stage():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotpace.cli import stage_seed
-from cotpace.difficulty import DifficultyTable
 from cotpace.selection import (
     ClusterAssignment,
     SelectionProblem,
@@ -187,18 +186,18 @@ def test_kmeans_on_identical_points_settles_in_one_pass(monkeypatch, k):
 
 
 def test_candidate_increments_last_step_first():
-    table = DifficultyTable(steps={"q": np.array([1.0, 2.0, 3.0])})
+    table = {"q": np.array([1.0, 2.0, 3.0])}
     assert candidate_increments({"q": 3}, table, 1) == {"q": 3.0}
     assert candidate_increments({"q": 2}, table, 1) == {"q": 2.0}
 
 
 def test_candidate_increments_exhausted_question_absent():
-    table = DifficultyTable(steps={"q": np.array([1.0])})
+    table = {"q": np.array([1.0])}
     assert candidate_increments({"q": 0}, table, 1) == {}
 
 
 def test_candidate_increments_clamps_below_zero():
-    table = DifficultyTable(steps={"q": np.array([5.0, 1.0])})
+    table = {"q": np.array([5.0, 1.0])}
     assert candidate_increments({"q": 1}, table, 2) == {"q": 5.0}
 
 
