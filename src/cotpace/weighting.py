@@ -47,7 +47,7 @@ UNK_TOKEN = "<unk>"
 SCORE_DRAWS = 8
 
 MODEL_FORMAT = "cotpace-weight-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclasses.dataclass
@@ -558,30 +558,30 @@ def read_weights(path, corpus: Corpus) -> dict[str, np.ndarray]:
 
 
 def save_model(model: TokenWeightModel, path) -> None:
-    """The model as one JSON document: format, format_version, config,
-    question_dim, vocab, classes and params, where params maps each parameter
-    name to {"shape": [...], "data": base64 of the parameter's C-order
-    little-endian float64 bytes}. A parameter decodes exactly with
-    np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"]).
-    The parameters are encoded one at a time, so the writer holds at most one
+    """The significance scorer as one JSON document: format, format_version,
+    config, vocab and params, where params maps each of the SCORER_PARAMS,
+    in model.params order, to {"shape": [...], "data": base64 of the
+    parameter's C-order little-endian float64 bytes}. A parameter decodes
+    exactly with np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"]).
+    The answer head is not written: it only prices masks during training,
+    and forward_weights reads the scorer and the vocabulary alone. The
+    parameters are encoded one at a time, so the writer holds at most one
     parameter's base64 text beside the model."""
     head = encode(
         {
             "format": MODEL_FORMAT,
             "format_version": MODEL_FORMAT_VERSION,
             "config": dataclasses.asdict(model.config),
-            "question_dim": model.params["x_proj"].shape[0],
             "vocab": model.vocab,
-            "classes": model.classes,
         }
     )
+    scorer = [(name, arr) for name, arr in model.params.items() if name in SCORER_PARAMS]
     with open(path, "wb") as fh:
         # the head's closing brace comes after params
         fh.write(head[:-1].encode("ascii") + b',"params":{')
-        for i, (name, arr) in enumerate(model.params.items()):
+        for i, (name, arr) in enumerate(scorer):
             field = f'{"," if i else ""}{encode(name)}:{{"shape":{encode(arr.shape)},"data":"'
             fh.write(field.encode("ascii"))
             fh.write(base64.b64encode(np.ascontiguousarray(arr, "<f8")))
             fh.write(b'"}')
         fh.write(b"}}\n")
-

@@ -8,19 +8,31 @@ the scheduled student. count_matrix turns a schedule a test writes by hand
 into read_schedule's matrix; a planned schedule already holds it as
 Schedule.counts. uniform_weights is the weights map the command line builds
 for a corpus without token_weights when --out holds no weights.jsonl.
+scorer_from_checkpoint reads weight_model.json back, which no command does,
+so a test can recompute weights.jsonl from it.
 """
 from __future__ import annotations
 
+import base64
 import itertools
+import json
 import math
 from collections.abc import Iterable
+from pathlib import Path
 
 import numpy as np
 
 from cotpace.corpus import Corpus, Question
 from cotpace.loss_shaping import StudentConfig, StudentTrace, _run_student
 from cotpace.selection import SelectionProblem
-from cotpace.weighting import MaskSample, TokenWeightModel, _draw_mask, _sample_noise, weighting_loss_and_grads
+from cotpace.weighting import (
+    MaskSample,
+    TokenWeightModel,
+    WeightingConfig,
+    _draw_mask,
+    _sample_noise,
+    weighting_loss_and_grads,
+)
 
 # ---------------------------------------------------------------------------
 # subset comparison: lexicographic order on the sorted member lists.
@@ -240,3 +252,16 @@ def count_matrix(corpus: Corpus, stages: Iterable[dict[str, int]]) -> np.ndarray
 def uniform_weights(corpus: Corpus) -> dict[str, np.ndarray]:
     """A weight of 1 for every rationale token of every corpus question."""
     return {q.id: np.ones(q.n_tokens) for q in corpus.questions}
+
+
+def scorer_from_checkpoint(path) -> TokenWeightModel:
+    """The model weight_model.json holds: its config, vocabulary and every
+    tensor under params, decoded by the README's recipe. The file keeps no
+    answer head, so the model has no classes and only forward_weights can
+    run on it."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    params = {
+        name: np.frombuffer(base64.b64decode(p["data"]), "<f8").reshape(p["shape"])
+        for name, p in doc["params"].items()
+    }
+    return TokenWeightModel(vocab=doc["vocab"], classes={}, params=params, config=WeightingConfig(**doc["config"]))

@@ -670,6 +670,23 @@ def test_trace_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus
     assert traces[0] == traces[1]
 
 
+# weigh, printing a sha256 over every parameter of the model it saves: the
+# answer head too, which weight_model.json does not hold
+_WEIGH_AND_HASH_THE_MODEL = """
+import hashlib, sys
+from cotpace import cli
+save = cli.save_model
+def save_and_hash(model, path):
+    digest = hashlib.sha256()
+    for name, arr in model.params.items():
+        digest.update(f"{name}{arr.shape}".encode() + arr.tobytes())
+    print("model sha256", digest.hexdigest())
+    save(model, path)
+cli.save_model = save_and_hash
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_weigh_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus_path):
     # the trainer's matmuls are small; larger ones can take OpenBLAS's
     # threaded paths, whose sums split by thread
@@ -677,19 +694,22 @@ def test_weigh_does_not_depend_on_the_blas_thread_count(tmp_path, bundled_corpus
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        _cli_with_blas_threads(threads, "weigh", *args, "--out", str(out))
-        written.append([(out / name).read_bytes() for name in ("weights.jsonl", "weight_model.json")])
+        stdout = _cli_with_blas_threads(threads, "weigh", *args, "--out", str(out), code=_WEIGH_AND_HASH_THE_MODEL)
+        digests = re.findall(r"^model sha256 ([0-9a-f]{64})$", stdout, re.MULTILINE)
+        assert len(digests) == 1, stdout
+        written.append([*digests, *((out / name).read_bytes() for name in ("weights.jsonl", "weight_model.json"))])
     assert written[0] == written[1]
 
 
-def _cli_with_blas_threads(threads: str, *argv: str) -> None:
+def _cli_with_blas_threads(threads: str, *argv: str, code: str | None = None) -> str:
     """Run a cotpace command from this checkout in a fresh interpreter
-    whose OpenBLAS uses the given number of threads."""
+    whose OpenBLAS uses the given number of threads, through code (run by
+    python -c with argv) if given; the command's standard output."""
     src = str(Path(cotpace.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "cotpace.cli", *argv]
-    subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=120)
+    cmd = [sys.executable, *(("-c", code) if code else ("-m", "cotpace.cli")), *argv]
+    return subprocess.run(cmd, env=env, check=True, capture_output=True, text=True, timeout=120).stdout
 
 
 def test_schedule_budget_ends_at_the_summed_step_difficulty(planned_out):
